@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .combiners import (
     DEFAULT_ITERATIONS,
@@ -34,13 +32,15 @@ from .combiners import (
 )
 from .dataio import (
     DataFormatError,
-    load_forecast_rows,
+    load_forecast_matrix,
     load_model,
+    load_outcomes,
     load_table,
     save_eval_report,
     save_model,
     write_table,
 )
+from .domain import MAX_SEED
 from .evaluation import SyntheticSpec, generate_synthetic, loo_evaluate
 from .links import make_link, matched_scoring_rule
 from .scoring import decompose
@@ -71,6 +71,14 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer that fits in 64 unsigned bits."""
+    seed = int(text)
+    if not 0 <= seed <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64 - 1], got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="forecast-ensembles",
                      description="Combine probability forecasters with bagging and boosting.")
@@ -83,7 +91,7 @@ def _build_parser() -> _Parser:
     combine.add_argument("--forecasts", required=True)
     combine.add_argument("--outcomes", required=True)
     combine.add_argument("--iterations", type=int, default=None)
-    combine.add_argument("--seed", type=int, default=0)
+    combine.add_argument("--seed", type=_seed, default=0)
     combine.add_argument("--model-out", required=True)
     combine.set_defaults(func=_cmd_combine)
 
@@ -99,7 +107,7 @@ def _build_parser() -> _Parser:
     loo.add_argument("--forecasts", required=True)
     loo.add_argument("--outcomes", required=True)
     loo.add_argument("--iterations", type=int, default=None)
-    loo.add_argument("--seed", type=int, default=0)
+    loo.add_argument("--seed", type=_seed, default=0)
     loo.add_argument("--report-out", required=True)
     loo.set_defaults(func=_cmd_loo)
 
@@ -150,26 +158,10 @@ def _cmd_combine(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    rows = load_forecast_rows(args.forecasts)
-
-    question_ids: list[str] = []
-    for question_id, _, _ in rows:
-        if question_id not in question_ids:
-            question_ids.append(question_id)
-    index = {f: i for i, f in enumerate(model.forecaster_ids)}
-    matrix = np.full((model.n_forecasters, len(question_ids)), np.nan)
-    qindex = {q: j for j, q in enumerate(question_ids)}
-    for question_id, forecaster_id, probability in rows:
-        if forecaster_id not in index:
-            raise DataFormatError(f"{args.forecasts}: forecaster {forecaster_id!r} "
-                                  "is not part of the model")
-        if probability is not None:
-            matrix[index[forecaster_id], qindex[question_id]] = probability
-
+    question_ids, _, matrix = load_forecast_matrix(args.forecasts, model.forecaster_ids)
     outcomes = None
     if args.outcomes is not None:
-        table = load_table(args.forecasts, args.outcomes)
-        outcomes = dict(zip(table.question_ids, (int(o) for o in table.outcomes)))
+        outcomes = load_outcomes(args.outcomes, args.forecasts, question_ids)
 
     per_question = []
     errors = 0

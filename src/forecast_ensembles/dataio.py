@@ -14,8 +14,10 @@ model JSON      schema ``ensemble_model.v1``: method, rounds as
                 training time.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
-Question order comes from the outcomes file; forecaster order is first
-appearance in the forecasts file.  Probabilities are written with 17
+Every forecasts CSV is read in one pass by `load_forecast_matrix`, which
+orders questions by first appearance and forecasters by first appearance
+or as the caller gives (a model's); `load_table` adds the outcomes file
+and puts the questions in its order.  Probabilities are written with 17
 significant digits and JSON floats use shortest-round-trip repr, so every
 file round-trips bit-exactly.
 """
@@ -37,7 +39,8 @@ __all__ = [
     "DataFormatError",
     "load_table",
     "write_table",
-    "load_forecast_rows",
+    "load_forecast_matrix",
+    "load_outcomes",
     "save_model",
     "load_model",
     "save_eval_report",
@@ -79,46 +82,64 @@ def _read_rows(path, header: list[str]):
             yield line, row
 
 
-def load_forecast_rows(path) -> list[tuple[str, str, float | None]]:
-    """Parse a forecasts CSV into (question_id, forecaster_id, probability)
-    triples, probability None where the field is empty."""
-    rows: list[tuple[str, str, float | None]] = []
-    seen: set[tuple[str, str]] = set()
+def load_forecast_matrix(path, forecaster_ids=None
+                         ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Parse a forecasts CSV into ``(question_ids, forecaster_ids, matrix)``.
+
+    ``matrix[i, j]`` is forecaster i's probability on question j, NaN where
+    no forecast was given.  Questions follow first appearance in the file.
+    Rows follow ``forecaster_ids`` when it is given, and a forecaster not in
+    it is an error; otherwise they follow first appearance.
+    """
+    forecaster_index = {f: i for i, f in enumerate(forecaster_ids or ())}
+    question_index: dict[str, int] = {}
+    cells: dict[tuple[int, int], float] = {}  # (row, column) -> probability or NaN
     for line, (question_id, forecaster_id, field) in _read_rows(path, FORECASTS_HEADER):
         if not question_id or not forecaster_id:
             _fail(path, line, "question_id and forecaster_id must be non-empty")
-        if (question_id, forecaster_id) in seen:
+        probability = np.nan
+        if field != "":
+            try:
+                probability = float(field)
+            except ValueError:
+                _fail(path, line, f"probability {field!r} is not a number")
+            if not 0.0 <= probability <= 1.0:
+                _fail(path, line, f"probability {field!r} outside [0, 1]")
+        row = forecaster_index.get(forecaster_id)
+        if row is None:
+            if forecaster_ids is not None:
+                _fail(path, line, f"forecaster {forecaster_id!r} is not part of the model")
+            row = forecaster_index[forecaster_id] = len(forecaster_index)
+        cell = (row, question_index.setdefault(question_id, len(question_index)))
+        if cell in cells:
             _fail(path, line, f"duplicate forecast for ({question_id}, {forecaster_id})")
-        seen.add((question_id, forecaster_id))
-        if field == "":
-            rows.append((question_id, forecaster_id, None))
-            continue
-        try:
-            probability = float(field)
-        except ValueError:
-            _fail(path, line, f"probability {field!r} is not a number")
-        if not 0.0 <= probability <= 1.0:
-            _fail(path, line, f"probability {field!r} outside [0, 1]")
-        rows.append((question_id, forecaster_id, probability))
-    return rows
+        cells[cell] = probability
+    matrix = np.full((len(forecaster_index), len(question_index)), np.nan)
+    rows, columns = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    matrix[rows, columns] = list(cells.values())
+    return tuple(question_index), tuple(forecaster_index), matrix
 
 
-def _load_outcome_rows(path) -> list[tuple[str, int]]:
-    rows: list[tuple[str, int]] = []
-    seen: set[str] = set()
+def load_outcomes(path, forecasts_path, question_ids) -> dict[str, int]:
+    """Parse an outcomes CSV into ``{question_id: +1 or -1}`` in file order.
+
+    Every one of ``question_ids``, the questions of ``forecasts_path``, must
+    have an outcome row.
+    """
+    outcomes: dict[str, int] = {}
     for line, (question_id, field) in _read_rows(path, OUTCOMES_HEADER):
         if not question_id:
             _fail(path, line, "question_id must be non-empty")
-        if question_id in seen:
+        if question_id in outcomes:
             _fail(path, line, f"duplicate outcome for question {question_id}")
-        seen.add(question_id)
-        if field == "+1":
-            rows.append((question_id, 1))
-        elif field == "-1":
-            rows.append((question_id, -1))
-        else:
+        if field not in ("+1", "-1"):
             _fail(path, line, f"outcome must be '+1' or '-1', got {field!r}")
-    return rows
+        outcomes[question_id] = int(field)
+    for question_id in question_ids:
+        if question_id not in outcomes:
+            raise DataFormatError(
+                f"{forecasts_path}: question {question_id!r} has no outcome row")
+    return outcomes
 
 
 def load_table(forecasts_path, outcomes_path) -> ForecastTable:
@@ -128,43 +149,29 @@ def load_table(forecasts_path, outcomes_path) -> ForecastTable:
     appearance in the forecasts file.  Every question referenced by a
     forecast must have an outcome row.
     """
-    forecast_rows = load_forecast_rows(forecasts_path)
-    outcome_rows = _load_outcome_rows(outcomes_path)
-
-    question_index = {qid: i for i, (qid, _) in enumerate(outcome_rows)}
-    forecaster_index: dict[str, int] = {}
-    for question_id, forecaster_id, _ in forecast_rows:
-        if question_id not in question_index:
-            raise DataFormatError(
-                f"{forecasts_path}: question {question_id!r} has no outcome row")
-        if forecaster_id not in forecaster_index:
-            forecaster_index[forecaster_id] = len(forecaster_index)
-
-    forecasts = np.full((len(forecaster_index), len(outcome_rows)), np.nan)
-    for question_id, forecaster_id, probability in forecast_rows:
-        if probability is not None:
-            forecasts[forecaster_index[forecaster_id], question_index[question_id]] = probability
-
-    return ForecastTable(
-        question_ids=tuple(qid for qid, _ in outcome_rows),
-        forecaster_ids=tuple(forecaster_index),
-        forecasts=forecasts,
-        outcomes=np.array([outcome for _, outcome in outcome_rows], dtype=int),
-    )
+    question_ids, forecaster_ids, matrix = load_forecast_matrix(forecasts_path)
+    outcomes = load_outcomes(outcomes_path, forecasts_path, question_ids)
+    column = {question_id: j for j, question_id in enumerate(outcomes)}
+    forecasts = np.full((len(forecaster_ids), len(outcomes)), np.nan)
+    forecasts[:, [column[question_id] for question_id in question_ids]] = matrix
+    return ForecastTable(tuple(outcomes), forecaster_ids, forecasts, list(outcomes.values()))
 
 
 def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
     """Write a table as the forecasts/outcomes CSV pair.
 
     Only present cells are written, forecaster-major so that first
-    appearance preserves forecaster order; probabilities carry 17
-    significant digits.
+    appearance preserves forecaster order; a forecaster with no forecast
+    gets one empty-probability row on the first question, so that it is
+    not lost.  Probabilities carry 17 significant digits.
     """
     with Path(forecasts_path).open("w", newline="\n", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FORECASTS_HEADER)
         answered = table.answered
         for i, forecaster_id in enumerate(table.forecaster_ids):
+            if table.question_ids and not answered[i].any():
+                writer.writerow([table.question_ids[0], forecaster_id, ""])
             for q, question_id in enumerate(table.question_ids):
                 if answered[i, q]:
                     writer.writerow([question_id, forecaster_id,

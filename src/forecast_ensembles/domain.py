@@ -30,7 +30,7 @@ __all__ = [
 POSITIVE = 1
 NEGATIVE = -1
 
-_MAX_SEED = 2**64 - 1
+MAX_SEED = 2**64 - 1
 
 
 def validate_probability(value: float) -> float:
@@ -133,17 +133,15 @@ class ImputationPolicy:
 
     half:    substitute 0.5
     random:  substitute a seeded uniform draw
-    error:   count the absent forecast as a wrong prediction; this mode is
-             interpreted by the evaluation layer and is rejected by `impute`
     """
 
     mode: str
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("half", "random", "error"):
+        if self.mode not in ("half", "random"):
             raise ValueError(f"unknown imputation mode {self.mode!r}")
-        if not 0 <= int(self.seed) <= _MAX_SEED:
+        if not 0 <= int(self.seed) <= MAX_SEED:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -153,9 +151,6 @@ def impute(table: ForecastTable, policy: ImputationPolicy) -> np.ndarray:
     Present cells pass through unchanged.  Random mode is deterministic:
     the same seed and table shape always produce the same draws.
     """
-    if policy.mode == "error":
-        raise ValueError("'error' policy counts errors, it does not fill cells; "
-                         "use the evaluation module instead")
     if policy.mode == "half":
         fill = np.full(table.forecasts.shape, 0.5)
     else:

@@ -12,6 +12,7 @@ from forecast_ensembles import (
     load_table,
     write_table,
 )
+from forecast_ensembles import cli, dataio
 from forecast_ensembles.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -51,6 +52,27 @@ class TestExitCodes:
                      "--report-out", str(tmp_path / "r.json")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,out_flag", [("combine", "--model-out"),
+                                                  ("loo", "--report-out")])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+    def test_bad_seed_is_usage_error_before_any_file_is_read(self, tmp_path, capsys,
+                                                             command, out_flag, seed):
+        out = tmp_path / "out.json"
+        code = main([command, "--method", "adaboost",
+                     "--forecasts", str(tmp_path / "none.csv"),
+                     "--outcomes", str(tmp_path / "none2.csv"),
+                     "--seed", seed, out_flag, str(out)])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, table_files, tmp_path, capsys):
+        _, fpath, opath = table_files
+        assert main(["combine", "--method", "adaboost", "--forecasts", fpath,
+                     "--outcomes", opath, "--iterations", "2", "--seed", str(2**64 - 1),
+                     "--model-out", str(tmp_path / "m.json")]) == 0
+        assert load_model(tmp_path / "m.json").imputation.seed == 2**64 - 1
 
     def test_malformed_probability_is_data_error(self, tmp_path, capsys):
         fpath = tmp_path / "f.csv"
@@ -151,7 +173,52 @@ class TestCombinePredict:
                      "--forecasts", str(stranger),
                      "--report-out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "zzz" in capsys.readouterr().err
+        assert f"{stranger}:2: forecaster 'zzz'" in capsys.readouterr().err
+
+    def _bagging_model(self, tmp_path):
+        fpath = tmp_path / "f.csv"
+        opath = tmp_path / "o.csv"
+        fpath.write_text("question_id,forecaster_id,probability\n"
+                         "q3,a,0.8\nq1,a,0.3\nq1,b,0.4\nq2,b,0.9\n")
+        opath.write_text("question_id,outcome\nq1,-1\nq2,+1\nq3,+1\n")
+        model_path = tmp_path / "model.json"
+        assert main(["combine", "--method", "bagging", "--forecasts", str(fpath),
+                     "--outcomes", str(opath), "--model-out", str(model_path)]) == 0
+        return fpath, opath, model_path
+
+    def test_report_follows_forecasts_file_order(self, tmp_path, capsys):
+        fpath, opath, model_path = self._bagging_model(tmp_path)
+        report_path = tmp_path / "pred.json"
+        assert main(["predict", "--model", str(model_path), "--forecasts", str(fpath),
+                     "--outcomes", str(opath), "--report-out", str(report_path)]) == 0
+        record = json.loads(report_path.read_text())
+        assert [(e["question_id"], e["actual"]) for e in record["per_question"]] == \
+            [("q3", 1), ("q1", -1), ("q2", 1)]
+
+    def test_question_without_outcome_row_is_data_error(self, tmp_path, capsys):
+        fpath, _, model_path = self._bagging_model(tmp_path)
+        partial = tmp_path / "partial.csv"
+        partial.write_text("question_id,outcome\nq1,-1\nq3,+1\n")
+        code = main(["predict", "--model", str(model_path), "--forecasts", str(fpath),
+                     "--outcomes", str(partial), "--report-out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "question 'q2' has no outcome row" in capsys.readouterr().err
+
+    def test_forecasts_are_parsed_once(self, tmp_path, capsys, monkeypatch):
+        fpath, opath, model_path = self._bagging_model(tmp_path)
+        calls = []
+        original = dataio.load_forecast_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_forecast_matrix", counted)
+        monkeypatch.setattr(dataio, "load_forecast_matrix", counted)
+        assert main(["predict", "--model", str(model_path), "--forecasts", str(fpath),
+                     "--outcomes", str(opath),
+                     "--report-out", str(tmp_path / "pred.json")]) == 0
+        assert len(calls) == 1
 
 
 class TestLoo:

@@ -1,9 +1,16 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_table
 from forecast_ensembles import (
     DataFormatError,
+    ForecastTable,
     SyntheticSpec,
     adaboost_train,
     bag,
@@ -17,6 +24,7 @@ from forecast_ensembles import (
     save_model,
     write_table,
 )
+from forecast_ensembles.dataio import FORECASTS_HEADER, OUTCOMES_HEADER, load_forecast_matrix
 
 
 def write_files(tmp_path, forecasts_text, outcomes_text):
@@ -95,6 +103,31 @@ class TestLoadTable:
             load_table(*files)
 
 
+class TestLoadForecastMatrix:
+    def test_first_appearance_order(self, tmp_path):
+        fpath, _ = write_files(tmp_path, "question_id,forecaster_id,probability\n"
+                               "q3,bob,0.9\nq1,alice,0.7\nq2,alice,\nq1,bob,0.2\n",
+                               GOOD_OUTCOMES)
+        question_ids, forecaster_ids, matrix = load_forecast_matrix(fpath)
+        assert question_ids == ("q3", "q1", "q2")
+        assert forecaster_ids == ("bob", "alice")
+        np.testing.assert_array_equal(matrix, [[0.9, 0.2, np.nan], [np.nan, 0.7, np.nan]])
+
+    def test_rows_follow_given_forecaster_ids(self, tmp_path):
+        fpath, _ = write_files(tmp_path, GOOD_FORECASTS, GOOD_OUTCOMES)
+        question_ids, forecaster_ids, matrix = load_forecast_matrix(
+            fpath, ("bob", "carol", "alice"))
+        assert question_ids == ("q1", "q2", "q3")
+        assert forecaster_ids == ("bob", "carol", "alice")
+        np.testing.assert_array_equal(
+            matrix, [[0.2, np.nan, 0.9], [np.nan] * 3, [0.7, np.nan, np.nan]])
+
+    def test_forecaster_outside_given_ids_names_line(self, tmp_path):
+        fpath, _ = write_files(tmp_path, GOOD_FORECASTS, GOOD_OUTCOMES)
+        with pytest.raises(DataFormatError, match=r"forecasts\.csv:4: forecaster 'bob'"):
+            load_forecast_matrix(fpath, ("alice",))
+
+
 class TestTableRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
         table = generate_synthetic(SyntheticSpec(forecasters=7, questions=30,
@@ -103,6 +136,12 @@ class TestTableRoundTrip:
         opath = tmp_path / "o.csv"
         write_table(table, fpath, opath)
         assert load_table(fpath, opath) == table
+
+    def test_forecaster_without_forecasts_survives(self, tmp_path):
+        table = ForecastTable(("q1", "q2"), ("mute", "bull"),
+                              [[np.nan, np.nan], [0.9, 0.2]], [1, -1])
+        write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
+        assert load_table(tmp_path / "f.csv", tmp_path / "o.csv") == table
 
     def test_awkward_floats_survive(self, tmp_path):
         value = 0.1 + 0.2  # not exactly representable as a short decimal
@@ -170,3 +209,107 @@ class TestReportRoundTrip:
         path.write_text('{"schema": "nope"}', encoding="utf-8")
         with pytest.raises(DataFormatError, match="expected schema"):
             load_eval_report(path)
+
+
+# Small ids, with the characters that make the CSV writer quote a field.
+IDS = st.text(alphabet='aqz7 ,"é', min_size=1, max_size=3)
+FIELDS = st.none() | st.just("") | st.floats(0.0, 1.0).map(repr)
+
+
+@st.composite
+def csv_pairs(draw):
+    """An accepted (forecast rows, outcome rows) pair in any row order:
+    each cell absent (no row), empty or a probability, and possibly
+    questions that no forecaster answered."""
+    question_ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    forecaster_ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    cells = [(q, f) for f in forecaster_ids for q in question_ids]
+    fields = draw(st.lists(FIELDS, min_size=len(cells), max_size=len(cells)))
+    rows = [[q, f, field] for (q, f), field in zip(cells, fields) if field is not None]
+    outcomes = draw(st.lists(st.sampled_from(["+1", "-1"]),
+                             min_size=len(question_ids), max_size=len(question_ids)))
+    return (draw(st.permutations(rows)),
+            draw(st.permutations([[q, o] for q, o in zip(question_ids, outcomes)])))
+
+
+def write_csv(path, header, rows):
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+MUTATIONS = ["forecasts header", "outcomes header", "forecasts field count",
+             "outcomes field count", "probability", "duplicate pair", "outcome literal",
+             "no outcome row"]
+
+
+class TestLoaderProperties:
+    @given(pair=csv_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_pairs_round_trip(self, pair):
+        rows, outcome_rows = pair
+        with tempfile.TemporaryDirectory() as directory:
+            fpath = write_csv(f"{directory}/f.csv", FORECASTS_HEADER, rows)
+            opath = write_csv(f"{directory}/o.csv", OUTCOMES_HEADER, outcome_rows)
+            table = load_table(fpath, opath)
+            question_ids, forecaster_ids, matrix = load_forecast_matrix(fpath)
+            write_table(table, f"{directory}/f2.csv", f"{directory}/o2.csv")
+            assert load_table(f"{directory}/f2.csv", f"{directory}/o2.csv") == table
+            reordered = load_forecast_matrix(fpath, forecaster_ids[::-1])
+
+        assert question_ids == tuple(dict.fromkeys(row[0] for row in rows))
+        assert forecaster_ids == tuple(dict.fromkeys(row[1] for row in rows))
+        assert table.question_ids == tuple(q for q, _ in outcome_rows)
+        assert table.forecaster_ids == forecaster_ids
+        columns = [table.question_ids.index(q) for q in question_ids]
+        np.testing.assert_array_equal(table.forecasts[:, columns], matrix)
+        assert reordered[:2] == (question_ids, forecaster_ids[::-1])
+        np.testing.assert_array_equal(reordered[2], matrix[::-1])
+
+    @given(pair=csv_pairs(), mutation=st.sampled_from(MUTATIONS), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_pairs_name_the_offending_file(self, pair, mutation, data):
+        rows, outcome_rows = pair
+        forecasts_header, outcomes_header = list(FORECASTS_HEADER), list(OUTCOMES_HEADER)
+        offending = "f.csv"
+        if mutation == "forecasts header":
+            forecasts_header = data.draw(st.sampled_from(
+                [FORECASTS_HEADER[::-1], ["question", "forecaster", "p"],
+                 FORECASTS_HEADER[:2], FORECASTS_HEADER + ["note"]]))
+        elif mutation == "outcomes header":
+            offending = "o.csv"
+            outcomes_header = data.draw(st.sampled_from(
+                [OUTCOMES_HEADER[::-1], ["question_id", "resolution"], OUTCOMES_HEADER[:1]]))
+        elif mutation.endswith("field count"):
+            target = rows if mutation.startswith("forecasts") else outcome_rows
+            offending = "f.csv" if target is rows else "o.csv"
+            width = len(FORECASTS_HEADER if target is rows else OUTCOMES_HEADER)
+            extra = data.draw(st.sampled_from([width - 1, width + 1]))
+            target.insert(data.draw(st.integers(0, len(target))), ["x"] * extra)
+        elif mutation == "probability":
+            assume(rows)
+            row = data.draw(st.sampled_from(rows))
+            row[2] = data.draw(st.sampled_from(
+                ["maybe", "1.5", "-0.25", "1.0000001", "nan", "inf", "0x1p-1"]))
+        elif mutation == "duplicate pair":
+            assume(rows)
+            question_id, forecaster_id, _ = data.draw(st.sampled_from(rows))
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        [question_id, forecaster_id, data.draw(FIELDS.filter(bool))])
+        elif mutation == "outcome literal":
+            offending = "o.csv"
+            row = data.draw(st.sampled_from(outcome_rows))
+            row[1] = data.draw(st.sampled_from(["0", "1", "+1.0", "yes", "", " +1", "−1"]))
+        else:  # no outcome row
+            assume(rows)
+            question_id = data.draw(st.sampled_from(rows))[0]
+            outcome_rows = [row for row in outcome_rows if row[0] != question_id]
+
+        with tempfile.TemporaryDirectory() as directory:
+            fpath = write_csv(f"{directory}/f.csv", forecasts_header, rows)
+            opath = write_csv(f"{directory}/o.csv", outcomes_header, outcome_rows)
+            with pytest.raises(DataFormatError) as caught:
+                load_table(fpath, opath)
+        assert str(caught.value).startswith(f"{directory}/{offending}:")

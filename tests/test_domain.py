@@ -97,13 +97,10 @@ class TestImpute:
         other = impute(toy_table, ImputationPolicy("random", seed=8))
         assert not np.array_equal(first, other)
 
-    def test_error_mode_rejected(self, toy_table):
-        with pytest.raises(ValueError, match="error"):
-            impute(toy_table, ImputationPolicy("error"))
-
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ["zero", "error"])
+    def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValueError, match="mode"):
-            ImputationPolicy("zero")
+            ImputationPolicy(mode)
 
     def test_idempotent_on_dense_tables(self):
         table = ForecastTable(("a", "b"), ("x",), np.array([[0.2, 0.9]]),
