@@ -79,6 +79,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(text: str) -> int:
+    """argparse type of --iterations and --bins: an integer of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="forecast-ensembles",
                      description="Combine probability forecasters with bagging and boosting.")
@@ -90,7 +98,7 @@ def _build_parser() -> _Parser:
     combine.add_argument("--method", required=True, choices=["bagging", "adaboost", "realboost"])
     combine.add_argument("--forecasts", required=True)
     combine.add_argument("--outcomes", required=True)
-    combine.add_argument("--iterations", type=int, default=None)
+    combine.add_argument("--iterations", type=_positive, default=None)
     combine.add_argument("--seed", type=_seed, default=0)
     combine.add_argument("--model-out", required=True)
     combine.set_defaults(func=_cmd_combine)
@@ -106,7 +114,7 @@ def _build_parser() -> _Parser:
     loo.add_argument("--method", required=True, choices=["bagging", "adaboost", "realboost"])
     loo.add_argument("--forecasts", required=True)
     loo.add_argument("--outcomes", required=True)
-    loo.add_argument("--iterations", type=int, default=None)
+    loo.add_argument("--iterations", type=_positive, default=None)
     loo.add_argument("--seed", type=_seed, default=0)
     loo.add_argument("--report-out", required=True)
     loo.set_defaults(func=_cmd_loo)
@@ -114,7 +122,7 @@ def _build_parser() -> _Parser:
     score = commands.add_parser("score", help="per-forecaster score report")
     score.add_argument("--forecasts", required=True)
     score.add_argument("--outcomes", required=True)
-    score.add_argument("--bins", type=int, default=10)
+    score.add_argument("--bins", type=_positive, default=10)
     score.set_defaults(func=_cmd_score)
 
     synth = commands.add_parser("synth", help="write synthetic forecast data")
@@ -133,8 +141,6 @@ def _build_parser() -> _Parser:
 def _resolve_iterations(method: str, iterations: int | None) -> int:
     if iterations is None:
         return DEFAULT_ITERATIONS.get(method, 1)
-    if iterations < 1:
-        raise _UsageError("--iterations must be at least 1")
     return iterations
 
 
@@ -166,7 +172,7 @@ def _cmd_predict(args) -> int:
     per_question = []
     errors = 0
     for j, question_id in enumerate(question_ids):
-        margin, probability = ensemble_predict(model, matrix[:, j], question_id)
+        margin, probability = ensemble_predict(model, matrix[:, j])
         predicted = classify(margin)
         entry = {"question_id": question_id, "margin": margin,
                  "probability": probability, "predicted": predicted}
@@ -204,13 +210,12 @@ def _cmd_loo(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    if args.bins < 1:
-        raise _UsageError("--bins must be at least 1")
     table = load_table(args.forecasts, args.outcomes)
+    answered_cells = table.answered
     rule = matched_scoring_rule(make_link("exponential"))
     print(f"{'Forecaster':<16}{'Count':>6}{'Total':>12}{'Calibration':>13}{'Refinement':>12}")
     for i, forecaster_id in enumerate(table.forecaster_ids):
-        answered = table.answered[i]
+        answered = answered_cells[i]
         count = int(answered.sum())
         if count == 0:
             print(f"{forecaster_id:<16}{0:>6}{'-':>12}{'-':>13}{'-':>12}")

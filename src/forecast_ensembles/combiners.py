@@ -16,7 +16,9 @@ Three combiners are provided:
 A trained model applies to one question's forecast vector and yields a
 margin plus a probability; boosting models recover the probability through
 the exponential family's inverse link, bagging reports the mean forecast
-directly.
+directly.  A model is its rounds plus the link, imputation policy and
+forecaster ids needed to apply them; it keeps nothing of the training
+table.
 
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
@@ -27,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,8 @@ class EnsembleModel:
 
     ``rounds`` lists (forecaster index, stage weight) in selection order;
     bagging uses every forecaster once with weight 1/N.  ``imputation`` is
-    the policy captured at training time, and for seeded random imputation
-    the realized draws at absent training cells are frozen into the model
-    so that training is exactly reproducible.
+    the policy captured at training time; `ensemble_predict` fills absent
+    forecasts by it, on training questions and new ones alike.
     """
 
     method: str
@@ -81,7 +81,6 @@ class EnsembleModel:
     link: LinkSpec
     imputation: ImputationPolicy
     forecaster_ids: tuple[str, ...]
-    frozen_imputations: tuple[tuple[int, str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -105,13 +104,6 @@ class EnsembleModel:
     def unique_forecasters(self) -> int:
         """Number of distinct forecasters the model actually uses."""
         return len({index for index, _ in self.rounds})
-
-    @cached_property
-    def _frozen_lookup(self) -> dict[str, dict[int, float]]:
-        by_question: dict[str, dict[int, float]] = {}
-        for index, question_id, value in self.frozen_imputations:
-            by_question.setdefault(question_id, {})[index] = value
-        return by_question
 
 
 def stage_weight(error_rate: float) -> float:
@@ -193,18 +185,13 @@ def bag(table: ForecastTable) -> EnsembleModel:
     )
 
 
-def _frozen_cells(table: ForecastTable, dense: np.ndarray) -> tuple[tuple[int, str, float], ...]:
-    rows, cols = np.where(~table.answered)
-    return tuple(
-        (int(i), table.question_ids[q], float(dense[i, q])) for i, q in zip(rows, cols)
-    )
-
-
 def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> EnsembleModel:
     """Stagewise boosting of sign predictors.
 
-    Absent forecasts are filled once with seeded uniform draws and frozen
-    into the model.  Each round selects the forecaster with the least
+    Absent forecasts are filled once with seeded uniform draws over the
+    whole table (`impute`).  The draws are not kept: predictions, on the
+    training questions too, fill absent cells by the rule of
+    `ensemble_predict`.  Each round selects the forecaster with the least
     weighted error mass (ties to the lowest index), then reweights the
     training questions; weights are renormalized every round, which leaves
     both the selection and the stage weight unchanged.  Rounds stop early
@@ -243,7 +230,6 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
         link=make_link("exponential"),
         imputation=policy,
         forecaster_ids=table.forecaster_ids,
-        frozen_imputations=_frozen_cells(table, dense),
     )
 
 
@@ -286,35 +272,30 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     )
 
 
-def _filled_vector(model: EnsembleModel, forecasts: np.ndarray,
-                   question_id: str | None) -> np.ndarray:
+def _filled_vector(model: EnsembleModel, forecasts: np.ndarray) -> np.ndarray:
     present = ~np.isnan(forecasts)
     if np.any(present & ((forecasts < 0) | (forecasts > 1))):
         raise ValueError("forecasts must lie in [0, 1] (or be NaN for absent)")
     if model.imputation.mode != "random":
         return np.where(present, forecasts, 0.5)
-    frozen = {} if question_id is None else model._frozen_lookup.get(question_id, {})
     fill = np.random.default_rng(model.imputation.seed).random(forecasts.shape)
-    for index, value in frozen.items():
-        fill[index] = value
     return np.where(present, forecasts, fill)
 
 
-def ensemble_predict(model: EnsembleModel, forecasts,
-                     question_id: str | None = None) -> tuple[float, float]:
+def ensemble_predict(model: EnsembleModel, forecasts) -> tuple[float, float]:
     """Apply the combiner to one question's length-N forecast vector.
 
     ``forecasts`` holds one entry per model forecaster, NaN where a
-    forecaster abstained.  Passing the ``question_id`` of a training
-    question lets a random-imputation model reuse the draws frozen at
-    training time; otherwise absent cells are filled deterministically from
-    the model's seed.  Returns (margin, probability).
+    forecaster abstained.  Absent cells read as 0.5 under the "half"
+    policy; under "random" (adaboost) forecaster i's absent cell takes
+    entry i of ``default_rng(seed).random(N)``, the same draw on every
+    question.  Returns (margin, probability).
     """
     forecasts = np.asarray(forecasts, dtype=float)
     if forecasts.shape != (model.n_forecasters,):
         raise ValueError(f"expected {model.n_forecasters} forecasts, "
                          f"got shape {forecasts.shape}")
-    filled = _filled_vector(model, forecasts, question_id)
+    filled = _filled_vector(model, forecasts)
 
     if model.method == "bagging":
         probability = float(filled.mean())

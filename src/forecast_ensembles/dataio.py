@@ -8,10 +8,11 @@ forecasts CSV   header exactly ``question_id,forecaster_id,probability``;
                 forecast.
 outcomes CSV    header exactly ``question_id,outcome``; one row per
                 question; outcome is the literal string ``+1`` or ``-1``.
-model JSON      schema ``ensemble_model.v1``: method, rounds as
+model JSON      schema ``ensemble_model.v2``: method, rounds as
                 [index, weight] pairs, link name and clip, imputation mode
-                and seed, forecaster ids, and the random draws frozen at
-                training time.
+                and seed, and forecaster ids; nothing of the training
+                table, so a model fills absent forecasts by one rule on
+                every question.  A ``v1`` file is rejected.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
 Every forecasts CSV is read in one pass by `load_forecast_matrix`, which
@@ -50,7 +51,7 @@ __all__ = [
 FORECASTS_HEADER = ["question_id", "forecaster_id", "probability"]
 OUTCOMES_HEADER = ["question_id", "outcome"]
 
-MODEL_SCHEMA = "ensemble_model.v1"
+MODEL_SCHEMA = "ensemble_model.v2"
 REPORT_SCHEMA = "eval_report.v1"
 
 
@@ -74,7 +75,8 @@ def _read_rows(path, header: list[str]):
             _fail(path, 1, f"missing header; expected {','.join(header)}")
         if first != header:
             _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the record's last physical line
             if not row:
                 continue
             if len(row) != len(header):
@@ -184,7 +186,7 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    """Serialize a trained model as schema ``ensemble_model.v1`` JSON."""
+    """Serialize a trained model as schema ``ensemble_model.v2`` JSON."""
     record = {
         "schema": MODEL_SCHEMA,
         "method": model.method,
@@ -192,8 +194,6 @@ def save_model(model: EnsembleModel, path) -> None:
         "imputation": {"mode": model.imputation.mode, "seed": model.imputation.seed},
         "forecaster_ids": list(model.forecaster_ids),
         "rounds": [[index, weight] for index, weight in model.rounds],
-        "frozen_imputations": [[index, question_id, value]
-                               for index, question_id, value in model.frozen_imputations],
     }
     with Path(path).open("w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2)
@@ -219,8 +219,6 @@ def load_model(path) -> EnsembleModel:
             imputation=ImputationPolicy(record["imputation"]["mode"],
                                         int(record["imputation"]["seed"])),
             forecaster_ids=tuple(record["forecaster_ids"]),
-            frozen_imputations=tuple((int(i), str(q), float(v))
-                                     for i, q, v in record["frozen_imputations"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed model record ({exc})") from exc

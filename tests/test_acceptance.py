@@ -147,8 +147,7 @@ class TestCriterion5OracleEquivalence:
             for (_, alpha), (_, ref_alpha) in zip(ada.rounds, ref_rounds):
                 assert abs(alpha - ref_alpha) <= 1e-12
             for q in range(table.n_questions):
-                margin, _ = ensemble_predict(ada, table.forecasts[:, q],
-                                             table.question_ids[q])
+                margin, _ = ensemble_predict(ada, dense[:, q])
                 assert abs(margin - ref_margins[q]) <= 1e-12
 
             real = realboost_train(table, iterations)

@@ -55,16 +55,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,out_flag", [("combine", "--model-out"),
                                                   ("loo", "--report-out")])
-    @pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+    @pytest.mark.parametrize("flag,value", [
+        *(pytest.param("--seed", seed, id=seed) for seed in ["-1", str(2**64), "seven"]),
+        pytest.param("--iterations", "0", id="iterations-0"),
+        pytest.param("--iterations", "-3", id="iterations--3"),
+    ])
     def test_bad_seed_is_usage_error_before_any_file_is_read(self, tmp_path, capsys,
-                                                             command, out_flag, seed):
+                                                             command, out_flag, flag, value):
         out = tmp_path / "out.json"
         code = main([command, "--method", "adaboost",
                      "--forecasts", str(tmp_path / "none.csv"),
                      "--outcomes", str(tmp_path / "none2.csv"),
-                     "--seed", seed, out_flag, str(out)])
+                     flag, value, out_flag, str(out)])
         assert code == 1
-        assert "--seed" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_largest_seed_is_accepted(self, table_files, tmp_path, capsys):
@@ -144,8 +148,7 @@ class TestCombinePredict:
         reloaded = load_table(fpath, opath)
         by_id = {entry["question_id"]: entry for entry in record["per_question"]}
         for q, question_id in enumerate(reloaded.question_ids):
-            margin, probability = ensemble_predict(model, reloaded.forecasts[:, q],
-                                                   question_id)
+            margin, probability = ensemble_predict(model, reloaded.forecasts[:, q])
             assert by_id[question_id]["margin"] == margin
             assert by_id[question_id]["probability"] == probability
 
@@ -257,10 +260,13 @@ class TestScore:
         assert len(out) == 1 + table.n_forecasters
         assert out[0].startswith("Forecaster")
 
-    def test_bad_bins_is_usage_error(self, table_files, capsys):
-        _, fpath, opath = table_files
-        assert main(["score", "--forecasts", fpath, "--outcomes", opath,
-                     "--bins", "0"]) == 1
+    def test_bad_bins_is_usage_error(self, tmp_path, capsys):
+        # non-existent files: the count is rejected before any file is read
+        assert main(["score", "--forecasts", str(tmp_path / "none.csv"),
+                     "--outcomes", str(tmp_path / "none2.csv"), "--bins", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--bins" in captured.err
+        assert captured.out == ""
 
     def test_silent_forecaster_gets_placeholder_row(self, tmp_path, capsys):
         fpath = tmp_path / "f.csv"

@@ -135,16 +135,9 @@ class TestAdaBoost:
         dense = impute(toy_table, ImputationPolicy("random", seed))
         rounds, margins = adaboost_reference(dense.tolist(), toy_table.outcomes.tolist(), 2)
         assert [(j, pytest.approx(a, abs=1e-12)) for j, a in rounds] == list(model.rounds)
-        predicted = [ensemble_predict(model, toy_table.forecasts[:, q],
-                                      toy_table.question_ids[q])[0]
+        predicted = [ensemble_predict(model, dense[:, q])[0]
                      for q in range(toy_table.n_questions)]
         assert predicted == pytest.approx(margins, abs=1e-12)
-
-    def test_frozen_imputations_cover_absent_cells(self, toy_table):
-        model = adaboost_train(toy_table, 2, seed=5)
-        cells = {(i, q) for i, q, _ in model.frozen_imputations}
-        assert cells == {(1, "b"), (2, "c")}
-        assert all(0 <= v <= 1 for _, _, v in model.frozen_imputations)
 
     def test_deterministic(self, toy_table):
         assert adaboost_train(toy_table, 4, seed=9) == adaboost_train(toy_table, 4, seed=9)
@@ -250,22 +243,17 @@ class TestEnsemblePredict:
         with pytest.raises(ValueError, match="expected 3 forecasts"):
             ensemble_predict(model, [0.5, 0.5])
 
-    def test_adaboost_prediction_reuses_frozen_draws_on_training_questions(self, toy_table):
-        model = adaboost_train(toy_table, 3, seed=21)
-        dense = impute(toy_table, ImputationPolicy("random", 21))
-        base = np.where(dense > 0.5, 1.0, -1.0)
-        for q in range(toy_table.n_questions):
-            expected = sum(a * base[j, q] for j, a in model.rounds)
-            margin, _ = ensemble_predict(model, toy_table.forecasts[:, q],
-                                         toy_table.question_ids[q])
-            assert margin == pytest.approx(expected, abs=1e-12)
-
     def test_unseen_question_prediction_is_deterministic(self, toy_table):
         model = adaboost_train(toy_table, 3, seed=21)
         vector = np.array([np.nan, 0.8, np.nan])
         first = ensemble_predict(model, vector)
-        second = ensemble_predict(model, vector)
-        assert first == second
+        assert ensemble_predict(model, vector) == first
+        # the one fill rule: absent cell i takes entry i of one seeded draw
+        fill = np.random.default_rng(21).random(toy_table.n_forecasters)
+        base = np.where(np.where(np.isnan(vector), fill, vector) > 0.5, 1.0, -1.0)
+        expected = sum(a * base[j] for j, a in model.rounds)
+        assert first[0] == pytest.approx(expected, abs=1e-12)
+        assert first[1] == model.link.inverse_link(first[0])
 
 
 class TestClassify:

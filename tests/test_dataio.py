@@ -77,6 +77,14 @@ class TestLoadTable:
         with pytest.raises(DataFormatError, match=r":3: probability 'maybe'"):
             load_table(*files)
 
+    def test_error_names_physical_line_after_multiline_record(self, tmp_path):
+        text = ('question_id,forecaster_id,probability\n'
+                '"q\n1",a,0.5\n'
+                'q2,a,7\n')
+        files = write_files(tmp_path, text, GOOD_OUTCOMES)
+        with pytest.raises(DataFormatError, match=r":4: probability '7'"):
+            load_table(*files)
+
     def test_duplicate_pair_rejected(self, tmp_path):
         text = ("question_id,forecaster_id,probability\n"
                 "q1,alice,0.5\nq1,alice,0.6\n")
@@ -186,9 +194,10 @@ class TestModelRoundTrip:
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"schema": "something_else"}', encoding="utf-8")
-        with pytest.raises(DataFormatError, match="expected schema"):
-            load_model(path)
+        for schema in ("something_else", "ensemble_model.v1"):
+            path.write_text(f'{{"schema": "{schema}"}}', encoding="utf-8")
+            with pytest.raises(DataFormatError, match="expected schema"):
+                load_model(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "model.json"
