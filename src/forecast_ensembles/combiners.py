@@ -20,6 +20,12 @@ directly.  A model is its rounds plus the link, imputation policy and
 forecaster ids needed to apply them; it keeps nothing of the training
 table.
 
+Every boosting round is an argmin over forecasters of a weighted total
+over questions.  The trainers build their per-question factors once,
+question-major (Q, N), and `_ordered_totals` sums them row after row into
+one buffer reused every round, so each total is accumulated in question
+order: tied forecasters tie exactly and the lowest index wins.
+
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
 """
@@ -113,23 +119,41 @@ def stage_weight(error_rate: float) -> float:
     return 0.5 * math.log((1.0 - e) / e)
 
 
-def _ordered_totals(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row totals of ``factors * weights`` accumulated strictly left to
-    right in question order.
+def _ordered_totals(factors: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Column totals of ``factors * weights[:, None]``, each accumulated
+    strictly in question order.
 
-    Blocked summations (matmul, np.sum) round differently depending on
-    where in a row equal contributions sit, which lets mathematically tied
-    rows come out bitwise unequal and steal an argmin tie from the lowest
-    index.  Left-to-right accumulation gives every row the rounding a plain
-    scalar loop would, so tied rows tie exactly.
+    ``factors`` is question-major, (Q, N): one row per question, one
+    column per forecaster; the trainers keep it C-contiguous so the
+    multiply streams.  ``out`` is a C-contiguous (Q, N) float buffer that
+    receives the products, so a trainer allocates it once and reuses it
+    every round.  Only its layout sets the order: summing ``out`` over its
+    outer axis makes numpy add whole rows one after another, which gives
+    every column the rounding of a plain left-to-right scalar loop;
+    mathematically tied columns therefore tie exactly and the argmin goes
+    to the lowest index.
+
+    Blocked summations break that: BLAS ``F @ w`` rounds in blocks, a sum
+    along a contiguous axis is pairwise, and ``np.einsum`` may use fused
+    multiply-adds depending on how numpy was built.  For the same reason a
+    lone column (N == 1) takes ``np.cumsum``: numpy collapses a (Q, 1)
+    reduction to one axis and would sum it pairwise.
     """
-    if factors.shape[1] == 0:
-        return np.zeros(factors.shape[0])
-    return np.cumsum(factors * weights, axis=1)[:, -1]
+    np.multiply(factors, weights[:, np.newaxis], out=out)
+    if out.shape[1] == 1 and len(out):
+        return np.cumsum(out, axis=0)[-1]
+    return out.sum(axis=0)
 
 
 def _ordered_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _least_total(factors: np.ndarray, weights: np.ndarray,
+                 out: np.ndarray) -> tuple[int, np.float64]:
+    totals = _ordered_totals(factors, weights, out)
+    j = int(np.argmin(totals))
+    return j, totals[j]
 
 
 def weighted_error_argmin(weights: np.ndarray, mispredictions: np.ndarray) -> tuple[int, float]:
@@ -141,15 +165,9 @@ def weighted_error_argmin(weights: np.ndarray, mispredictions: np.ndarray) -> tu
     in question order so ties are exact.  Both the selection and the rate
     are invariant to scaling all weights by a positive constant.
     """
-    totals = _ordered_totals(mispredictions, weights)
-    j = int(np.argmin(totals))
-    return j, float(totals[j] / _ordered_sum(weights))
-
-
-def _factor_argmin(weights: np.ndarray, loss_factors: np.ndarray) -> tuple[int, float]:
-    objectives = _ordered_totals(loss_factors, weights)
-    j = int(np.argmin(objectives))
-    return j, float(objectives[j])
+    mistakes = mispredictions.T
+    j, mass = _least_total(mistakes, weights, np.empty(mistakes.shape))
+    return j, float(mass / _ordered_sum(weights))
 
 
 def exponential_objective_argmin(weights: np.ndarray, margins: np.ndarray,
@@ -161,7 +179,9 @@ def exponential_objective_argmin(weights: np.ndarray, margins: np.ndarray,
     abstains everywhere (all-zero margins) scores exactly the total weight,
     i.e. 1.0 under normalized weights.
     """
-    return _factor_argmin(weights, np.exp(-outcomes[np.newaxis, :] * margins))
+    factors = np.exp(-outcomes[:, np.newaxis] * margins.T)
+    j, objective = _least_total(factors, weights, np.empty(factors.shape))
+    return j, float(objective)
 
 
 def _check_trainable(table: ForecastTable, iterations: int) -> None:
@@ -203,13 +223,15 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     _check_trainable(table, iterations)
     policy = ImputationPolicy("random", seed)
     dense = impute(table, policy)
-    base = np.where(dense > 0.5, POSITIVE, NEGATIVE)
-    wrong = (base != table.outcomes[np.newaxis, :]).astype(float)
+    base = np.where(dense.T > 0.5, POSITIVE, NEGATIVE)
+    wrong = (base != table.outcomes[:, np.newaxis]).astype(float, order="C")  # (Q, N)
+    scratch = np.empty_like(wrong)
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
-        picked, error_rate = weighted_error_argmin(weights, wrong)
+        picked, mass = _least_total(wrong, weights, scratch)
+        error_rate = mass / _ordered_sum(weights)
         if error_rate >= 0.5:
             if not rounds:
                 logger.warning("no forecaster beats chance; emitting a single "
@@ -221,7 +243,7 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
             break
         alpha = stage_weight(error_rate)
         rounds.append((picked, alpha))
-        weights = weights * np.exp(alpha * wrong[picked])
+        weights = weights * np.exp(alpha * wrong[:, picked])
         weights /= _ordered_sum(weights)
 
     return EnsembleModel(
@@ -248,19 +270,21 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     policy = ImputationPolicy("half")
     link = make_link("exponential")
     margins = link.link(impute(table, policy))
-    loss_factors = np.exp(-table.outcomes[np.newaxis, :] * margins)  # fixed across rounds
+    # (Q, N), fixed across rounds
+    loss_factors = np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))
+    scratch = np.empty_like(loss_factors)
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
-        picked, objective = _factor_argmin(weights, loss_factors)
+        picked, objective = _least_total(loss_factors, weights, scratch)
         # 1e-9 of slack so a plateau at exactly 1.0 does not warn on rounding
         if objective > 1.0 + 1e-9:
             logger.warning("round %d: best objective %.6g exceeds 1; no "
                            "forecaster beats the constant predictor",
                            round_index + 1, objective)
         rounds.append((picked, 1.0))
-        weights = weights * loss_factors[picked]
+        weights = weights * loss_factors[:, picked]
         weights /= _ordered_sum(weights)
 
     return EnsembleModel(

@@ -4,6 +4,11 @@ Pure-Python scalar arithmetic with no code shared with the package: these
 pin the vectorized implementations down to exact selection indices and
 1e-12 numeric agreement.  Inputs are dense probability matrices given as
 nested lists indexed [forecaster][question].
+
+Every total is accumulated left to right by `ordered_sum`, never by the
+builtin ``sum``, which uses compensated summation from Python 3.12 on:
+ordered summation is what the package specifies, so the oracle gives the
+same answers on every supported Python.
 """
 
 from __future__ import annotations
@@ -12,6 +17,13 @@ import math
 
 ERROR_CLAMP = 1e-8
 PROB_CLIP = 1e-6
+
+
+def ordered_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def adaboost_reference(probabilities, outcomes, iterations):
@@ -29,12 +41,12 @@ def adaboost_reference(probabilities, outcomes, iterations):
     for _ in range(iterations):
         masses = []
         for row in base:
-            masses.append(sum(w for w, p, y in zip(weights, row, outcomes) if p != y))
+            masses.append(ordered_sum(w for w, p, y in zip(weights, row, outcomes) if p != y))
         best = 0
         for j in range(1, len(masses)):
             if masses[j] < masses[best]:
                 best = j
-        rate = masses[best] / sum(weights)
+        rate = masses[best] / ordered_sum(weights)
         if rate >= 0.5:
             if not rounds:
                 rounds.append((best, 0.0))
@@ -46,10 +58,10 @@ def adaboost_reference(probabilities, outcomes, iterations):
             w * math.exp(alpha if p != y else 0.0)
             for w, p, y in zip(weights, base[best], outcomes)
         ]
-        total = sum(weights)
+        total = ordered_sum(weights)
         weights = [w / total for w in weights]
     margins = [
-        sum(alpha * base[j][i] for j, alpha in rounds) for i in range(n)
+        ordered_sum(alpha * base[j][i] for j, alpha in rounds) for i in range(n)
     ]
     return rounds, margins
 
@@ -74,8 +86,8 @@ def realboost_reference(probabilities, outcomes, iterations, clip=PROB_CLIP):
     for _ in range(iterations):
         objectives = []
         for row in base:
-            objectives.append(sum(w * math.exp(-y * m)
-                                  for w, m, y in zip(weights, row, outcomes)))
+            objectives.append(ordered_sum(w * math.exp(-y * m)
+                                          for w, m, y in zip(weights, row, outcomes)))
         best = 0
         for j in range(1, len(objectives)):
             if objectives[j] < objectives[best]:
@@ -83,7 +95,7 @@ def realboost_reference(probabilities, outcomes, iterations, clip=PROB_CLIP):
         picks.append(best)
         weights = [w * math.exp(-y * m)
                    for w, m, y in zip(weights, base[best], outcomes)]
-        total = sum(weights)
+        total = ordered_sum(weights)
         weights = [w / total for w in weights]
-    margins = [sum(base[j][i] for j in picks) for i in range(n)]
+    margins = [ordered_sum(base[j][i] for j in picks) for i in range(n)]
     return picks, margins

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boost_reference import adaboost_reference, realboost_reference
@@ -20,6 +20,7 @@ from forecast_ensembles import (
     realboost_train,
 )
 from forecast_ensembles.combiners import (
+    _ordered_totals,
     exponential_objective_argmin,
     stage_weight,
     weighted_error_argmin,
@@ -105,11 +106,12 @@ class TestSelectionHelpers:
     def test_constant_half_forecaster_objective_is_one(self):
         rng = np.random.default_rng(1)
         outcomes = rng.choice([1, -1], size=9)
-        margins = np.vstack([rng.normal(size=9), np.zeros(9)])
+        abstainer = np.zeros((1, 9))
         for _ in range(5):
             weights = rng.random(9)
             weights /= weights.sum()
-            objective = float(np.exp(-outcomes * margins[1]) @ weights)
+            index, objective = exponential_objective_argmin(weights, abstainer, outcomes)
+            assert index == 0
             assert objective == pytest.approx(1.0, abs=1e-12)
 
     @given(scale_power=st.integers(-20, 20), seed=st.integers(0, 10_000))
@@ -128,6 +130,33 @@ class TestSelectionHelpers:
         assert index == scaled_index
 
 
+def left_to_right_totals(factors, weights):
+    """Column totals of factors * weights by a plain scalar loop over the
+    rows (questions) in order."""
+    totals = [0.0] * factors.shape[1]
+    for row, weight in zip(factors.tolist(), weights.tolist()):
+        for j, factor in enumerate(row):
+            totals[j] += factor * weight
+    return np.array(totals)
+
+
+class TestOrderedTotals:
+    @given(n=st.integers(1, 400), q=st.integers(1, 300), binary=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, q=300, binary=False, seed=0)
+    @example(n=1, q=300, binary=True, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_loop_bit_for_bit(self, n, q, binary, seed):
+        rng = np.random.default_rng(seed)
+        if binary:
+            factors = (rng.random((q, n)) < 0.5).astype(float)
+        else:
+            factors = np.exp(rng.normal(scale=3.0, size=(q, n)))
+        weights = rng.random(q) * 10.0 ** rng.integers(-300, 3, size=q)
+        totals = _ordered_totals(factors, weights, np.empty((q, n)))
+        assert np.array_equal(totals, left_to_right_totals(factors, weights))
+
+
 class TestAdaBoost:
     def test_toy_table_matches_reference(self, toy_table):
         seed = 11
@@ -138,6 +167,19 @@ class TestAdaBoost:
         predicted = [ensemble_predict(model, dense[:, q])[0]
                      for q in range(toy_table.n_questions)]
         assert predicted == pytest.approx(margins, abs=1e-12)
+
+    def test_one_forecaster_matches_reference_exactly(self):
+        # numpy sums a lone (Q, 1) column pairwise unless told otherwise;
+        # one round each, since later rounds go through exp, which numpy
+        # and math may round differently
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            forecasts = rng.random((1, 200))
+            outcomes = rng.choice([1, -1], size=200)
+            table = ForecastTable(tuple(f"q{i}" for i in range(200)), ("only",),
+                                  forecasts, outcomes)
+            rounds, _ = adaboost_reference(forecasts.tolist(), outcomes.tolist(), 1)
+            assert list(adaboost_train(table, 1).rounds) == rounds
 
     def test_deterministic(self, toy_table):
         assert adaboost_train(toy_table, 4, seed=9) == adaboost_train(toy_table, 4, seed=9)
