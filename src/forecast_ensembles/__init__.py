@@ -49,7 +49,6 @@ from .links import (
     LinkSpec,
     ScoringRule,
     conditional_risk,
-    make_link,
     matched_scoring_rule,
     reconstruct_loss,
     savage_scores,
@@ -67,7 +66,6 @@ __all__ = [
     "validate_outcome",
     "LinkSpec",
     "ScoringRule",
-    "make_link",
     "savage_scores",
     "matched_scoring_rule",
     "reconstruct_loss",

@@ -42,7 +42,7 @@ from .dataio import (
 )
 from .domain import MAX_SEED
 from .evaluation import SyntheticSpec, generate_synthetic, loo_evaluate
-from .links import make_link, matched_scoring_rule
+from .links import LinkSpec, matched_scoring_rule
 from .scoring import decompose
 
 PREDICTION_SCHEMA = "prediction_report.v1"
@@ -212,7 +212,7 @@ def _cmd_loo(args) -> int:
 def _cmd_score(args) -> int:
     table = load_table(args.forecasts, args.outcomes)
     answered_cells = table.answered
-    rule = matched_scoring_rule(make_link("exponential"))
+    rule = matched_scoring_rule(LinkSpec("exponential"))
     print(f"{'Forecaster':<16}{'Count':>6}{'Total':>12}{'Calibration':>13}{'Refinement':>12}")
     for i, forecaster_id in enumerate(table.forecaster_ids):
         answered = answered_cells[i]

@@ -45,7 +45,7 @@ from .domain import (
     ImputationPolicy,
     impute,
 )
-from .links import LinkSpec, make_link
+from .links import LinkSpec
 
 __all__ = [
     "METHODS",
@@ -63,7 +63,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("bagging", "adaboost", "realboost")
+# The link and imputation mode each method trains with, and predicts by.
+_METHOD_LINK_AND_IMPUTATION = {
+    "bagging": ("linear", "half"),
+    "adaboost": ("exponential", "random"),
+    "realboost": ("exponential", "half"),
+}
+
+METHODS = tuple(_METHOD_LINK_AND_IMPUTATION)
 
 # Iteration counts used when the caller does not choose.
 DEFAULT_ITERATIONS = {"adaboost": 800, "realboost": 70}
@@ -79,7 +86,8 @@ class EnsembleModel:
     ``rounds`` lists (forecaster index, stage weight) in selection order;
     bagging uses every forecaster once with weight 1/N.  ``imputation`` is
     the policy captured at training time; `ensemble_predict` fills absent
-    forecasts by it, on training questions and new ones alike.
+    forecasts by it, on training questions and new ones alike.  ``link``
+    and ``imputation`` must be the ones the method trains with.
     """
 
     method: str
@@ -91,6 +99,11 @@ class EnsembleModel:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        link_name, mode = _METHOD_LINK_AND_IMPUTATION[self.method]
+        if (self.link.name, self.imputation.mode) != (link_name, mode):
+            raise ValueError(f"a {self.method} model needs the {link_name} link and "
+                             f"{mode!r} imputation, got {self.link.name} and "
+                             f"{self.imputation.mode!r}")
         if len(self.rounds) < 1:
             raise ValueError("a model must contain at least one round")
         n = len(self.forecaster_ids)
@@ -199,7 +212,7 @@ def bag(table: ForecastTable) -> EnsembleModel:
     return EnsembleModel(
         method="bagging",
         rounds=tuple((j, 1.0 / n) for j in range(n)),
-        link=make_link("linear"),
+        link=LinkSpec("linear"),
         imputation=ImputationPolicy("half"),
         forecaster_ids=table.forecaster_ids,
     )
@@ -224,7 +237,8 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     policy = ImputationPolicy("random", seed)
     dense = impute(table, policy)
     base = np.where(dense.T > 0.5, POSITIVE, NEGATIVE)
-    wrong = (base != table.outcomes[:, np.newaxis]).astype(float, order="C")  # (Q, N)
+    mistaken = base != table.outcomes[:, np.newaxis]  # (Q, N)
+    wrong = mistaken.astype(float, order="C")
     scratch = np.empty_like(wrong)
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
@@ -243,13 +257,15 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
             break
         alpha = stage_weight(error_rate)
         rounds.append((picked, alpha))
-        weights = weights * np.exp(alpha * wrong[:, picked])
+        # math.exp rounds as the scalar reference does; only the questions
+        # the pick got wrong are scaled
+        np.multiply(weights, math.exp(alpha), out=weights, where=mistaken[:, picked])
         weights /= _ordered_sum(weights)
 
     return EnsembleModel(
         method="adaboost",
         rounds=tuple(rounds),
-        link=make_link("exponential"),
+        link=LinkSpec("exponential"),
         imputation=policy,
         forecaster_ids=table.forecaster_ids,
     )
@@ -268,7 +284,7 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     """
     _check_trainable(table, iterations)
     policy = ImputationPolicy("half")
-    link = make_link("exponential")
+    link = LinkSpec("exponential")
     margins = link.link(impute(table, policy))
     # (Q, N), fixed across rounds
     loss_factors = np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))

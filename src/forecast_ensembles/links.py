@@ -1,25 +1,20 @@
 """Matched loss/link families and the proper scoring rules they induce.
 
-A family ties together the pieces that belong to one margin loss:
+A family ties together the pieces that belong to one margin loss, each a
+method of `LinkSpec`:
 
 * ``loss(v)``            the loss of margin v when the outcome is positive
                          (the negative outcome costs ``loss(-v)``),
 * ``link(p)``            the probability-to-margin map that minimizes the
                          conditional risk at posterior p,
 * ``inverse_link(v)``    its inverse, recovering a probability from a margin,
-* ``min_cond_risk(p)``   the risk attained at the minimizer.
+* ``min_cond_risk(p)``   the risk attained at the minimizer, and
+  ``min_cond_risk_deriv(p)`` its derivative.
 
-Two families are built in:
-
-    exponential   loss(v) = exp(-v)
-                  link(p) = log(p / (1 - p)) / 2
-                  inverse_link(v) = exp(2v) / (1 + exp(2v))
-                  min_cond_risk(p) = 2 sqrt(p (1 - p))
-
-    linear        loss(v) = (1 - v)^2
-                  link(p) = 2p - 1
-                  inverse_link(v) = (v + 1) / 2, clamped to [0, 1]
-                  min_cond_risk(p) = 4 p (1 - p)
+Two families are built in, exponential (loss exp(-v), the half-log-odds
+link) and linear (loss (1 - v)^2, the link 2p - 1).  Each family's
+formulas are stated in one place: the methods compute them, and each
+method's docstring lists them for both families.
 
 The exponential link diverges at 0 and 1, so probabilities are clipped to
 [clip, 1 - clip] before the log; the default clip of 1e-6 bounds margins by
@@ -42,7 +37,6 @@ import numpy as np
 __all__ = [
     "LinkSpec",
     "ScoringRule",
-    "make_link",
     "savage_scores",
     "matched_scoring_rule",
     "reconstruct_loss",
@@ -51,128 +45,82 @@ __all__ = [
 
 DEFAULT_CLIP = 1e-6
 
+_FAMILY_NAMES = ("exponential", "linear")
+
 
 def _scalarize(x):
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _exp_loss(v):
-    return np.exp(-v)
-
-
-def _exp_link(p):
-    return 0.5 * np.log(p / (1.0 - p))
-
-
-def _exp_inverse(v):
-    # exp(2v) / (1 + exp(2v)), computed from exp(-2|v|) so it never overflows
-    u = np.exp(-2.0 * np.abs(v))
-    return np.where(np.asarray(v) >= 0, 1.0 / (1.0 + u), u / (1.0 + u))
-
-
-def _exp_min_risk(p):
-    return 2.0 * np.sqrt(p * (1.0 - p))
-
-
-def _exp_min_risk_deriv(p):
-    return (1.0 - 2.0 * p) / np.sqrt(p * (1.0 - p))
-
-
-def _sq_loss(v):
-    return (1.0 - v) ** 2
-
-
-def _sq_link(p):
-    return 2.0 * p - 1.0
-
-
-def _sq_inverse(v):
-    return np.clip((v + 1.0) / 2.0, 0.0, 1.0)
-
-
-def _sq_min_risk(p):
-    return 4.0 * p * (1.0 - p)
-
-
-def _sq_min_risk_deriv(p):
-    return 4.0 - 8.0 * p
-
-
-_FAMILIES: dict[str, dict[str, Callable]] = {
-    "exponential": {
-        "loss": _exp_loss,
-        "link": _exp_link,
-        "inverse": _exp_inverse,
-        "min_risk": _exp_min_risk,
-        "min_risk_deriv": _exp_min_risk_deriv,
-    },
-    "linear": {
-        "loss": _sq_loss,
-        "link": _sq_link,
-        "inverse": _sq_inverse,
-        "min_risk": _sq_min_risk,
-        "min_risk_deriv": _sq_min_risk_deriv,
-    },
-}
-
-# Families whose link or risk derivative diverges at 0/1 and needs clipping.
-_CLIPPED_FAMILIES = frozenset({"exponential"})
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     """One matched family: loss, optimal link, inverse link, minimum risk.
 
-    ``clip`` is the probability clipping bound applied before divergent
-    maps (the log-odds link and the risk derivative of the exponential
-    family); the linear family needs no clipping and ignores it.
+    ``name`` is 'exponential' or 'linear'.  ``clip`` is the probability
+    clipping bound applied before divergent maps (the log-odds link and
+    the risk derivative of the exponential family); the linear family
+    needs no clipping and ignores it.
     """
 
     name: str
     clip: float = DEFAULT_CLIP
 
     def __post_init__(self) -> None:
-        if self.name not in _FAMILIES:
+        if self.name not in _FAMILY_NAMES:
             raise ValueError(f"unknown link family {self.name!r}; "
-                             f"expected one of {sorted(_FAMILIES)}")
+                             f"expected one of {sorted(_FAMILY_NAMES)}")
         if not 0.0 < self.clip < 0.5:
             raise ValueError("clip must lie strictly between 0 and 0.5")
 
     def _clipped(self, prob):
         prob = np.asarray(prob, dtype=float)
-        if self.name in _CLIPPED_FAMILIES:
+        if self.name == "exponential":
             return np.clip(prob, self.clip, 1.0 - self.clip)
         return prob
 
     def loss(self, margin):
-        """Loss of margin ``margin`` against a positive outcome."""
-        return _scalarize(_FAMILIES[self.name]["loss"](np.asarray(margin, dtype=float)))
+        """Loss of margin ``margin`` against a positive outcome:
+        exp(-v) (exponential) or (1 - v)^2 (linear)."""
+        v = np.asarray(margin, dtype=float)
+        return _scalarize(np.exp(-v) if self.name == "exponential" else (1.0 - v) ** 2)
 
     def link(self, prob):
-        """Margin-scale prediction for probability ``prob``."""
-        return _scalarize(_FAMILIES[self.name]["link"](self._clipped(prob)))
+        """Margin-scale prediction for probability ``prob``:
+        log(p / (1 - p)) / 2 on the clipped p (exponential) or 2p - 1
+        (linear)."""
+        p = self._clipped(prob)
+        return _scalarize(0.5 * np.log(p / (1.0 - p)) if self.name == "exponential"
+                          else 2.0 * p - 1.0)
 
     def inverse_link(self, margin):
-        """Probability recovered from margin ``margin``."""
-        return _scalarize(_FAMILIES[self.name]["inverse"](np.asarray(margin, dtype=float)))
+        """Probability recovered from margin ``margin``:
+        exp(2v) / (1 + exp(2v)) (exponential) or (v + 1) / 2 clamped to
+        [0, 1] (linear)."""
+        v = np.asarray(margin, dtype=float)
+        if self.name == "exponential":
+            # computed from exp(-2|v|) so it never overflows
+            u = np.exp(-2.0 * np.abs(v))
+            return _scalarize(np.where(v >= 0, 1.0 / (1.0 + u), u / (1.0 + u)))
+        return _scalarize(np.clip((v + 1.0) / 2.0, 0.0, 1.0))
 
     def min_cond_risk(self, prob):
-        """Conditional risk attained by the optimal margin at ``prob``."""
-        return _scalarize(_FAMILIES[self.name]["min_risk"](np.asarray(prob, dtype=float)))
+        """Conditional risk attained by the optimal margin at ``prob``:
+        2 sqrt(p (1 - p)) (exponential) or 4 p (1 - p) (linear)."""
+        p = np.asarray(prob, dtype=float)
+        return _scalarize(2.0 * np.sqrt(p * (1.0 - p)) if self.name == "exponential"
+                          else 4.0 * p * (1.0 - p))
 
     def min_cond_risk_deriv(self, prob):
-        """Analytic derivative of ``min_cond_risk`` (clipped domain)."""
-        return _scalarize(_FAMILIES[self.name]["min_risk_deriv"](self._clipped(prob)))
+        """Analytic derivative of ``min_cond_risk`` on the clipped p:
+        (1 - 2p) / sqrt(p (1 - p)) (exponential) or 4 - 8p (linear)."""
+        p = self._clipped(prob)
+        return _scalarize((1.0 - 2.0 * p) / np.sqrt(p * (1.0 - p))
+                          if self.name == "exponential" else 4.0 - 8.0 * p)
 
     @property
     def max_margin(self) -> float:
         """Largest margin the clipped link can produce."""
         return float(self.link(1.0))
-
-
-def make_link(name: str, clip: float = DEFAULT_CLIP) -> LinkSpec:
-    """Build the named family; ``name`` is 'exponential' or 'linear'."""
-    return LinkSpec(name=name, clip=clip)
 
 
 @dataclass(frozen=True)
@@ -231,21 +179,13 @@ def matched_scoring_rule(link: LinkSpec) -> ScoringRule:
     exponential family this produces event_score(p) = -loss(link(p)) and
     nonevent_score(p) = -loss(-link(p)).
     """
-    inner = savage_scores(
-        lambda p: -np.asarray(_FAMILIES[link.name]["min_risk"](p)),
-        lambda p: -np.asarray(_FAMILIES[link.name]["min_risk_deriv"](p)),
+    inner = savage_scores(lambda p: -link.min_cond_risk(p),
+                          lambda p: -link.min_cond_risk_deriv(p))
+    return ScoringRule(
+        honest_score=lambda prob: inner.honest_score(link._clipped(prob)),
+        event_score=lambda prob: inner.event_score(link._clipped(prob)),
+        nonevent_score=lambda prob: inner.nonevent_score(link._clipped(prob)),
     )
-
-    def honest(prob):
-        return inner.honest_score(link._clipped(prob))
-
-    def event(prob):
-        return inner.event_score(link._clipped(prob))
-
-    def nonevent(prob):
-        return inner.nonevent_score(link._clipped(prob))
-
-    return ScoringRule(honest_score=honest, event_score=event, nonevent_score=nonevent)
 
 
 def reconstruct_loss(link: LinkSpec, margin):
@@ -256,7 +196,7 @@ def reconstruct_loss(link: LinkSpec, margin):
     exp(-margin) on the clip-limited margin range; for the linear family it
     reproduces (1 - margin)^2 on (-1, 1).
     """
-    q = link._clipped(np.asarray(link.inverse_link(margin), dtype=float))
+    q = link._clipped(link.inverse_link(margin))
     return _scalarize(link.min_cond_risk(q) + (1.0 - q) * link.min_cond_risk_deriv(q))
 
 

@@ -85,37 +85,37 @@ def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
     bin's mean forecast.  Bin representatives are member means rather than
     bin centers precisely so that this identity is exact; empty bins
     contribute nothing.
+
+    Member counts, positive counts and forecast sums come from one
+    ``np.bincount`` each over the bin index, and the rule is evaluated
+    once per score function on the arrays of non-empty bins.  The bin
+    terms are summed in bin order, as a running total over the bins would.
     """
     forecasts, outcomes = _validated(forecasts, outcomes)
     if bins < 1:
         raise ValueError("bin count must be at least 1")
-    n = forecasts.size
     index = np.minimum((forecasts * bins).astype(int), bins - 1)
+    counts = np.bincount(index, minlength=bins)
+    positives = np.bincount(index, weights=outcomes == POSITIVE, minlength=bins)
+    sums = np.bincount(index, weights=forecasts, minlength=bins)
 
-    calibration = 0.0
-    refinement = 0.0
-    per_bin = []
-    for b in range(bins):
-        members = index == b
-        count = int(members.sum())
-        center = (b + 0.5) / bins
-        if count == 0:
-            per_bin.append(BinSummary(center, 0, float("nan")))
-            continue
-        freq = float((outcomes[members] == POSITIVE).mean())
-        mean_forecast = float(forecasts[members].mean())
-        weight = count / n
-        refinement += weight * rule.honest_score(freq)
-        calibration += weight * (
-            freq * (rule.event_score(mean_forecast) - rule.event_score(freq))
-            + (1.0 - freq) * (rule.nonevent_score(mean_forecast) - rule.nonevent_score(freq))
-        )
-        per_bin.append(BinSummary(center, count, freq))
+    filled = counts > 0
+    freq = positives[filled] / counts[filled]
+    mean_forecast = sums[filled] / counts[filled]
+    weight = counts[filled] / forecasts.size
+    refinement = float(np.cumsum(weight * rule.honest_score(freq))[-1])
+    calibration = float(np.cumsum(weight * (
+        freq * (rule.event_score(mean_forecast) - rule.event_score(freq))
+        + (1.0 - freq) * (rule.nonevent_score(mean_forecast) - rule.nonevent_score(freq))
+    ))[-1])
 
+    frequencies = np.full(bins, np.nan)
+    frequencies[filled] = freq
     return ScoreReport(
         total=calibration + refinement,
         calibration=calibration,
         refinement=refinement,
         bins=bins,
-        per_bin=tuple(per_bin),
+        per_bin=tuple(BinSummary((b + 0.5) / bins, int(counts[b]), float(frequencies[b]))
+                      for b in range(bins)),
     )

@@ -17,6 +17,7 @@ from boost_reference import adaboost_reference, realboost_reference
 from conftest import random_table
 from forecast_ensembles import (
     ImputationPolicy,
+    LinkSpec,
     SyntheticSpec,
     adaboost_train,
     decompose,
@@ -26,7 +27,6 @@ from forecast_ensembles import (
     individual_baseline,
     load_table,
     loo_evaluate,
-    make_link,
     matched_scoring_rule,
     realboost_train,
 )
@@ -74,7 +74,7 @@ class TestCriterion1TableReproduction:
 class TestCriterion2SavageBound:
     def test_expected_score_maximized_only_by_honesty(self):
         started = time.perf_counter()
-        rule = matched_scoring_rule(make_link("exponential"))
+        rule = matched_scoring_rule(LinkSpec("exponential"))
         grid = np.arange(1, 100) / 100.0
         expected = rule.expected_score(grid[:, None], grid[None, :])
         honest = np.asarray(rule.honest_score(grid))[:, None]
@@ -94,7 +94,7 @@ class TestCriterion2SavageBound:
 class TestCriterion3LossReconstruction:
     def test_risk_side_rebuilds_exponential_loss(self):
         started = time.perf_counter()
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         margins = np.linspace(-5.0, 5.0, 101)
         rebuilt = np.empty_like(margins)
         for i, margin in enumerate(margins):  # one point at a time, per contract
@@ -110,7 +110,7 @@ class TestCriterion3LossReconstruction:
 
 class TestCriterion4LinkInvariants:
     def test_round_trip_and_antisymmetry(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         probs = np.concatenate([
             np.linspace(DELTA, 1 - DELTA, 2001),
             np.geomspace(DELTA, 0.5, 500),
@@ -169,7 +169,7 @@ class TestCriterion5OracleEquivalence:
 
 class TestCriterion6RiskMonotonicityAndDominance:
     def test_realboost_risk_never_rises_and_beats_individuals(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         worst_rise = -math.inf
         worst_excess = -math.inf
         for seed in range(20):
@@ -223,7 +223,7 @@ class TestCriterion7BaggingDominance:
 class TestCriterion8ScoreDecomposition:
     def test_split_is_exact_and_calibration_vanishes_when_calibrated(self):
         started = time.perf_counter()
-        rule = matched_scoring_rule(make_link("exponential"))
+        rule = matched_scoring_rule(LinkSpec("exponential"))
         rng = np.random.default_rng(77)
         additivity_worst = 0.0
         calibration_worst = -math.inf

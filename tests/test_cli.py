@@ -178,6 +178,29 @@ class TestCombinePredict:
         assert code == 2
         assert f"{stranger}:2: forecaster 'zzz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"link": {"name": "linear", "clip": 1e-6}},
+        {"imputation": {"mode": "random", "seed": 0}},
+        {"link": {"name": "linear", "clip": 1e-6}, "imputation": {"mode": "random", "seed": 0}},
+    ], ids=["link", "imputation", "both"])
+    def test_predict_rejects_model_with_foreign_link_or_imputation(self, table_files, tmp_path,
+                                                                   capsys, edit):
+        _, fpath, opath = table_files
+        model_path = tmp_path / "model.json"
+        report_path = tmp_path / "pred.json"
+        assert main(["combine", "--method", "realboost", "--forecasts", fpath,
+                     "--outcomes", opath, "--iterations", "5",
+                     "--model-out", str(model_path)]) == 0
+        capsys.readouterr()
+        record = json.loads(model_path.read_text())
+        record.update(edit)
+        model_path.write_text(json.dumps(record))
+        code = main(["predict", "--model", str(model_path), "--forecasts", fpath,
+                     "--report-out", str(report_path)])
+        assert code == 2
+        assert f"{model_path}: malformed model record" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def _bagging_model(self, tmp_path):
         fpath = tmp_path / "f.csv"
         opath = tmp_path / "o.csv"

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forecast_ensembles import (
+    LinkSpec,
     conditional_risk,
-    make_link,
     matched_scoring_rule,
     reconstruct_loss,
     savage_scores,
@@ -35,7 +35,7 @@ def golden_section_min(fn, lo, hi, iterations=200):
 
 class TestExponentialFamily:
     def setup_method(self):
-        self.link = make_link("exponential")
+        self.link = LinkSpec("exponential")
 
     def test_symmetry_points(self):
         assert self.link.link(0.5) == 0.0
@@ -85,16 +85,16 @@ class TestExponentialFamily:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown link family"):
-            make_link("logit")
+            LinkSpec("logit")
 
     def test_bad_clip_rejected(self):
         with pytest.raises(ValueError, match="clip"):
-            make_link("exponential", clip=0.7)
+            LinkSpec("exponential", clip=0.7)
 
 
 class TestLinearFamily:
     def setup_method(self):
-        self.link = make_link("linear")
+        self.link = LinkSpec("linear")
 
     def test_link_values(self):
         assert self.link.link(0.3) == pytest.approx(-0.4)
@@ -113,7 +113,7 @@ class TestLinearFamily:
 
 class TestSavageScores:
     def setup_method(self):
-        self.rule = matched_scoring_rule(make_link("exponential"))
+        self.rule = matched_scoring_rule(LinkSpec("exponential"))
 
     def test_scores_at_half(self):
         assert self.rule.event_score(0.5) == pytest.approx(-1.0, abs=1e-12)
@@ -121,7 +121,7 @@ class TestSavageScores:
 
     def test_event_score_equals_negated_loss_of_link(self):
         # evaluated independently on both sides
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         probs = np.arange(1, 100) / 100.0
         lhs = self.rule.event_score(probs)
         rhs = -np.exp(-np.asarray(link.link(probs)))
@@ -154,19 +154,19 @@ class TestSavageScores:
 
 class TestLossReconstruction:
     def test_exponential_fixed_points(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         assert reconstruct_loss(link, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert reconstruct_loss(link, 1.0) == pytest.approx(0.36787944117144233, abs=1e-9)
         assert reconstruct_loss(link, -2.0) == pytest.approx(7.38905609893065, abs=1e-9)
 
     def test_exponential_matches_direct_loss(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         margins = np.linspace(-5.0, 5.0, 101)
         gap = np.abs(reconstruct_loss(link, margins) - np.exp(-margins))
         assert np.max(gap) < 1e-8
 
     def test_linear_matches_squared_loss_inside_unit_margin(self):
-        link = make_link("linear")
+        link = LinkSpec("linear")
         margins = np.linspace(-0.99, 0.99, 199)
         gap = np.abs(reconstruct_loss(link, margins) - (1.0 - margins) ** 2)
         assert np.max(gap) < 1e-12
@@ -174,11 +174,11 @@ class TestLossReconstruction:
 
 class TestConditionalRisk:
     def test_value_at_half(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         assert conditional_risk(link, 0.5, 0.0) == 1.0
 
     def test_link_attains_minimum_risk(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         for prob in (0.1, 0.3, 0.5, 0.8, 0.97):
             margin, value = golden_section_min(
                 lambda v: conditional_risk(link, prob, v), -10.0, 10.0)
@@ -186,7 +186,7 @@ class TestConditionalRisk:
             assert margin == pytest.approx(link.link(prob), abs=1e-6)
 
     def test_link_beats_random_margins(self):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         rng = np.random.default_rng(0)
         optimal = conditional_risk(link, 0.8, link.link(0.8))
         for margin in rng.uniform(-8, 8, size=50):
@@ -195,6 +195,6 @@ class TestConditionalRisk:
     @given(prob=st.floats(0.01, 0.99), margin=st.floats(-8, 8))
     @settings(max_examples=200, deadline=None)
     def test_minimality_property(self, prob, margin):
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         best = conditional_risk(link, prob, link.link(prob))
         assert best <= conditional_risk(link, prob, margin) + 1e-12

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forecast_ensembles import (
+    LinkSpec,
     decompose,
     empirical_score,
-    make_link,
     matched_scoring_rule,
 )
 
@@ -17,7 +17,7 @@ DELTA = 1e-6
 
 @pytest.fixture(scope="module")
 def rule():
-    return matched_scoring_rule(make_link("exponential"))
+    return matched_scoring_rule(LinkSpec("exponential"))
 
 
 def calibrated_sample(n, seed):
@@ -109,7 +109,7 @@ class TestDecompose:
     def test_risk_of_induced_predictor_matches_negated_refinement(self, rule):
         # calibrated forecasts: average exponential loss of the margin-scale
         # predictor agrees with the negated refinement up to binning error
-        link = make_link("exponential")
+        link = LinkSpec("exponential")
         forecasts, outcomes = calibrated_sample(100_000, seed=3)
         margins = np.asarray(link.link(forecasts))
         risk = float(np.mean(np.exp(-outcomes * margins)))
@@ -131,3 +131,43 @@ class TestDecompose:
         assert report.total == pytest.approx(report.calibration + report.refinement,
                                              abs=1e-10)
         assert report.calibration <= 1e-12
+
+    @given(data=st.lists(st.tuples(st.floats(0, 1), st.sampled_from([1, -1])),
+                         min_size=1, max_size=200),
+           bins=st.integers(1, 25))
+    @settings(max_examples=150, deadline=None)
+    def test_bins_match_a_per_bin_loop(self, rule, data, bins):
+        forecasts = np.array([f for f, _ in data])
+        outcomes = np.array([o for _, o in data])
+        report = decompose(forecasts, outcomes, rule, bins)
+        index = np.minimum((forecasts * bins).astype(int), bins - 1)
+        calibration = refinement = 0.0
+        expected_bins = []
+        for b in range(bins):
+            members = index == b
+            count = int(members.sum())
+            if count == 0:
+                expected_bins.append((0, None))
+                continue
+            freq = float((outcomes[members] == 1).mean())
+            # members summed in order, not by the pairwise .mean(): next to
+            # the clip a last-bit change in a bin mean moves calibration by
+            # up to 3e-10
+            member_sum = 0.0
+            for forecast in forecasts[members].tolist():
+                member_sum += forecast
+            mean_forecast = member_sum / count
+            weight = count / forecasts.size
+            refinement += weight * rule.honest_score(freq)
+            calibration += weight * (
+                freq * (rule.event_score(mean_forecast) - rule.event_score(freq))
+                + (1.0 - freq) * (rule.nonevent_score(mean_forecast)
+                                  - rule.nonevent_score(freq)))
+            expected_bins.append((count, freq))
+        assert [(b.count, None if b.count == 0 else b.frequency)
+                for b in report.per_bin] == expected_bins
+        assert all(math.isnan(b.frequency) for b in report.per_bin if b.count == 0)
+        assert [b.center for b in report.per_bin] == [(b + 0.5) / bins for b in range(bins)]
+        assert abs(report.refinement - refinement) <= 1e-12
+        assert abs(report.calibration - calibration) <= 1e-12
+        assert abs(report.total - (calibration + refinement)) <= 1e-12
