@@ -21,10 +21,19 @@ forecaster ids needed to apply them; it keeps nothing of the training
 table.
 
 Every boosting round is an argmin over forecasters of a weighted total
-over questions.  The trainers build their per-question factors once,
-question-major (Q, N), and `_ordered_totals` sums them row after row into
-one buffer reused every round, so each total is accumulated in question
-order: tied forecasters tie exactly and the lowest index wins.
+over questions, and the specification is exact: each total is
+accumulated in question order, as a left-to-right scalar loop would, and
+ties go to the lowest index.  The trainers build their per-question
+factors once, question-major (Q, N), and hand them to `_LeastTotal`,
+which finds that argmin at BLAS speed without changing it.  Once per
+training it keeps only the first of each set of identical columns.  Each
+round it screens all columns with one BLAS matrix-vector product, keeps
+the few whose screened total lies within the forward error bound of sums
+of non-negative terms (Higham 2002, sec. 4.2) of the least one, and sums
+only those in question order; when too many are left, it takes the full
+ordered pass (`_ordered_totals`) instead.  The bound holds for any
+summation order, so picks and totals do not depend on how BLAS sums or
+on how many threads it uses.
 
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
@@ -45,7 +54,7 @@ from .domain import (
     ImputationPolicy,
     impute,
 )
-from .links import LinkSpec
+from .links import DEFAULT_CLIP, LinkSpec
 
 __all__ = [
     "METHODS",
@@ -57,8 +66,6 @@ __all__ = [
     "ensemble_predict",
     "classify",
     "stage_weight",
-    "weighted_error_argmin",
-    "exponential_objective_argmin",
 ]
 
 logger = logging.getLogger(__name__)
@@ -78,6 +85,15 @@ DEFAULT_ITERATIONS = {"adaboost": 800, "realboost": 70}
 # Error rates are clamped away from 0 and 1 so the stage weight stays finite.
 _ERROR_CLAMP = 1e-8
 
+# Unit roundoff and smallest normal number of a float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = float(np.finfo(float).tiny)
+
+# A round rechecks its candidates by gathering them, which costs about as
+# much per column as four columns of the full ordered pass (measured at
+# 87 x 338 and at 499 x 1000).
+_GATHER_COST = 4
+
 
 @dataclass(frozen=True)
 class EnsembleModel:
@@ -87,7 +103,8 @@ class EnsembleModel:
     bagging uses every forecaster once with weight 1/N.  ``imputation`` is
     the policy captured at training time; `ensemble_predict` fills absent
     forecasts by it, on training questions and new ones alike.  ``link``
-    and ``imputation`` must be the ones the method trains with.
+    and ``imputation`` must be the ones the method trains with, and the
+    link's clip the default one every trainer uses.
     """
 
     method: str
@@ -104,6 +121,9 @@ class EnsembleModel:
             raise ValueError(f"a {self.method} model needs the {link_name} link and "
                              f"{mode!r} imputation, got {self.link.name} and "
                              f"{self.imputation.mode!r}")
+        if self.link.clip != DEFAULT_CLIP:
+            raise ValueError(f"the link clip is fixed at {DEFAULT_CLIP:g}, "
+                             f"got {self.link.clip:g}")
         if len(self.rounds) < 1:
             raise ValueError("a model must contain at least one round")
         n = len(self.forecaster_ids)
@@ -134,23 +154,17 @@ def stage_weight(error_rate: float) -> float:
 
 def _ordered_totals(factors: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Column totals of ``factors * weights[:, None]``, each accumulated
-    strictly in question order.
+    strictly in question order: the full ordered pass.
 
     ``factors`` is question-major, (Q, N): one row per question, one
-    column per forecaster; the trainers keep it C-contiguous so the
-    multiply streams.  ``out`` is a C-contiguous (Q, N) float buffer that
-    receives the products, so a trainer allocates it once and reuses it
-    every round.  Only its layout sets the order: summing ``out`` over its
-    outer axis makes numpy add whole rows one after another, which gives
-    every column the rounding of a plain left-to-right scalar loop;
-    mathematically tied columns therefore tie exactly and the argmin goes
-    to the lowest index.
-
-    Blocked summations break that: BLAS ``F @ w`` rounds in blocks, a sum
-    along a contiguous axis is pairwise, and ``np.einsum`` may use fused
-    multiply-adds depending on how numpy was built.  For the same reason a
-    lone column (N == 1) takes ``np.cumsum``: numpy collapses a (Q, 1)
-    reduction to one axis and would sum it pairwise.
+    column per forecaster, C-contiguous so the multiply streams.  ``out``
+    is a C-contiguous (Q, N) float buffer that receives the products, so
+    `_LeastTotal` allocates it once per training.  Only its layout sets the
+    order: summing ``out`` over its outer axis makes numpy add whole rows
+    one after another, which gives every column the rounding of a plain
+    left-to-right scalar loop.  A lone column (N == 1) takes ``np.cumsum``,
+    because numpy collapses a (Q, 1) reduction to one axis and would sum
+    it pairwise.
     """
     np.multiply(factors, weights[:, np.newaxis], out=out)
     if out.shape[1] == 1 and len(out):
@@ -158,43 +172,89 @@ def _ordered_totals(factors: np.ndarray, weights: np.ndarray, out: np.ndarray) -
     return out.sum(axis=0)
 
 
-def _ordered_sum(values: np.ndarray) -> float:
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+def _ordered_sum(values: np.ndarray) -> np.float64:
+    return values.cumsum()[-1]
 
 
-def _least_total(factors: np.ndarray, weights: np.ndarray,
-                 out: np.ndarray) -> tuple[int, np.float64]:
-    totals = _ordered_totals(factors, weights, out)
-    j = int(np.argmin(totals))
-    return j, totals[j]
+class _LeastTotal:
+    """Exact argmin of the ordered column totals of one training's factors.
 
+    Called with the round's question weights, it returns (index, total):
+    the lowest column index among the least totals, each total accumulated
+    strictly in question order (`_ordered_totals`), as if every column had
+    been summed by a left-to-right scalar loop.  Only the work of finding
+    that argmin is cut, in three ways.
 
-def weighted_error_argmin(weights: np.ndarray, mispredictions: np.ndarray) -> tuple[int, float]:
-    """Forecaster with the least weighted error mass.
+    * Column collapse.  Byte-identical columns have identical ordered
+      totals, so only the first of each is kept, once per training; the
+      lowest index of a tie stays the one returned.
+    * Screen.  ``weights @ factors`` goes to BLAS, which may sum in any
+      order, in blocks, with or without fused multiply-adds and on any
+      number of threads.  All terms are non-negative, so every computed
+      total, the screen's and the ordered one alike, lies within a
+      relative gamma = (Q+2)u / (1 - (Q+2)u) of the exact sum, u being the
+      unit roundoff (Higham 2002, *Accuracy and Stability of Numerical
+      Algorithms*, sec. 4.2; Q + 2 rather than Q leaves room for the
+      rounding of the threshold itself).  A product below the smallest
+      normal number may lose up to that number whole (gradual underflow,
+      or a flush to zero), which adds an absolute Q * tiny to each side.
+      A column can therefore be the ordered minimum only if its screened
+      total is at most ((1+gamma)/(1-gamma))**2 * (min + 4 Q tiny); every
+      other column is dropped.
+    * Recheck.  The remaining candidates are summed in question order,
+      a lone candidate as one column.  When they cost more than the full
+      ordered pass would (more than 1/_GATHER_COST of the columns), or
+      when no column passes (a NaN total), the round takes the full pass.
 
-    ``mispredictions`` is an (N, n) 0/1 matrix over forecasters and
-    questions.  Returns (index, error rate), the rate normalized by the
-    total weight; ties resolve to the lowest index, with totals accumulated
-    in question order so ties are exact.  Both the selection and the rate
-    are invariant to scaling all weights by a positive constant.
+    The screen only decides which columns get summed in order, and the
+    bound holds for every summation order, so picks and totals do not
+    depend on the BLAS build, its kernel or its thread count.  The
+    instance counts the candidates it rechecked and the rounds that fell
+    back to the full pass.
     """
-    mistakes = mispredictions.T
-    j, mass = _least_total(mistakes, weights, np.empty(mistakes.shape))
-    return j, float(mass / _ordered_sum(weights))
+
+    def __init__(self, factors: np.ndarray) -> None:
+        first: dict[bytes, int] = {}
+        for j, column in enumerate(np.ascontiguousarray(factors.T)):
+            first.setdefault(column.tobytes(), j)
+        self.columns = list(first.values())
+        if len(first) < factors.shape[1]:
+            # the gather comes back in F order, which `_ordered_totals`
+            # would sum pairwise
+            factors = np.ascontiguousarray(factors[:, self.columns])
+        self.factors = factors
+        self.out = np.empty(factors.shape)
+        n_questions = factors.shape[0]
+        gamma = (n_questions + 2) * _UNIT_ROUNDOFF / (1.0 - (n_questions + 2) * _UNIT_ROUNDOFF)
+        self.slack = ((1.0 + gamma) / (1.0 - gamma)) ** 2
+        self.floor = 4 * n_questions * _TINY
+        self.candidates = 0
+        self.fallbacks = 0
+
+    def __call__(self, weights: np.ndarray) -> tuple[int, np.float64]:
+        factors = self.factors
+        screen = weights @ factors
+        limit = self.slack * (np.minimum.reduce(screen) + self.floor)
+        candidates = (screen <= limit).nonzero()[0]
+        k = len(candidates)
+        self.candidates += k
+        if k == 1:
+            j = candidates[0]
+            return self.columns[j], _ordered_sum(factors[:, j] * weights)
+        if k == 0 or _GATHER_COST * k > factors.shape[1]:
+            self.fallbacks += 1
+            totals = _ordered_totals(factors, weights, self.out)
+            j = totals.argmin()
+            return self.columns[j], totals[j]
+        totals = np.cumsum(factors[:, candidates] * weights[:, np.newaxis], axis=0)[-1]
+        j = totals.argmin()
+        return self.columns[candidates[j]], totals[j]
 
 
-def exponential_objective_argmin(weights: np.ndarray, margins: np.ndarray,
-                                 outcomes: np.ndarray) -> tuple[int, float]:
-    """Forecaster minimizing sum_i w_i * exp(-y_i * m_ij).
-
-    ``margins`` is (N, n); ties resolve to the lowest index, with totals
-    accumulated in question order so ties are exact.  A forecaster that
-    abstains everywhere (all-zero margins) scores exactly the total weight,
-    i.e. 1.0 under normalized weights.
-    """
-    factors = np.exp(-outcomes[:, np.newaxis] * margins.T)
-    j, objective = _least_total(factors, weights, np.empty(factors.shape))
-    return j, float(objective)
+def _log_argmin(method: str, rounds: int, n_forecasters: int, least: _LeastTotal) -> None:
+    logger.debug("%s: %d rounds, %d of %d forecasters distinct, %d candidates "
+                 "rechecked, %d full-pass fallbacks", method, rounds,
+                 len(least.columns), n_forecasters, least.candidates, least.fallbacks)
 
 
 def _check_trainable(table: ForecastTable, iterations: int) -> None:
@@ -238,13 +298,12 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     dense = impute(table, policy)
     base = np.where(dense.T > 0.5, POSITIVE, NEGATIVE)
     mistaken = base != table.outcomes[:, np.newaxis]  # (Q, N)
-    wrong = mistaken.astype(float, order="C")
-    scratch = np.empty_like(wrong)
+    least_mass = _LeastTotal(mistaken.astype(float, order="C"))
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
-        picked, mass = _least_total(wrong, weights, scratch)
+        picked, mass = least_mass(weights)
         error_rate = mass / _ordered_sum(weights)
         if error_rate >= 0.5:
             if not rounds:
@@ -261,6 +320,7 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
         # the pick got wrong are scaled
         np.multiply(weights, math.exp(alpha), out=weights, where=mistaken[:, picked])
         weights /= _ordered_sum(weights)
+    _log_argmin("adaboost", len(rounds), table.n_forecasters, least_mass)
 
     return EnsembleModel(
         method="adaboost",
@@ -288,12 +348,12 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     margins = link.link(impute(table, policy))
     # (Q, N), fixed across rounds
     loss_factors = np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))
-    scratch = np.empty_like(loss_factors)
+    least_objective = _LeastTotal(loss_factors)
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
-        picked, objective = _least_total(loss_factors, weights, scratch)
+        picked, objective = least_objective(weights)
         # 1e-9 of slack so a plateau at exactly 1.0 does not warn on rounding
         if objective > 1.0 + 1e-9:
             logger.warning("round %d: best objective %.6g exceeds 1; no "
@@ -302,6 +362,7 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
         rounds.append((picked, 1.0))
         weights = weights * loss_factors[:, picked]
         weights /= _ordered_sum(weights)
+    _log_argmin("realboost", iterations, table.n_forecasters, least_objective)
 
     return EnsembleModel(
         method="realboost",

@@ -182,7 +182,8 @@ class TestCombinePredict:
         {"link": {"name": "linear", "clip": 1e-6}},
         {"imputation": {"mode": "random", "seed": 0}},
         {"link": {"name": "linear", "clip": 1e-6}, "imputation": {"mode": "random", "seed": 0}},
-    ], ids=["link", "imputation", "both"])
+        {"link": {"name": "exponential", "clip": 0.4}},
+    ], ids=["link", "imputation", "both", "clip"])
     def test_predict_rejects_model_with_foreign_link_or_imputation(self, table_files, tmp_path,
                                                                    capsys, edit):
         _, fpath, opath = table_files

@@ -1,3 +1,5 @@
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -20,10 +22,10 @@ from forecast_ensembles import (
     realboost_train,
 )
 from forecast_ensembles.combiners import (
+    _LeastTotal,
+    _ordered_sum,
     _ordered_totals,
-    exponential_objective_argmin,
     stage_weight,
-    weighted_error_argmin,
 )
 
 
@@ -98,20 +100,24 @@ class TestStageWeight:
 class TestSelectionHelpers:
     def test_weighted_error_tie_breaks_low_index(self):
         weights = np.full(4, 0.25)
-        wrong = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-        index, rate = weighted_error_argmin(weights, wrong)
-        assert index == 2
-        assert rate == pytest.approx(0.25)
+        # forecasters 1 and 3 tie at 0.25, wrong on different questions
+        wrong = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
+        index, mass = _LeastTotal(np.ascontiguousarray(wrong.T))(weights)
+        assert index == 1
+        assert mass == 0.25
 
     def test_constant_half_forecaster_objective_is_one(self):
+        # an abstainer's margins are all zero, so its factors exp(-y * 0) are
+        # all one and its objective is the ordered total weight
         rng = np.random.default_rng(1)
         outcomes = rng.choice([1, -1], size=9)
-        abstainer = np.zeros((1, 9))
+        abstainer = np.exp(-outcomes[:, np.newaxis] * np.zeros((9, 1)))
         for _ in range(5):
             weights = rng.random(9)
             weights /= weights.sum()
-            index, objective = exponential_objective_argmin(weights, abstainer, outcomes)
+            index, objective = _LeastTotal(abstainer)(weights)
             assert index == 0
+            assert objective == _ordered_sum(weights)
             assert objective == pytest.approx(1.0, abs=1e-12)
 
     @given(scale_power=st.integers(-20, 20), seed=st.integers(0, 10_000))
@@ -119,15 +125,16 @@ class TestSelectionHelpers:
     def test_selection_invariant_to_weight_scale(self, scale_power, seed):
         rng = np.random.default_rng(seed)
         weights = rng.random(7) + 1e-9
-        wrong = (rng.random((5, 7)) < 0.4).astype(float)
-        margins = rng.normal(size=(5, 7))
+        wrong = (rng.random((7, 5)) < 0.4).astype(float)
         outcomes = rng.choice([1, -1], size=7)
+        losses = np.exp(-outcomes[:, np.newaxis] * rng.normal(size=(7, 5)))
         scale = 2.0 ** scale_power  # exact in floating point
-        assert weighted_error_argmin(weights, wrong) == \
-            weighted_error_argmin(weights * scale, wrong)
-        index, _ = exponential_objective_argmin(weights, margins, outcomes)
-        scaled_index, _ = exponential_objective_argmin(weights * scale, margins, outcomes)
-        assert index == scaled_index
+        for factors in (wrong, losses):
+            least = _LeastTotal(factors)
+            index, total = least(weights)
+            # the total scales exactly, and so the error rate does not move
+            assert least(weights * scale) == (index, total * scale)
+            assert _ordered_sum(weights * scale) == _ordered_sum(weights) * scale
 
 
 def left_to_right_totals(factors, weights):
@@ -155,6 +162,82 @@ class TestOrderedTotals:
         weights = rng.random(q) * 10.0 ** rng.integers(-300, 3, size=q)
         totals = _ordered_totals(factors, weights, np.empty((q, n)))
         assert np.array_equal(totals, left_to_right_totals(factors, weights))
+
+
+def close_factors(rng, kind, q, n):
+    """(Q, N) non-negative factors of the given kind; the last two put the
+    column totals within a few units in the last place of each other."""
+    if kind == "binary":
+        return (rng.random((q, n)) < 0.5).astype(float)
+    if kind == "real":
+        return np.exp(rng.normal(scale=3.0, size=(q, n)))
+    if kind == "last_bits":
+        # copies of one column, each nudged by a few ulps at a few questions
+        factors = np.repeat(np.exp(rng.normal(size=(q, 1))), n, axis=1)
+        for j in range(n):
+            rows = rng.integers(0, q, size=3)
+            factors[rows, j] *= 1.0 + rng.integers(-4, 5, size=3) * 2.0**-52
+        return factors
+    # drift: a 1 and Q - 1 entries just above half an ulp of 1.  Where the
+    # 1 comes first, a left-to-right sum rounds up by a whole ulp at each
+    # later entry; where it comes last, the small entries add up exactly
+    # first.  A blocked sum lands near the exact total either way, so the
+    # two orders rank the columns differently, by up to about Q ulps: the
+    # one column with its 1 first is the least by the exact total and the
+    # greatest in order.
+    late = np.arange(n) != rng.integers(0, n)
+    factors = np.ldexp(np.repeat(1.0 + np.where(late, 0.8, 0.0) + 0.2 * rng.random((1, n)),
+                                 q, axis=0), -53)
+    factors[np.where(late, q - 1, 0), np.arange(n)] = 1.0
+    return factors
+
+
+class TestLeastTotal:
+    @given(n=st.integers(1, 60), q=st.integers(1, 200),
+           kind=st.sampled_from(["binary", "real", "last_bits", "drift"]),
+           spread=st.booleans(), duplicates=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, q=300, kind="real", spread=True, duplicates=False, seed=0)
+    @example(n=1, q=300, kind="binary", spread=True, duplicates=True, seed=0)
+    @example(n=60, q=3, kind="binary", spread=False, duplicates=False, seed=0)
+    @example(n=60, q=200, kind="drift", spread=False, duplicates=False, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_screened_argmin_matches_scalar_loop(self, n, q, kind, spread, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        factors = close_factors(rng, kind, q, n)
+        if duplicates:
+            factors = np.ascontiguousarray(factors[:, rng.integers(0, n, size=2 * n)])
+        if spread:
+            weights = rng.random(q) * 10.0 ** rng.integers(-300, 3, size=q)
+        elif kind in ("last_bits", "drift"):
+            weights = np.ones(q)  # keeps every product exact
+        else:
+            weights = rng.random(q)
+        totals = left_to_right_totals(factors, weights)
+        index = int(np.argmin(totals))  # the first of the least
+        picked, total = _LeastTotal(factors)(weights)
+        assert type(picked) is int
+        assert (picked, total) == (index, totals[index])
+
+    def test_many_ties_take_the_full_pass(self):
+        # one column per pair of 4 questions: under equal weights all 6 tie,
+        # and 6 candidates of 6 columns cost more to gather than the full pass
+        pairs = list(itertools.combinations(range(4), 2))
+        factors = np.zeros((4, len(pairs)))
+        for j, pair in enumerate(pairs):
+            factors[list(pair), j] = 1.0
+        least = _LeastTotal(factors)
+        assert least(np.full(4, 0.25)) == (0, 0.5)
+        assert (least.candidates, least.fallbacks) == (6, 1)
+        assert least(np.array([0.4, 0.3, 0.2, 0.1])) == (5, 0.2 + 0.1)
+        assert (least.candidates, least.fallbacks) == (7, 1)
+
+    def test_duplicate_columns_collapse_to_the_first(self):
+        factors = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        least = _LeastTotal(factors)
+        assert least.columns == [0, 1]
+        assert least(np.array([0.5, 0.25])) == (1, 0.25)
+        assert least(np.array([0.25, 0.25])) == (0, 0.25)
+        assert (least.candidates, least.fallbacks) == (3, 1)
 
 
 class TestAdaBoost:
@@ -213,6 +296,20 @@ class TestAdaBoost:
     def test_rejects_bad_inputs(self, toy_table):
         with pytest.raises(ValueError):
             adaboost_train(toy_table, 0)
+
+    def test_debug_line_counts_the_argmin_work(self, caplog):
+        # x and y forecast alike, so one of the two columns is collapsed
+        forecasts = np.array([[0.9, 0.2, 0.8], [0.9, 0.2, 0.8], [0.1, 0.7, 0.4]])
+        table = ForecastTable(("a", "b", "c"), ("x", "y", "z"), forecasts, np.array([1, -1, 1]))
+        with caplog.at_level(logging.DEBUG, logger="forecast_ensembles.combiners"):
+            adaboost_train(table, 3)
+            realboost_train(table, 2)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
+            "adaboost: 3 rounds, 2 of 3 forecasters distinct, 3 candidates rechecked, "
+            "0 full-pass fallbacks",
+            "realboost: 2 rounds, 2 of 3 forecasters distinct, 2 candidates rechecked, "
+            "0 full-pass fallbacks",
+        ]
 
 
 class TestRealBoost:
@@ -337,3 +434,8 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"a {method} model needs"):
             EnsembleModel(method, ((0, 1.0),), LinkSpec(link), ImputationPolicy(mode, 1),
                           ("a",))
+
+    def test_link_clip_is_fixed(self):
+        with pytest.raises(ValueError, match="clip is fixed"):
+            EnsembleModel("realboost", ((0, 1.0),), LinkSpec("exponential", clip=0.4),
+                          ImputationPolicy("half"), ("a",))
