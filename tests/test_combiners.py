@@ -231,6 +231,20 @@ class TestLeastTotal:
         assert least(np.array([0.4, 0.3, 0.2, 0.1])) == (5, 0.2 + 0.1)
         assert (least.candidates, least.fallbacks) == (7, 1)
 
+    def test_two_candidates_among_eight_are_gathered(self):
+        # eight distinct columns, and 2 candidates of 8 are cheaper to gather
+        # than the full pass; in order, 0.1 + 0.2 lies one ulp above 0.3
+        factors = np.ones((3, 8)) + np.arange(8) / 8
+        factors[:, [3, 6]] = [[0.1, 0.3], [0.2, 0.0], [0.0, 0.0]]
+        least = _LeastTotal(factors)
+        assert least(np.ones(3)) == (6, 0.3)
+        assert (least.candidates, least.fallbacks) == (2, 0)
+        # an exact tie goes to the lower index
+        factors[:, [3, 6]] = [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+        least = _LeastTotal(factors)
+        assert least(np.full(3, 0.5)) == (3, 0.5)
+        assert (least.candidates, least.fallbacks) == (2, 0)
+
     def test_duplicate_columns_collapse_to_the_first(self):
         factors = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
         least = _LeastTotal(factors)
