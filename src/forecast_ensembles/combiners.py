@@ -41,6 +41,7 @@ trained models are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -379,8 +380,16 @@ def _filled_vector(model: EnsembleModel, forecasts: np.ndarray) -> np.ndarray:
         raise ValueError("forecasts must lie in [0, 1] (or be NaN for absent)")
     if model.imputation.mode != "random":
         return np.where(present, forecasts, 0.5)
-    fill = np.random.default_rng(model.imputation.seed).random(forecasts.shape)
-    return np.where(present, forecasts, fill)
+    return np.where(present, forecasts, _random_fill(model.imputation.seed, forecasts.size))
+
+
+@functools.lru_cache(maxsize=1)
+def _random_fill(seed: int, n: int) -> np.ndarray:
+    """``default_rng(seed).random(n)``, drawn once for the predicts of one
+    model and read-only, since every caller shares it."""
+    fill = np.random.default_rng(seed).random(n)
+    fill.flags.writeable = False
+    return fill
 
 
 def ensemble_predict(model: EnsembleModel, forecasts) -> tuple[float, float]:

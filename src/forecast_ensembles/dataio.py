@@ -1,6 +1,7 @@
 """CSV ingestion and JSON serialization.
 
-File formats (all UTF-8 with LF line endings):
+File formats (all UTF-8, written with LF line endings; the CSV readers also
+take CRLF and quoted fields, and skip blank lines):
 
 forecasts CSV   header exactly ``question_id,forecaster_id,probability``;
                 one row per (question, forecaster) pair, pairs unique; an
@@ -21,12 +22,22 @@ or as the caller gives (a model's); `load_table` adds the outcomes file
 and puts the questions in its order.  Probabilities are written with 17
 significant digits and JSON floats use shortest-round-trip repr, so every
 file round-trips bit-exactly.
+
+The forecasts file is read in blocks of whole lines, each turned into
+question, forecaster and probability columns by `str.split` and `float`, then
+checked as arrays.  Text with a quote, a carriage return or a NUL, or a
+line longer than ``csv.field_size_limit()``, is tokenized by csv.reader
+instead, whose records feed the same columns, so both read a file alike.
+An error names the first offending record, ``file:line`` counting
+physical lines; a field over the csv limit (131,072 characters unless
+changed) is an error too, not a crash.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,25 +74,279 @@ def _fail(path, line, message) -> None:
     raise DataFormatError(f"{path}:{line}: {message}")
 
 
+def _records(path, reader):
+    """``reader``'s records, each with the physical line it ends on; a
+    `csv.Error` (a field over ``csv.field_size_limit()``, say) becomes a
+    DataFormatError naming the line."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            _fail(path, reader.line_num, exc)
+        yield reader.line_num, row
+
+
 def _read_rows(path, header: list[str]):
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
+        records = _records(path, csv.reader(handle))
+        _, first = next(records, (1, None))
+        if first is None:
             _fail(path, 1, f"missing header; expected {','.join(header)}")
         if first != header:
             _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
-        for row in reader:
-            line = reader.line_num  # the record's last physical line
+        for line, row in records:
             if not row:
                 continue
             if len(row) != len(header):
                 _fail(path, line, f"expected {len(header)} fields, got {len(row)}")
             yield line, row
+
+
+# Characters read per block of a forecasts file.  A block's lines and
+# fields take many times its size in memory while it is parsed, and each
+# block adds a fixed cost of some microseconds: 64 Ki characters keep both
+# small.  The unfinished last line goes on to the next block.  Records that
+# csv.reader tokenizes go on in blocks of a 32nd as many, about as many as
+# a block of plain lines holds.
+_BLOCK_CHARS = 1 << 16
+
+# Text that `str.split` would not tokenize as csv.reader does: a quote, a
+# carriage return (csv ends a line there too) or a NUL (rejected by csv on
+# some Python versions).
+_CSV_ONLY = ('"', "\r", "\0")
+
+
+class _Columns:
+    """A forecasts file's records as row, column and probability arrays,
+    fed a block at a time and checked as they come.
+
+    Feeding stops at the first record that fails a check of its own: field
+    count, empty id, not a number, out of range or unknown forecaster, in
+    that order within a record.  A reader that stops on an error of its
+    own, after the records fed so far, sets `error` to it.  `validated`
+    then looks for a duplicate cell among the records kept and raises what
+    comes first in the file.
+    """
+
+    def __init__(self, path: Path, forecaster_ids) -> None:
+        self.path = path
+        self.fixed = forecaster_ids is not None
+        self.forecaster_index = {f: i for i, f in enumerate(forecaster_ids or ())}
+        self.question_index: dict[str, int] = {}
+        # one entry per block, from an empty one, so that there is always
+        # something to concatenate
+        self.rows = [np.empty(0, np.intp)]
+        self.columns = [np.empty(0, np.intp)]
+        self.values = [np.empty(0)]
+        self.lines = [()]  # physical line numbers of the records
+        self.error: Exception | None = None
+
+    def add(self, question_ids, forecaster_ids, fields, lines) -> bool:
+        """Check and keep one block of records; False once one fails."""
+        failures = []  # (position, rank within a record, message)
+        for ids in (question_ids, forecaster_ids):
+            if "" in ids:
+                failures.append((ids.index(""), 0,
+                                 "question_id and forecaster_id must be non-empty"))
+        _number_new(self.question_index, question_ids)
+        columns = np.fromiter(map(self.question_index.__getitem__, question_ids),
+                              np.intp, len(question_ids))
+        if self.fixed:
+            rows = np.fromiter(map(self.forecaster_index.get, forecaster_ids, repeat(-1)),
+                               np.intp, len(forecaster_ids))
+            unknown = np.flatnonzero(rows < 0)
+            if unknown.size:
+                position = int(unknown[0])
+                failures.append((position, 3, f"forecaster {forecaster_ids[position]!r} "
+                                              "is not part of the model"))
+        else:
+            _number_new(self.forecaster_index, forecaster_ids)
+            rows = np.fromiter(map(self.forecaster_index.__getitem__, forecaster_ids),
+                               np.intp, len(forecaster_ids))
+        values, present, parsed = _probabilities(fields)
+        if parsed < len(fields):
+            failures.append((parsed, 1, f"probability {fields[parsed]!r} is not a number"))
+        outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
+        if present is not None:
+            outside &= present
+        outside = np.flatnonzero(outside)
+        if outside.size:
+            position = int(outside[0])
+            failures.append((position, 2, f"probability {fields[position]!r} outside [0, 1]"))
+
+        kept = min(failures)[0] if failures else len(fields)
+        self.rows.append(rows[:kept])
+        self.columns.append(columns[:kept])
+        self.values.append(values[:kept])
+        self.lines.append(lines)
+        if failures:
+            position, _, message = min(failures)
+            self.error = DataFormatError(f"{self.path}:{lines[position]}: {message}")
+        return not failures
+
+    def validated(self):
+        """``(question_ids, forecaster_ids, rows, columns, values)`` of the
+        whole file, or the first error in it."""
+        rows, columns, values = (np.concatenate(parts)
+                                 for parts in (self.rows, self.columns, self.values))
+        width = len(self.question_index)
+        cells = rows * width + columns
+        seen = np.zeros(len(self.forecaster_index) * width, bool)
+        seen[cells] = True
+        if np.count_nonzero(seen) < cells.size:
+            _, first = np.unique(cells, return_index=True)
+            repeated = np.ones(cells.size, bool)
+            repeated[first] = False
+            position = int(np.flatnonzero(repeated)[0])
+            question_id = tuple(self.question_index)[columns[position]]
+            forecaster_id = tuple(self.forecaster_index)[rows[position]]
+            _fail(self.path, self._line(position),
+                  f"duplicate forecast for ({question_id}, {forecaster_id})")
+        if self.error is not None:
+            raise self.error
+        return (tuple(self.question_index), tuple(self.forecaster_index),
+                rows, columns, values)
+
+    def _line(self, position: int) -> int:
+        for kept, lines in zip(self.values, self.lines):
+            if position < kept.size:
+                return lines[position]
+            position -= kept.size
+        raise IndexError(position)
+
+
+def _number_new(index: dict[str, int], ids) -> None:
+    """Number the ids not yet in ``index`` on from its size, in order of
+    first appearance."""
+    fresh = filterfalse(index.__contains__, dict.fromkeys(ids))
+    index.update(zip(fresh, count(len(index))))
+
+
+def _probabilities(fields):
+    """Parse ``fields`` with `float`, NaN for an empty one, up to the first
+    that `float` rejects.  Returns (values, present mask or None if no field
+    is empty, number of fields parsed)."""
+    try:
+        return (*_floats(fields), len(fields))
+    except ValueError:
+        for parsed, field in enumerate(fields):
+            try:
+                float(field or "0")
+            except ValueError:
+                return (*_floats(fields[:parsed]), parsed)
+        raise
+
+
+def _floats(fields):
+    if "" not in fields:
+        return np.fromiter(map(float, fields), float, len(fields)), None
+    present = np.fromiter(map(bool, fields), bool, len(fields))
+    values = np.full(len(fields), np.nan)
+    values[present] = np.fromiter(map(float, filter(None, fields)), float)
+    return values, present
+
+
+class _NotPlain(Exception):
+    """The text holds what only csv.reader tokenizes as it should."""
+
+
+def _plain_blocks(handle):
+    """The file's lines, a list of whole lines per block.  Raises
+    `_NotPlain` at text that `str.split` would not tokenize as csv.reader
+    does: one of `_CSV_ONLY`, or a line over ``csv.field_size_limit()``,
+    whose fields csv may reject."""
+    limit = csv.field_size_limit()
+    tail = ""  # the unfinished last line of the text read so far
+    while chunk := handle.read(_BLOCK_CHARS):
+        if any(c in chunk for c in _CSV_ONLY):
+            raise _NotPlain
+        lines = (tail + chunk).split("\n")
+        tail = lines.pop()
+        if len(tail) > limit or max(map(len, lines), default=0) > limit:
+            raise _NotPlain
+        if lines:
+            yield lines
+    if tail:
+        yield [tail]
+
+
+def _read_plain(path: Path, columns: _Columns) -> None:
+    """Feed ``columns`` from the file's lines split by `str.split`."""
+    width = len(FORECASTS_HEADER)
+    with path.open(newline="", encoding="utf-8") as handle:
+        blocks = _plain_blocks(handle)
+        lines = next(blocks, None)
+        if lines is None:
+            _fail(path, 1, f"missing header; expected {','.join(FORECASTS_HEADER)}")
+        header = lines.pop(0).split(",")
+        if header != FORECASTS_HEADER:
+            _fail(path, 1, f"bad header {','.join(header)!r}; "
+                           f"expected {','.join(FORECASTS_HEADER)}")
+        consumed = 1  # physical lines before the block
+        for lines in chain([lines], blocks):
+            numbers = range(consumed + 1, consumed + 1 + len(lines))
+            consumed += len(lines)
+            if "" in lines:  # blank lines hold no record
+                numbers = [n for n, line in zip(numbers, lines) if line]
+                lines = list(filter(None, lines))
+            commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+            wrong = np.flatnonzero(commas != width - 1)
+            if wrong.size:
+                lines = lines[:wrong[0]]
+            fields = ",".join(lines).split(",") if lines else []
+            if not columns.add(fields[0::3], fields[1::3], fields[2::3], numbers):
+                return
+            if wrong.size:
+                columns.error = DataFormatError(f"{path}:{numbers[wrong[0]]}: expected "
+                                                f"{width} fields, got {commas[wrong[0]] + 1}")
+                return
+
+
+def _read_quoted(path: Path, columns: _Columns) -> None:
+    """Feed ``columns`` from csv.reader's records, for text that
+    `_plain_blocks` declines."""
+    size = max(1, _BLOCK_CHARS // 32)
+    block = []
+    try:
+        for record in _read_rows(path, FORECASTS_HEADER):
+            block.append(record)
+            if len(block) == size:
+                if not _add_records(columns, block):
+                    return
+                block = []
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        if _add_records(columns, block):
+            columns.error = exc
+        return
+    _add_records(columns, block)
+
+
+def _add_records(columns: _Columns, block) -> bool:
+    if not block:
+        return True
+    lines, rows = zip(*block)
+    return columns.add(*zip(*rows), lines)
+
+
+def _read_forecasts(path, forecaster_ids):
+    """A forecasts file as `_Columns.validated` gives it."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataFormatError(f"{path}: file not found")
+    columns = _Columns(path, forecaster_ids)
+    try:
+        _read_plain(path, columns)
+    except (_NotPlain, UnicodeDecodeError):
+        # csv.reader tokenizes the file instead, and meets a byte that is
+        # not UTF-8 where it always has
+        columns = _Columns(path, forecaster_ids)
+        _read_quoted(path, columns)
+    return columns.validated()
 
 
 def load_forecast_matrix(path, forecaster_ids=None
@@ -93,33 +358,10 @@ def load_forecast_matrix(path, forecaster_ids=None
     Rows follow ``forecaster_ids`` when it is given, and a forecaster not in
     it is an error; otherwise they follow first appearance.
     """
-    forecaster_index = {f: i for i, f in enumerate(forecaster_ids or ())}
-    question_index: dict[str, int] = {}
-    cells: dict[tuple[int, int], float] = {}  # (row, column) -> probability or NaN
-    for line, (question_id, forecaster_id, field) in _read_rows(path, FORECASTS_HEADER):
-        if not question_id or not forecaster_id:
-            _fail(path, line, "question_id and forecaster_id must be non-empty")
-        probability = np.nan
-        if field != "":
-            try:
-                probability = float(field)
-            except ValueError:
-                _fail(path, line, f"probability {field!r} is not a number")
-            if not 0.0 <= probability <= 1.0:
-                _fail(path, line, f"probability {field!r} outside [0, 1]")
-        row = forecaster_index.get(forecaster_id)
-        if row is None:
-            if forecaster_ids is not None:
-                _fail(path, line, f"forecaster {forecaster_id!r} is not part of the model")
-            row = forecaster_index[forecaster_id] = len(forecaster_index)
-        cell = (row, question_index.setdefault(question_id, len(question_index)))
-        if cell in cells:
-            _fail(path, line, f"duplicate forecast for ({question_id}, {forecaster_id})")
-        cells[cell] = probability
-    matrix = np.full((len(forecaster_index), len(question_index)), np.nan)
-    rows, columns = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
-    matrix[rows, columns] = list(cells.values())
-    return tuple(question_index), tuple(forecaster_index), matrix
+    question_ids, forecaster_ids, rows, columns, values = _read_forecasts(path, forecaster_ids)
+    matrix = np.full((len(forecaster_ids), len(question_ids)), np.nan)
+    matrix[rows, columns] = values
+    return question_ids, forecaster_ids, matrix
 
 
 def load_outcomes(path, forecasts_path, question_ids) -> dict[str, int]:
@@ -151,11 +393,12 @@ def load_table(forecasts_path, outcomes_path) -> ForecastTable:
     appearance in the forecasts file.  Every question referenced by a
     forecast must have an outcome row.
     """
-    question_ids, forecaster_ids, matrix = load_forecast_matrix(forecasts_path)
+    question_ids, forecaster_ids, rows, columns, values = _read_forecasts(forecasts_path, None)
     outcomes = load_outcomes(outcomes_path, forecasts_path, question_ids)
-    column = {question_id: j for j, question_id in enumerate(outcomes)}
+    position = {question_id: j for j, question_id in enumerate(outcomes)}
+    order = np.fromiter(map(position.__getitem__, question_ids), np.intp, len(question_ids))
     forecasts = np.full((len(forecaster_ids), len(outcomes)), np.nan)
-    forecasts[:, [column[question_id] for question_id in question_ids]] = matrix
+    forecasts[rows, order[columns]] = values
     return ForecastTable(tuple(outcomes), forecaster_ids, forecasts, list(outcomes.values()))
 
 

@@ -87,6 +87,17 @@ class TestExitCodes:
         assert code == 2
         assert "2.5" in capsys.readouterr().err
 
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        fpath = tmp_path / "f.csv"
+        opath = tmp_path / "o.csv"
+        fpath.write_text("question_id,forecaster_id,probability\nq1,a,0.5\n"
+                         "q1," + "b" * 200_000 + ",0.5\n")
+        opath.write_text("question_id,outcome\nq1,+1\n")
+        code = main(["score", "--forecasts", str(fpath), "--outcomes", str(opath)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {fpath}:3: field larger than field limit (131072)\n"
+
 
 class TestSynth:
     def test_byte_identical_across_runs(self, tmp_path, capsys):

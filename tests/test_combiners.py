@@ -25,6 +25,7 @@ from forecast_ensembles.combiners import (
     _LeastTotal,
     _ordered_sum,
     _ordered_totals,
+    _random_fill,
     stage_weight,
 )
 
@@ -407,6 +408,21 @@ class TestEnsemblePredict:
         expected = sum(a * base[j] for j, a in model.rounds)
         assert first[0] == pytest.approx(expected, abs=1e-12)
         assert first[1] == model.link.inverse_link(first[0])
+
+    def test_fill_is_drawn_once_per_model_and_read_only(self, toy_table):
+        model = adaboost_train(toy_table, 3, seed=21)
+        other = adaboost_train(toy_table, 3, seed=22)
+        vector = np.array([np.nan, 0.8, np.nan])
+        first = ensemble_predict(model, vector)
+        fill = _random_fill(21, toy_table.n_forecasters)
+        assert _random_fill(21, toy_table.n_forecasters) is fill
+        assert not fill.flags.writeable
+        with pytest.raises(ValueError):
+            fill[0] = 0.0
+        assert fill.tobytes() == np.random.default_rng(21).random(3).tobytes()
+        # another model's draw evicts this one; drawing it again gives the same
+        ensemble_predict(other, vector)
+        assert ensemble_predict(model, vector) == first
 
 
 class TestClassify:

@@ -1,4 +1,5 @@
 import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import csv_reference
 from conftest import random_table
 from forecast_ensembles import (
     DataFormatError,
@@ -24,6 +26,7 @@ from forecast_ensembles import (
     save_model,
     write_table,
 )
+from forecast_ensembles import dataio
 from forecast_ensembles.dataio import FORECASTS_HEADER, OUTCOMES_HEADER, load_forecast_matrix
 
 
@@ -134,6 +137,34 @@ class TestLoadForecastMatrix:
         fpath, _ = write_files(tmp_path, GOOD_FORECASTS, GOOD_OUTCOMES)
         with pytest.raises(DataFormatError, match=r"forecasts\.csv:4: forecaster 'bob'"):
             load_forecast_matrix(fpath, ("alice",))
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        text = "question_id,forecaster_id,probability\nq1,a,0.5\nq2," + "b" * 200_000 + ",0.5\n"
+        fpath, opath = write_files(tmp_path, text, "question_id,outcome\nq1,+1\n" + "q2" * 70_000)
+        with pytest.raises(DataFormatError,
+                           match=r"forecasts\.csv:3: field larger than field limit \(131072\)"):
+            load_forecast_matrix(fpath)
+        fpath.write_text(GOOD_FORECASTS, encoding="utf-8")
+        with pytest.raises(DataFormatError,
+                           match=r"outcomes\.csv:3: field larger than field limit \(131072\)"):
+            load_table(fpath, opath)
+
+    def test_lowered_csv_limit_applies_to_fields_not_lines(self, tmp_path):
+        fpath, _ = write_files(tmp_path, GOOD_FORECASTS.replace("alice", "a" * 13), GOOD_OUTCOMES)
+        longer = tmp_path / "longer.csv"
+        longer.write_text(GOOD_FORECASTS.replace("bob", "b" * 14), encoding="utf-8")
+        limit = csv.field_size_limit(13)  # len("forecaster_id")
+        try:
+            question_ids, forecaster_ids, matrix = load_forecast_matrix(fpath)
+            expected = csv_reference.load_forecast_matrix(fpath)
+            with pytest.raises(DataFormatError,
+                               match=r"longer\.csv:4: field larger than field limit \(13\)"):
+                load_forecast_matrix(longer)
+        finally:
+            csv.field_size_limit(limit)
+        assert (question_ids, forecaster_ids) == expected[:2] == (("q1", "q2", "q3"),
+                                                                  ("a" * 13, "bob"))
+        assert matrix.tobytes() == expected[2].tobytes()
 
 
 class TestTableRoundTrip:
@@ -322,3 +353,92 @@ class TestLoaderProperties:
             with pytest.raises(DataFormatError) as caught:
                 load_table(fpath, opath)
         assert str(caught.value).startswith(f"{directory}/{offending}:")
+
+
+# Ids and probability fields with what csv quotes or splits on, padding,
+# empties and the numbers `float` reads unusually; plain ones repeated so
+# that many texts load.
+TEXT_IDS = st.sampled_from(["q1", "q2", "q3", "a", "b", "c"] * 3 + [
+    " a", "b ", "", "x,y", 'say "hi"', "two\nlines", "é"])
+TEXT_FIELDS = st.sampled_from(["0.5", "0.75", "1", "0", "", " 0.25", "0.2_5", "1e-3",
+                               "-0.0"] * 3 + ["nan", "inf", "1.5", "maybe", " "])
+HEADERS = st.sampled_from([",".join(FORECASTS_HEADER)] * 12 + [
+    '"question_id",forecaster_id,probability', "question_id,forecaster,probability", ""])
+
+
+def sometimes(draw, one_in):
+    return draw(st.sampled_from([False] * (one_in - 1) + [True]))
+
+
+@st.composite
+def forecast_texts(draw):
+    """A forecasts file's text, often malformed, and the forecaster ids to
+    load it with (None, or the file's in some order, perhaps one short and
+    one extra)."""
+    pairs = draw(st.lists(st.tuples(TEXT_IDS, TEXT_IDS), max_size=8, unique=True))
+    records = [[q, f, draw(TEXT_FIELDS)] for q, f in pairs]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if records else 0):
+        q, f, _ = draw(st.sampled_from(records))
+        records.insert(draw(st.integers(0, len(records))), [q, f, draw(TEXT_FIELDS)])
+    if sometimes(draw, 4):
+        width = draw(st.sampled_from([1, 2, 4]))
+        records.insert(draw(st.integers(0, len(records))), ["q9", "z", "0.5", "x"][:width])
+    quoted = draw(st.booleans())
+    lines = []
+    for record in records:
+        if quoted:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="").writerow(record)
+            lines.append(buffer.getvalue())
+        else:
+            lines.append(",".join(record))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    lines.insert(0, draw(HEADERS))
+    if sometimes(draw, 10):
+        lines.insert(0, "")
+    ending = "\r\n" if sometimes(draw, 4) else "\n"
+    text = ending.join(lines) + draw(st.sampled_from(["", ending, ending * 2]))
+
+    forecaster_ids = None
+    if draw(st.booleans()):
+        forecaster_ids = list(draw(st.permutations(list(dict.fromkeys(f for _, f in pairs)))))
+        if forecaster_ids and draw(st.booleans()):
+            forecaster_ids.pop()
+        if draw(st.booleans()):
+            forecaster_ids.append("extra")
+    return text, forecaster_ids
+
+
+def loaded(load, path, forecaster_ids=None):
+    try:
+        question_ids, forecaster_ids, matrix = load(path, forecaster_ids)
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return question_ids, forecaster_ids, matrix.shape, matrix.tobytes()
+
+
+class TestBlockLoaderMatchesReference:
+    @given(case=forecast_texts(),
+           block=st.integers(1, 48) | st.just(dataio._BLOCK_CHARS))
+    @settings(max_examples=500, deadline=None)
+    def test_same_ids_matrix_bytes_or_message(self, case, block):
+        text, forecaster_ids = case
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_BLOCK_CHARS", block)
+            path = Path(directory) / "f.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
+            assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
+
+    @pytest.mark.parametrize("body", [
+        b"q1,a,0.5\nq2,a,0.\xff\n",
+        b"q1,a,7\n" + b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"\xff\n",
+        b"q1,a,0.5\nq1,a,0.5\n" + b"q2,b,0.5\n" * 40_000 + b"\xff\n",
+        b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"q,\xff,\n",
+    ], ids=["early", "after-bad-row", "after-duplicate", "late"])
+    def test_undecodable_byte_meets_the_same_error(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_bytes(",".join(FORECASTS_HEADER).encode() + b"\n" + body)
+        assert loaded(load_forecast_matrix, path) == loaded(csv_reference.load_forecast_matrix,
+                                                            path)
