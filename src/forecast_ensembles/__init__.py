@@ -18,6 +18,7 @@ from .combiners import (
     classify,
     ensemble_predict,
     realboost_train,
+    train,
 )
 from .dataio import (
     DataFormatError,
@@ -76,6 +77,7 @@ __all__ = [
     "decompose",
     "EnsembleModel",
     "DEFAULT_ITERATIONS",
+    "train",
     "bag",
     "adaboost_train",
     "realboost_train",

@@ -22,14 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .combiners import (
-    DEFAULT_ITERATIONS,
-    adaboost_train,
-    bag,
-    classify,
-    ensemble_predict,
-    realboost_train,
-)
+from .combiners import METHODS, classify, ensemble_predict, train
 from .dataio import (
     DataFormatError,
     load_forecast_matrix,
@@ -95,7 +88,7 @@ def _build_parser() -> _Parser:
                                      parser_class=_Parser)
 
     combine = commands.add_parser("combine", help="train a combiner on a full table")
-    combine.add_argument("--method", required=True, choices=["bagging", "adaboost", "realboost"])
+    combine.add_argument("--method", required=True, choices=METHODS)
     combine.add_argument("--forecasts", required=True)
     combine.add_argument("--outcomes", required=True)
     combine.add_argument("--iterations", type=_positive, default=None)
@@ -111,7 +104,7 @@ def _build_parser() -> _Parser:
     predict.set_defaults(func=_cmd_predict)
 
     loo = commands.add_parser("loo", help="leave-one-out evaluation")
-    loo.add_argument("--method", required=True, choices=["bagging", "adaboost", "realboost"])
+    loo.add_argument("--method", required=True, choices=METHODS)
     loo.add_argument("--forecasts", required=True)
     loo.add_argument("--outcomes", required=True)
     loo.add_argument("--iterations", type=_positive, default=None)
@@ -138,24 +131,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_iterations(method: str, iterations: int | None) -> int:
-    if iterations is None:
-        return DEFAULT_ITERATIONS.get(method, 1)
-    return iterations
-
-
-def _train(method, table, iterations, seed):
-    if method == "bagging":
-        return bag(table)
-    if method == "adaboost":
-        return adaboost_train(table, iterations, seed)
-    return realboost_train(table, iterations)
-
-
 def _cmd_combine(args) -> int:
     table = load_table(args.forecasts, args.outcomes)
-    iterations = _resolve_iterations(args.method, args.iterations)
-    model = _train(args.method, table, iterations, args.seed)
+    model = train(table, args.method, args.iterations, args.seed)
     save_model(model, args.model_out)
     print(f"{args.method}: {len(model.rounds)} rounds, "
           f"{model.unique_forecasters} unique forecasters -> {args.model_out}")
@@ -199,8 +177,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_loo(args) -> int:
     table = load_table(args.forecasts, args.outcomes)
-    iterations = _resolve_iterations(args.method, args.iterations)
-    report = loo_evaluate(table, args.method, iterations, args.seed)
+    report = loo_evaluate(table, args.method, args.iterations, args.seed)
     save_eval_report(report, args.report_out)
     print(f"{'Method':<18}{'Errors':>8}  {'Avg unique forecasters':>24}")
     print(f"{'best_individual':<18}{report.best_individual_errors:>8}  {1:>24}")

@@ -13,12 +13,14 @@ Three combiners are provided:
   sum_i w_i * exp(-y_i * m_ij) and reweights by the same factors; selected
   predictors enter with unit weight.
 
-A trained model applies to one question's forecast vector and yields a
-margin plus a probability; boosting models recover the probability through
-the exponential family's inverse link, bagging reports the mean forecast
-directly.  A model is its rounds plus the link, imputation policy and
-forecaster ids needed to apply them; it keeps nothing of the training
-table.
+The method fixes the loss, the link and how absent forecasts are filled
+(`_METHOD_LINK_AND_IMPUTATION`), so a trained model is its method, its
+rounds, the forecaster ids they index and, for adaboost, the seed of its
+fill; it keeps nothing of the training table.  `train` runs any method,
+with its default rounds when the caller does not choose.  A model applies
+to one question's forecast vector and yields a margin plus a probability;
+boosting models recover the probability through the exponential family's
+inverse link, bagging reports the mean forecast directly.
 
 Every boosting round is an argmin over forecasters of a weighted total
 over questions, and the specification is exact: each total is
@@ -49,18 +51,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    MAX_SEED,
     NEGATIVE,
     POSITIVE,
     ForecastTable,
     ImputationPolicy,
     impute,
 )
-from .links import DEFAULT_CLIP, LinkSpec
+from .links import LinkSpec
 
 __all__ = [
     "METHODS",
     "DEFAULT_ITERATIONS",
     "EnsembleModel",
+    "train",
     "bag",
     "adaboost_train",
     "realboost_train",
@@ -73,14 +77,14 @@ logger = logging.getLogger(__name__)
 
 # The link and imputation mode each method trains with, and predicts by.
 _METHOD_LINK_AND_IMPUTATION = {
-    "bagging": ("linear", "half"),
-    "adaboost": ("exponential", "random"),
-    "realboost": ("exponential", "half"),
+    "bagging": (LinkSpec("linear"), "half"),
+    "adaboost": (LinkSpec("exponential"), "random"),
+    "realboost": (LinkSpec("exponential"), "half"),
 }
 
 METHODS = tuple(_METHOD_LINK_AND_IMPUTATION)
 
-# Iteration counts used when the caller does not choose.
+# Rounds each boosting method trains for when the caller does not choose.
 DEFAULT_ITERATIONS = {"adaboost": 800, "realboost": 70}
 
 # Error rates are clamped away from 0 and 1 so the stage weight stays finite.
@@ -101,33 +105,27 @@ class EnsembleModel:
     """A trained combiner.
 
     ``rounds`` lists (forecaster index, stage weight) in selection order;
-    bagging uses every forecaster once with weight 1/N.  ``imputation`` is
-    the policy captured at training time; `ensemble_predict` fills absent
-    forecasts by it, on training questions and new ones alike.  ``link``
-    and ``imputation`` must be the ones the method trains with, and the
-    link's clip the default one every trainer uses.
+    bagging uses every forecaster once with weight 1/N.  ``seed`` is the
+    seed of adaboost's fill: `ensemble_predict` fills absent forecasts by
+    the method's rule, on training questions and new ones alike.  The
+    link is the method's own.
     """
 
     method: str
     rounds: tuple[tuple[int, float], ...]
-    link: LinkSpec
-    imputation: ImputationPolicy
     forecaster_ids: tuple[str, ...]
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        link_name, mode = _METHOD_LINK_AND_IMPUTATION[self.method]
-        if (self.link.name, self.imputation.mode) != (link_name, mode):
-            raise ValueError(f"a {self.method} model needs the {link_name} link and "
-                             f"{mode!r} imputation, got {self.link.name} and "
-                             f"{self.imputation.mode!r}")
-        if self.link.clip != DEFAULT_CLIP:
-            raise ValueError(f"the link clip is fixed at {DEFAULT_CLIP:g}, "
-                             f"got {self.link.clip:g}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
         if len(self.rounds) < 1:
             raise ValueError("a model must contain at least one round")
         n = len(self.forecaster_ids)
+        if len(set(self.forecaster_ids)) != n:
+            raise ValueError("forecaster ids must be duplicate-free")
         for index, weight in self.rounds:
             if not 0 <= index < n:
                 raise ValueError(f"round references forecaster {index}, table has {n}")
@@ -135,6 +133,10 @@ class EnsembleModel:
                 raise ValueError("stage weights must be finite")
             if self.method == "adaboost" and weight < 0:
                 raise ValueError("adaboost stage weights must be non-negative")
+
+    @property
+    def link(self) -> LinkSpec:
+        return _METHOD_LINK_AND_IMPUTATION[self.method][0]
 
     @property
     def n_forecasters(self) -> int:
@@ -270,13 +272,8 @@ def bag(table: ForecastTable) -> EnsembleModel:
     if table.n_forecasters < 1 or table.n_questions < 1:
         raise ValueError("cannot bag an empty table")
     n = table.n_forecasters
-    return EnsembleModel(
-        method="bagging",
-        rounds=tuple((j, 1.0 / n) for j in range(n)),
-        link=LinkSpec("linear"),
-        imputation=ImputationPolicy("half"),
-        forecaster_ids=table.forecaster_ids,
-    )
+    return EnsembleModel("bagging", tuple((j, 1.0 / n) for j in range(n)),
+                         table.forecaster_ids)
 
 
 def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> EnsembleModel:
@@ -295,8 +292,7 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     margin of zero).
     """
     _check_trainable(table, iterations)
-    policy = ImputationPolicy("random", seed)
-    dense = impute(table, policy)
+    dense = impute(table, ImputationPolicy("random", seed))
     base = np.where(dense.T > 0.5, POSITIVE, NEGATIVE)
     mistaken = base != table.outcomes[:, np.newaxis]  # (Q, N)
     least_mass = _LeastTotal(mistaken.astype(float, order="C"))
@@ -323,13 +319,7 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
         weights /= _ordered_sum(weights)
     _log_argmin("adaboost", len(rounds), table.n_forecasters, least_mass)
 
-    return EnsembleModel(
-        method="adaboost",
-        rounds=tuple(rounds),
-        link=LinkSpec("exponential"),
-        imputation=policy,
-        forecaster_ids=table.forecaster_ids,
-    )
+    return EnsembleModel("adaboost", tuple(rounds), table.forecaster_ids, seed)
 
 
 def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
@@ -344,9 +334,7 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     exponential risk.
     """
     _check_trainable(table, iterations)
-    policy = ImputationPolicy("half")
-    link = LinkSpec("exponential")
-    margins = link.link(impute(table, policy))
+    margins = LinkSpec("exponential").link(impute(table, ImputationPolicy("half")))
     # (Q, N), fixed across rounds
     loss_factors = np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))
     least_objective = _LeastTotal(loss_factors)
@@ -365,22 +353,33 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
         weights /= _ordered_sum(weights)
     _log_argmin("realboost", iterations, table.n_forecasters, least_objective)
 
-    return EnsembleModel(
-        method="realboost",
-        rounds=tuple(rounds),
-        link=link,
-        imputation=policy,
-        forecaster_ids=table.forecaster_ids,
-    )
+    return EnsembleModel("realboost", tuple(rounds), table.forecaster_ids)
+
+
+def train(table: ForecastTable, method: str, iterations: int | None = None,
+          seed: int = 0) -> EnsembleModel:
+    """Train ``method`` on ``table``.  ``iterations`` defaults to
+    `DEFAULT_ITERATIONS`; bagging takes no rounds, and only adaboost reads
+    ``seed``.  The trainers are looked up as module globals at call time,
+    so a caller that rebinds them sees every model trained."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "bagging":
+        return bag(table)
+    if iterations is None:
+        iterations = DEFAULT_ITERATIONS[method]
+    if method == "adaboost":
+        return adaboost_train(table, iterations, seed)
+    return realboost_train(table, iterations)
 
 
 def _filled_vector(model: EnsembleModel, forecasts: np.ndarray) -> np.ndarray:
     present = ~np.isnan(forecasts)
     if np.any(present & ((forecasts < 0) | (forecasts > 1))):
         raise ValueError("forecasts must lie in [0, 1] (or be NaN for absent)")
-    if model.imputation.mode != "random":
+    if model.method != "adaboost":
         return np.where(present, forecasts, 0.5)
-    return np.where(present, forecasts, _random_fill(model.imputation.seed, forecasts.size))
+    return np.where(present, forecasts, _random_fill(model.seed, forecasts.size))
 
 
 @functools.lru_cache(maxsize=1)
@@ -396,10 +395,10 @@ def ensemble_predict(model: EnsembleModel, forecasts) -> tuple[float, float]:
     """Apply the combiner to one question's length-N forecast vector.
 
     ``forecasts`` holds one entry per model forecaster, NaN where a
-    forecaster abstained.  Absent cells read as 0.5 under the "half"
-    policy; under "random" (adaboost) forecaster i's absent cell takes
-    entry i of ``default_rng(seed).random(N)``, the same draw on every
-    question.  Returns (margin, probability).
+    forecaster abstained.  Absent cells read as 0.5, except under adaboost,
+    where forecaster i's absent cell takes entry i of
+    ``default_rng(model.seed).random(N)``, the same draw on every question.
+    Returns (margin, probability).
     """
     forecasts = np.asarray(forecasts, dtype=float)
     if forecasts.shape != (model.n_forecasters,):

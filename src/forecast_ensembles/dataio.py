@@ -11,9 +11,11 @@ outcomes CSV    header exactly ``question_id,outcome``; one row per
                 question; outcome is the literal string ``+1`` or ``-1``.
 model JSON      schema ``ensemble_model.v2``: method, rounds as
                 [index, weight] pairs, link name and clip, imputation mode
-                and seed, and forecaster ids; nothing of the training
-                table, so a model fills absent forecasts by one rule on
-                every question.  A ``v1`` file is rejected.
+                and seed, and forecaster ids.  The link, clip and mode are
+                the method's own: `save_model` writes them from it and
+                `load_model` rejects any other.  Nothing of the training
+                table is kept, so a model fills absent forecasts by one
+                rule on every question.  A ``v1`` file is rejected.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
 Every forecasts CSV is read in one pass by `load_forecast_matrix`, which
@@ -30,7 +32,7 @@ line longer than ``csv.field_size_limit()``, is tokenized by csv.reader
 instead, whose records feed the same columns, so both read a file alike.
 An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
-changed) is an error too, not a crash.
+changed) and a byte that is not UTF-8 are errors too, not crashes.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .combiners import EnsembleModel
-from .domain import ForecastTable, ImputationPolicy
+from .combiners import _METHOD_LINK_AND_IMPUTATION, EnsembleModel
+from .domain import ForecastTable
 from .evaluation import EvalReport, QuestionResult
-from .links import LinkSpec
+from .links import CLIP
 
 __all__ = [
     "DataFormatError",
@@ -76,8 +78,8 @@ def _fail(path, line, message) -> None:
 
 def _records(path, reader):
     """``reader``'s records, each with the physical line it ends on; a
-    `csv.Error` (a field over ``csv.field_size_limit()``, say) becomes a
-    DataFormatError naming the line."""
+    `csv.Error` (a field over ``csv.field_size_limit()``, say) or a byte
+    that is not UTF-8 becomes a DataFormatError naming the line."""
     while True:
         try:
             row = next(reader)
@@ -85,7 +87,23 @@ def _records(path, reader):
             return
         except csv.Error as exc:
             _fail(path, reader.line_num, exc)
+        except UnicodeDecodeError:
+            _fail_undecodable(path)
+            raise
         yield reader.line_num, row
+
+
+def _fail_undecodable(path) -> None:
+    """Name the physical line of the file's first byte that is not UTF-8.
+    The decoder's own error counts from the start of the chunk it was
+    decoding, so the file is decoded again whole."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines ends lines at \r, \n and \r\n, as csv.reader does
+        line = len((data[:exc.start] + b"-").splitlines())
+        _fail(path, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
 
 
 def _read_rows(path, header: list[str]):
@@ -319,7 +337,7 @@ def _read_quoted(path: Path, columns: _Columns) -> None:
                 if not _add_records(columns, block):
                     return
                 block = []
-    except (DataFormatError, UnicodeDecodeError) as exc:
+    except DataFormatError as exc:
         if _add_records(columns, block):
             columns.error = exc
         return
@@ -343,7 +361,7 @@ def _read_forecasts(path, forecaster_ids):
         _read_plain(path, columns)
     except (_NotPlain, UnicodeDecodeError):
         # csv.reader tokenizes the file instead, and meets a byte that is
-        # not UTF-8 where it always has
+        # not UTF-8 after the records before it, as a bad record would be
         columns = _Columns(path, forecaster_ids)
         _read_quoted(path, columns)
     return columns.validated()
@@ -428,13 +446,35 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
             writer.writerow([question_id, "+1" if table.outcomes[q] > 0 else "-1"])
 
 
+def _method_policy(method: str) -> tuple[dict, str]:
+    """The link record and the imputation mode a model file holds for
+    ``method``."""
+    link, mode = _METHOD_LINK_AND_IMPUTATION[method]
+    return {"name": link.name, "clip": CLIP}, mode
+
+
+def _read_record(path: Path, schema: str) -> dict:
+    """A JSON file's top-level object, which must carry ``schema``."""
+    if not path.is_file():
+        raise DataFormatError(f"{path}: file not found")
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+    found = record.get("schema") if isinstance(record, dict) else None
+    if found != schema:
+        raise DataFormatError(f"{path}: expected schema {schema!r}, got {found!r}")
+    return record
+
+
 def save_model(model: EnsembleModel, path) -> None:
     """Serialize a trained model as schema ``ensemble_model.v2`` JSON."""
+    link, mode = _method_policy(model.method)
     record = {
         "schema": MODEL_SCHEMA,
         "method": model.method,
-        "link": {"name": model.link.name, "clip": model.link.clip},
-        "imputation": {"mode": model.imputation.mode, "seed": model.imputation.seed},
+        "link": link,
+        "imputation": {"mode": mode, "seed": model.seed},
         "forecaster_ids": list(model.forecaster_ids),
         "rounds": [[index, weight] for index, weight in model.rounds],
     }
@@ -445,25 +485,24 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"{path}: file not found")
+    record = _read_record(path, MODEL_SCHEMA)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if record.get("schema") != MODEL_SCHEMA:
-        raise DataFormatError(f"{path}: expected schema {MODEL_SCHEMA!r}, "
-                              f"got {record.get('schema')!r}")
-    try:
-        return EnsembleModel(
-            method=record["method"],
-            rounds=tuple((int(i), float(w)) for i, w in record["rounds"]),
-            link=LinkSpec(record["link"]["name"], float(record["link"]["clip"])),
-            imputation=ImputationPolicy(record["imputation"]["mode"],
-                                        int(record["imputation"]["seed"])),
-            forecaster_ids=tuple(record["forecaster_ids"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs, ids = record["rounds"], record["forecaster_ids"]
+        seed = record["imputation"]["seed"]
+        # exact types, so that true is not read as 1
+        if not (all(type(i) is int and type(w) in (int, float) for i, w in pairs)
+                and type(ids) is list and all(type(f) is str for f in ids)
+                and type(seed) is int):
+            raise ValueError("round indices and the seed must be JSON integers, "
+                             "weights JSON numbers and forecaster_ids a list of strings")
+        model = EnsembleModel(record["method"], tuple((i, float(w)) for i, w in pairs),
+                              tuple(ids), seed)
+        link, mode = _method_policy(model.method)
+        if (record["link"], record["imputation"]["mode"]) != (link, mode):
+            raise ValueError(f"a {model.method} model needs the link {link} and "
+                             f"{mode!r} imputation")
+        return model
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model record ({exc})") from exc
 
 
@@ -492,15 +531,7 @@ def save_eval_report(report: EvalReport, path) -> None:
 
 def load_eval_report(path) -> EvalReport:
     path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"{path}: file not found")
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if record.get("schema") != REPORT_SCHEMA:
-        raise DataFormatError(f"{path}: expected schema {REPORT_SCHEMA!r}, "
-                              f"got {record.get('schema')!r}")
+    record = _read_record(path, REPORT_SCHEMA)
     try:
         return EvalReport(
             method=record["method"],

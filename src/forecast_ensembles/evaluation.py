@@ -15,15 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .combiners import (
-    DEFAULT_ITERATIONS,
-    METHODS,
-    adaboost_train,
-    bag,
-    classify,
-    ensemble_predict,
-    realboost_train,
-)
+from .combiners import METHODS, classify, ensemble_predict, train
 from .domain import NEGATIVE, POSITIVE, ForecastTable
 
 __all__ = [
@@ -83,32 +75,25 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
     predict the held-out one.
 
     Bagging has no trainable state, so one model serves every fold; the
-    boosting methods retrain per fold with a fold-local seed of
-    ``seed XOR fold_index``.  ``iterations`` defaults to 800 for adaboost
-    and 70 for realboost.
+    boosting methods retrain per fold through `train`, with its default
+    rounds when ``iterations`` is None and a fold-local seed of
+    ``seed XOR fold_index``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if iterations is None:
-        iterations = DEFAULT_ITERATIONS.get(method, 1)
     if method == "bagging":
         if table.n_questions < 1:
             raise ValueError("need at least one question")
     elif table.n_questions < 2:
         raise ValueError("boosting needs at least two questions, one to hold out")
 
-    bagging_model = bag(table) if method == "bagging" else None
+    bagging_model = train(table, method) if method == "bagging" else None
 
     per_question = []
     errors = 0
     unique_counts = []
     for q in range(table.n_questions):
-        if bagging_model is not None:
-            model = bagging_model
-        elif method == "adaboost":
-            model = adaboost_train(table.without_question(q), iterations, seed ^ q)
-        else:
-            model = realboost_train(table.without_question(q), iterations)
+        model = bagging_model or train(table.without_question(q), method, iterations, seed ^ q)
         margin, probability = ensemble_predict(model, table.forecasts[:, q])
         predicted = classify(margin)
         actual = int(table.outcomes[q])

@@ -17,7 +17,7 @@ formulas are stated in one place: the methods compute them, and each
 method's docstring lists them for both families.
 
 The exponential link diverges at 0 and 1, so probabilities are clipped to
-[clip, 1 - clip] before the log; the default clip of 1e-6 bounds margins by
+[CLIP, 1 - CLIP] before the log; CLIP = 1e-6 bounds margins by
 log((1 - 1e-6) / 1e-6) / 2, about 6.91, and keeps every exp finite.
 
 Scoring rules are the elicitation view of the same objects: a pair of
@@ -43,7 +43,7 @@ __all__ = [
     "conditional_risk",
 ]
 
-DEFAULT_CLIP = 1e-6
+CLIP = 1e-6
 
 _FAMILY_NAMES = ("exponential", "linear")
 
@@ -56,26 +56,23 @@ def _scalarize(x):
 class LinkSpec:
     """One matched family: loss, optimal link, inverse link, minimum risk.
 
-    ``name`` is 'exponential' or 'linear'.  ``clip`` is the probability
-    clipping bound applied before divergent maps (the log-odds link and
-    the risk derivative of the exponential family); the linear family
-    needs no clipping and ignores it.
+    ``name`` is 'exponential' or 'linear'.  The exponential family clips
+    probabilities to [CLIP, 1 - CLIP] before its divergent maps (the
+    log-odds link and the risk derivative); the linear family needs no
+    clipping.
     """
 
     name: str
-    clip: float = DEFAULT_CLIP
 
     def __post_init__(self) -> None:
         if self.name not in _FAMILY_NAMES:
             raise ValueError(f"unknown link family {self.name!r}; "
                              f"expected one of {sorted(_FAMILY_NAMES)}")
-        if not 0.0 < self.clip < 0.5:
-            raise ValueError("clip must lie strictly between 0 and 0.5")
 
     def _clipped(self, prob):
         prob = np.asarray(prob, dtype=float)
         if self.name == "exponential":
-            return np.clip(prob, self.clip, 1.0 - self.clip)
+            return np.clip(prob, CLIP, 1.0 - CLIP)
         return prob
 
     def loss(self, margin):
@@ -174,7 +171,7 @@ def savage_scores(honest_score: Callable, honest_score_deriv: Callable) -> Scori
 def matched_scoring_rule(link: LinkSpec) -> ScoringRule:
     """Scoring rule induced by a loss family: honest score = -min_cond_risk.
 
-    Probabilities are clipped to the family's [clip, 1 - clip] window before
+    Probabilities are clipped to the family's [CLIP, 1 - CLIP] window before
     evaluation, so forecasts of exactly 0 or 1 score finitely.  For the
     exponential family this produces event_score(p) = -loss(link(p)) and
     nonevent_score(p) = -loss(-link(p)).

@@ -12,7 +12,7 @@ from forecast_ensembles import (
     load_table,
     write_table,
 )
-from forecast_ensembles import cli, dataio
+from forecast_ensembles import cli, combiners, dataio
 from forecast_ensembles.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -76,7 +76,7 @@ class TestExitCodes:
         assert main(["combine", "--method", "adaboost", "--forecasts", fpath,
                      "--outcomes", opath, "--iterations", "2", "--seed", str(2**64 - 1),
                      "--model-out", str(tmp_path / "m.json")]) == 0
-        assert load_model(tmp_path / "m.json").imputation.seed == 2**64 - 1
+        assert load_model(tmp_path / "m.json").seed == 2**64 - 1
 
     def test_malformed_probability_is_data_error(self, tmp_path, capsys):
         fpath = tmp_path / "f.csv"
@@ -213,6 +213,26 @@ class TestCombinePredict:
         assert f"{model_path}: malformed model record" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_predict_rejects_model_with_duplicate_forecaster_ids(self, table_files, tmp_path,
+                                                                 capsys):
+        _, fpath, opath = table_files
+        model_path = tmp_path / "model.json"
+        report_path = tmp_path / "pred.json"
+        assert main(["combine", "--method", "realboost", "--forecasts", fpath,
+                     "--outcomes", opath, "--iterations", "5",
+                     "--model-out", str(model_path)]) == 0
+        capsys.readouterr()
+        record = json.loads(model_path.read_text())
+        record["forecaster_ids"] = [record["forecaster_ids"][0]] * len(record["forecaster_ids"])
+        model_path.write_text(json.dumps(record))
+        code = main(["predict", "--model", str(model_path), "--forecasts", fpath,
+                     "--report-out", str(report_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{model_path}: malformed model record" in err
+        assert "duplicate-free" in err
+        assert not report_path.exists()
+
     def _bagging_model(self, tmp_path):
         fpath = tmp_path / "f.csv"
         opath = tmp_path / "o.csv"
@@ -285,6 +305,32 @@ class TestLoo:
         out = capsys.readouterr().out
         assert "best_individual" in out
         assert "bagging" in out
+
+
+class TestTrainerBindings:
+    """`combine` and `loo` reach the boosting trainers through the
+    `combiners` module's bindings at call time, so rebinding
+    ``combiners.adaboost_train`` or ``combiners.realboost_train`` sees every
+    model trained, one per leave-one-out fold."""
+
+    @pytest.mark.parametrize("method", ["adaboost", "realboost"])
+    def test_one_call_per_model(self, table_files, tmp_path, capsys, monkeypatch, method):
+        table, fpath, opath = table_files
+        calls = []
+        original = getattr(combiners, f"{method}_train")
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n_questions)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(combiners, f"{method}_train", counted)
+        common = ["--method", method, "--forecasts", fpath, "--outcomes", opath,
+                  "--iterations", "3"]
+        assert main(["combine", *common, "--model-out", str(tmp_path / "m.json")]) == 0
+        assert calls == [table.n_questions]
+        calls.clear()
+        assert main(["loo", *common, "--report-out", str(tmp_path / "r.json")]) == 0
+        assert calls == [table.n_questions - 1] * table.n_questions
 
 
 class TestScore:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from boost_reference import adaboost_reference, realboost_reference
 from conftest import random_table
 from forecast_ensembles import (
+    DEFAULT_ITERATIONS,
     EnsembleModel,
     ForecastTable,
     ImputationPolicy,
@@ -20,6 +21,7 @@ from forecast_ensembles import (
     ensemble_predict,
     impute,
     realboost_train,
+    train,
 )
 from forecast_ensembles.combiners import (
     _LeastTotal,
@@ -425,6 +427,18 @@ class TestEnsemblePredict:
         assert ensemble_predict(model, vector) == first
 
 
+class TestTrain:
+    def test_runs_the_method_with_its_default_rounds(self, toy_table):
+        assert train(toy_table, "bagging", 5, seed=2) == bag(toy_table)
+        assert train(toy_table, "adaboost", seed=3) == \
+            adaboost_train(toy_table, DEFAULT_ITERATIONS["adaboost"], seed=3)
+        assert train(toy_table, "realboost", 4, seed=3) == realboost_train(toy_table, 4)
+
+    def test_unknown_method_rejected(self, toy_table):
+        with pytest.raises(ValueError, match="unknown method"):
+            train(toy_table, "stacking")
+
+
 class TestClassify:
     @pytest.mark.parametrize("margin,expected", [(0.3, 1), (-0.3, -1), (0.0, -1),
                                                  (1e-9, 1), (-1e-9, -1)])
@@ -439,33 +453,27 @@ class TestClassify:
 class TestModelValidation:
     def test_round_index_out_of_range(self):
         with pytest.raises(ValueError, match="references forecaster"):
-            EnsembleModel("realboost", ((2, 1.0),), LinkSpec("exponential"),
-                          ImputationPolicy("half"), ("a", "b"))
+            EnsembleModel("realboost", ((2, 1.0),), ("a", "b"))
 
     def test_empty_rounds_rejected(self):
         with pytest.raises(ValueError, match="at least one round"):
-            EnsembleModel("realboost", (), LinkSpec("exponential"),
-                          ImputationPolicy("half"), ("a",))
+            EnsembleModel("realboost", (), ("a",))
 
     def test_negative_adaboost_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            EnsembleModel("adaboost", ((0, -0.5),), LinkSpec("exponential"),
-                          ImputationPolicy("random", 1), ("a",))
+            EnsembleModel("adaboost", ((0, -0.5),), ("a",), seed=1)
 
-    @pytest.mark.parametrize("method,link,mode", [
-        ("bagging", "exponential", "half"),
-        ("bagging", "linear", "random"),
-        ("adaboost", "linear", "random"),
-        ("adaboost", "exponential", "half"),
-        ("realboost", "linear", "half"),
-        ("realboost", "exponential", "random"),
-    ])
-    def test_method_takes_only_its_own_link_and_imputation(self, method, link, mode):
-        with pytest.raises(ValueError, match=f"a {method} model needs"):
-            EnsembleModel(method, ((0, 1.0),), LinkSpec(link), ImputationPolicy(mode, 1),
-                          ("a",))
+    def test_duplicate_forecaster_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate-free"):
+            EnsembleModel("bagging", ((0, 0.5), (1, 0.5)), ("a", "a"))
 
-    def test_link_clip_is_fixed(self):
-        with pytest.raises(ValueError, match="clip is fixed"):
-            EnsembleModel("realboost", ((0, 1.0),), LinkSpec("exponential", clip=0.4),
-                          ImputationPolicy("half"), ("a",))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            EnsembleModel("adaboost", ((0, 0.5),), ("a",), seed=seed)
+
+    @pytest.mark.parametrize("method,link", [("bagging", "linear"),
+                                             ("adaboost", "exponential"),
+                                             ("realboost", "exponential")])
+    def test_link_is_the_methods_own(self, method, link):
+        assert EnsembleModel(method, ((0, 1.0),), ("a",)).link.name == link

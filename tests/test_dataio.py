@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -236,6 +237,61 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="not valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"ensemble_model.v2"', "null"])
+    def test_json_other_than_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match="expected schema"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        ("link", "name", "foreign"),
+        ("link", "clip", 0.4),
+        ("imputation", "mode", "foreign"),
+    ], ids=["link", "clip", "mode"])
+    @pytest.mark.parametrize("train", [
+        lambda t: bag(t),
+        lambda t: adaboost_train(t, 4, seed=3),
+        lambda t: realboost_train(t, 4),
+    ], ids=["bagging", "adaboost", "realboost"])
+    def test_link_clip_and_mode_must_be_the_methods_own(self, tmp_path, toy_table,
+                                                        train, edit):
+        path = tmp_path / "model.json"
+        save_model(train(toy_table), path)
+        record = json.loads(path.read_text())
+        part, key, value = edit
+        if value == "foreign":
+            value = {"linear": "exponential", "exponential": "linear",
+                     "half": "random", "random": "half"}[record[part][key]]
+        record[part][key] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed model record"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rounds", [[1.7, 1.0]]),
+        ("rounds", [["2", 1.0]]),
+        ("rounds", [[True, 1.0]]),
+        ("rounds", [[0, "1e0"]]),
+        ("rounds", [[0, None]]),
+        ("rounds", [[0, 1e400]]),
+        ("rounds", [[0, 10**400]]),
+        ("forecaster_ids", "xyz"),
+        ("forecaster_ids", ["x", "y", 3]),
+        ("seed", "3"),
+    ])
+    def test_json_types_are_not_coerced(self, tmp_path, toy_table, field, value):
+        path = tmp_path / "model.json"
+        save_model(adaboost_train(toy_table, 4, seed=3), path)
+        record = json.loads(path.read_text())
+        if field == "seed":
+            record["imputation"]["seed"] = value
+        else:
+            record[field] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed model record"):
+            load_model(path)
+
 
 class TestReportRoundTrip:
     def test_save_load_identity(self, tmp_path, toy_table):
@@ -431,14 +487,21 @@ class TestBlockLoaderMatchesReference:
             expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
             assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
 
-    @pytest.mark.parametrize("body", [
-        b"q1,a,0.5\nq2,a,0.\xff\n",
-        b"q1,a,7\n" + b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"\xff\n",
-        b"q1,a,0.5\nq1,a,0.5\n" + b"q2,b,0.5\n" * 40_000 + b"\xff\n",
-        b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"q,\xff,\n",
+    @pytest.mark.parametrize("body,line", [
+        (b"q1,a,0.5\nq2,a,0.\xff\n", 3),
+        (b"q1,a,7\n" + b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"\xff\n",
+         None),
+        (b"q1,a,0.5\nq1,a,0.5\n" + b"q2,b,0.5\n" * 40_000 + b"\xff\n", None),
+        (b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"q,\xff,\n", 40_002),
     ], ids=["early", "after-bad-row", "after-duplicate", "late"])
-    def test_undecodable_byte_meets_the_same_error(self, tmp_path, body):
+    def test_undecodable_byte_meets_the_same_error(self, tmp_path, body, line):
+        """An earlier bad record wins, as in the reference; otherwise the
+        error names the line of the byte, where the reference loader
+        raises the decoder's own error."""
         path = tmp_path / "f.csv"
         path.write_bytes(",".join(FORECASTS_HEADER).encode() + b"\n" + body)
-        assert loaded(load_forecast_matrix, path) == loaded(csv_reference.load_forecast_matrix,
-                                                            path)
+        expected = loaded(csv_reference.load_forecast_matrix, path)
+        if line is not None:
+            expected = ("DataFormatError",
+                        f"{path}:{line}: byte 0xff is not UTF-8 (invalid start byte)")
+        assert loaded(load_forecast_matrix, path) == expected

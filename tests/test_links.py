@@ -87,10 +87,6 @@ class TestExponentialFamily:
         with pytest.raises(ValueError, match="unknown link family"):
             LinkSpec("logit")
 
-    def test_bad_clip_rejected(self):
-        with pytest.raises(ValueError, match="clip"):
-            LinkSpec("exponential", clip=0.7)
-
 
 class TestLinearFamily:
     def setup_method(self):
