@@ -54,7 +54,14 @@ from .links import (
     reconstruct_loss,
     savage_scores,
 )
-from .scoring import BinSummary, ScoreReport, decompose, empirical_score
+from .scoring import (
+    BinSummary,
+    ScoreReport,
+    TableSplit,
+    decompose,
+    decompose_table,
+    empirical_score,
+)
 
 __all__ = [
     "__version__",
@@ -75,6 +82,8 @@ __all__ = [
     "ScoreReport",
     "empirical_score",
     "decompose",
+    "TableSplit",
+    "decompose_table",
     "EnsembleModel",
     "DEFAULT_ITERATIONS",
     "train",

@@ -36,7 +36,7 @@ from .dataio import (
 from .domain import MAX_SEED
 from .evaluation import SyntheticSpec, generate_synthetic, loo_evaluate
 from .links import LinkSpec, matched_scoring_rule
-from .scoring import decompose
+from .scoring import decompose_table
 
 PREDICTION_SCHEMA = "prediction_report.v1"
 
@@ -188,19 +188,18 @@ def _cmd_loo(args) -> int:
 
 def _cmd_score(args) -> int:
     table = load_table(args.forecasts, args.outcomes)
-    answered_cells = table.answered
-    rule = matched_scoring_rule(LinkSpec("exponential"))
-    print(f"{'Forecaster':<16}{'Count':>6}{'Total':>12}{'Calibration':>13}{'Refinement':>12}")
-    for i, forecaster_id in enumerate(table.forecaster_ids):
-        answered = answered_cells[i]
-        count = int(answered.sum())
+    split = decompose_table(table.forecasts, table.outcomes,
+                            matched_scoring_rule(LinkSpec("exponential")), args.bins)
+    rows = [f"{'Forecaster':<16}{'Count':>6}{'Total':>12}{'Calibration':>13}{'Refinement':>12}\n"]
+    for forecaster_id, count, total, calibration, refinement in zip(
+            table.forecaster_ids, split.count.tolist(), split.total.tolist(),
+            split.calibration.tolist(), split.refinement.tolist()):
         if count == 0:
-            print(f"{forecaster_id:<16}{0:>6}{'-':>12}{'-':>13}{'-':>12}")
-            continue
-        report = decompose(table.forecasts[i, answered], table.outcomes[answered],
-                           rule, args.bins)
-        print(f"{forecaster_id:<16}{count:>6}{report.total:>12.4f}"
-              f"{report.calibration:>13.4f}{report.refinement:>12.4f}")
+            rows.append(f"{forecaster_id:<16}{0:>6}{'-':>12}{'-':>13}{'-':>12}\n")
+        else:
+            rows.append(f"{forecaster_id:<16}{count:>6}{total:>12.4f}"
+                        f"{calibration:>13.4f}{refinement:>12.4f}\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 

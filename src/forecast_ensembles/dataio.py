@@ -27,9 +27,10 @@ file round-trips bit-exactly.
 
 The forecasts file is read in blocks of whole lines, each turned into
 question, forecaster and probability columns by `str.split` and `float`, then
-checked as arrays.  Text with a quote, a carriage return or a NUL, or a
-line longer than ``csv.field_size_limit()``, is tokenized by csv.reader
-instead, whose records feed the same columns, so both read a file alike.
+checked as arrays, each CRLF read as LF.  Text with a quote, a NUL or a
+carriage return that does not start a CRLF, or a line longer than
+``csv.field_size_limit()``, is tokenized by csv.reader instead, whose
+records feed the same columns, so both read a file alike.
 An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
 changed) and a byte that is not UTF-8 are errors too, not crashes.
@@ -38,6 +39,7 @@ changed) and a byte that is not UTF-8 are errors too, not crashes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
@@ -133,10 +135,10 @@ def _read_rows(path, header: list[str]):
 # a block of plain lines holds.
 _BLOCK_CHARS = 1 << 16
 
-# Text that `str.split` would not tokenize as csv.reader does: a quote, a
-# carriage return (csv ends a line there too) or a NUL (rejected by csv on
-# some Python versions).
-_CSV_ONLY = ('"', "\r", "\0")
+# Text that `str.split` would not tokenize as csv.reader does: a quote, or
+# a NUL (rejected by csv on some Python versions).  A carriage return ends
+# a line for csv too; it is split as one only where it starts a CRLF.
+_CSV_ONLY = ('"', "\0")
 
 
 class _Columns:
@@ -274,21 +276,33 @@ class _NotPlain(Exception):
 
 
 def _plain_blocks(handle):
-    """The file's lines, a list of whole lines per block.  Raises
-    `_NotPlain` at text that `str.split` would not tokenize as csv.reader
-    does: one of `_CSV_ONLY`, or a line over ``csv.field_size_limit()``,
-    whose fields csv may reject."""
+    """The file's lines, a list of whole lines per block, each CRLF read
+    as LF.  Raises `_NotPlain` at text that `str.split` would not tokenize
+    as csv.reader does: one of `_CSV_ONLY`, a carriage return that does
+    not start a CRLF, or a line over ``csv.field_size_limit()``, whose
+    fields csv may reject."""
     limit = csv.field_size_limit()
     tail = ""  # the unfinished last line of the text read so far
     while chunk := handle.read(_BLOCK_CHARS):
         if any(c in chunk for c in _CSV_ONLY):
             raise _NotPlain
-        lines = (tail + chunk).split("\n")
+        text = tail + chunk
+        if "\r" in text:
+            # a last CR may start a CRLF that the next block ends, so it
+            # stays in the tail
+            held = "\r" if text.endswith("\r") else ""
+            text = text[:len(text) - len(held)]
+            if text.count("\r") != text.count("\r\n"):
+                raise _NotPlain
+            text = text.replace("\r\n", "\n") + held
+        lines = text.split("\n")
         tail = lines.pop()
         if len(tail) > limit or max(map(len, lines), default=0) > limit:
             raise _NotPlain
         if lines:
             yield lines
+    if tail.endswith("\r"):
+        raise _NotPlain
     if tail:
         yield [tail]
 
@@ -426,24 +440,43 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
     Only present cells are written, forecaster-major so that first
     appearance preserves forecaster order; a forecaster with no forecast
     gets one empty-probability row on the first question, so that it is
-    not lost.  Probabilities carry 17 significant digits.
+    not lost.  Probabilities carry 17 significant digits.  Each id is
+    quoted once by csv.writer, as it would quote it in any row, and each
+    forecaster's rows are joined and written at once.
     """
+    question_ids = _csv_fields(table.question_ids)
     with Path(forecasts_path).open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FORECASTS_HEADER)
+        handle.write(",".join(FORECASTS_HEADER) + "\n")
         answered = table.answered
-        for i, forecaster_id in enumerate(table.forecaster_ids):
-            if table.question_ids and not answered[i].any():
-                writer.writerow([table.question_ids[0], forecaster_id, ""])
-            for q, question_id in enumerate(table.question_ids):
-                if answered[i, q]:
-                    writer.writerow([question_id, forecaster_id,
-                                     format(table.forecasts[i, q], ".17g")])
+        for i, forecaster_id in enumerate(_csv_fields(table.forecaster_ids)):
+            columns = np.flatnonzero(answered[i]).tolist()
+            if question_ids and not columns:
+                handle.write(f"{question_ids[0]},{forecaster_id},\n")
+                continue
+            handle.write("".join([
+                f"{question_ids[q]},{forecaster_id},{format(value, '.17g')}\n"
+                for q, value in zip(columns, table.forecasts[i, columns].tolist())]))
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(OUTCOMES_HEADER)
         for q, question_id in enumerate(table.question_ids):
             writer.writerow([question_id, "+1" if table.outcomes[q] > 0 else "-1"])
+
+
+def _csv_fields(texts) -> list[str]:
+    """Each text as csv.writer writes it as a field of a row: quoted when
+    it holds a comma, a quote or a line break."""
+    buffer = io.StringIO()
+    # the line terminator is part of the dialect: csv quotes a field that
+    # holds one of its characters
+    writer = csv.writer(buffer, lineterminator="\n")
+    fields = []
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([text, ""])  # two fields, so that "" is written bare
+        fields.append(buffer.getvalue()[:-2])
+    return fields
 
 
 def _method_policy(method: str) -> tuple[dict, str]:
@@ -533,18 +566,34 @@ def load_eval_report(path) -> EvalReport:
     path = Path(path)
     record = _read_record(path, REPORT_SCHEMA)
     try:
+        baseline = record["baseline"]
+        rows = record["per_question"]
+        # exact types, as in load_model, so that true is not read as 1
+        if type(rows) is not list:
+            raise TypeError("per_question must be a list")
+        per_question = tuple(
+            QuestionResult(_typed(r["question_id"], str), _typed(r["predicted"], int),
+                           _typed(r["actual"], int), _typed(r["probability"], float))
+            for r in rows)
         return EvalReport(
-            method=record["method"],
-            questions=int(record["questions"]),
-            prediction_errors=int(record["prediction_errors"]),
-            avg_unique_forecasters=float(record["avg_unique_forecasters"]),
-            per_question=tuple(
-                QuestionResult(r["question_id"], int(r["predicted"]),
-                               int(r["actual"]), float(r["probability"]))
-                for r in record["per_question"]
-            ),
-            best_individual_errors=int(record["baseline"]["best_individual_errors"]),
-            mean_individual_errors=float(record["baseline"]["mean_individual_errors"]),
+            method=_typed(record["method"], str),
+            questions=_typed(record["questions"], int),
+            prediction_errors=_typed(record["prediction_errors"], int),
+            avg_unique_forecasters=_typed(record["avg_unique_forecasters"], float),
+            per_question=per_question,
+            best_individual_errors=_typed(baseline["best_individual_errors"], int),
+            mean_individual_errors=_typed(baseline["mean_individual_errors"], float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed report record ({exc})") from exc
+
+
+def _typed(value, kind: type):
+    """``value`` if JSON gave it as ``kind``: str, int (not a boolean), or
+    float (any JSON number, returned as a float)."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a JSON {'number' if kind is float else kind.__name__}, "
+                    f"got {value!r}")

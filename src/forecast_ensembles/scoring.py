@@ -4,6 +4,13 @@ The headline number is the average realized score.  Its structure is
 exposed by an exact split into a calibration part (non-positive, zero for a
 perfectly calibrated forecaster) and a refinement part (how decisively the
 forecaster commits to 0 or 1), estimated with equal-width probability bins.
+
+`decompose_table` splits every forecaster of a table in one pass, and
+`decompose` is its one-forecaster case, so both give the same bits.  Each
+forecaster's bin totals add up its members in question order, and its bin
+terms are summed in bin order; an empty bin's term is -0.0, which leaves
+any running total unchanged (x + -0.0 == x, also for x = -0.0), so the
+sum is the one over the filled bins alone.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import numpy as np
 from .domain import POSITIVE, NEGATIVE
 from .links import ScoringRule
 
-__all__ = ["BinSummary", "ScoreReport", "empirical_score", "decompose"]
+__all__ = ["BinSummary", "ScoreReport", "TableSplit", "empirical_score", "decompose",
+           "decompose_table"]
 
 
 class BinSummary(NamedTuple):
@@ -40,6 +48,25 @@ class ScoreReport:
     refinement: float
     bins: int
     per_bin: tuple[BinSummary, ...]
+
+
+class TableSplit(NamedTuple):
+    """`decompose_table`'s split of every forecaster of a table: row i is
+    forecaster i.  A forecaster without forecasts has count 0 and NaN
+    total, calibration and refinement."""
+
+    count: np.ndarray            # (N,) forecasts given
+    total: np.ndarray            # (N,)
+    calibration: np.ndarray      # (N,)
+    refinement: np.ndarray       # (N,)
+    bin_counts: np.ndarray       # (N, bins) members per bin
+    bin_frequencies: np.ndarray  # (N, bins) positive frequency, NaN when empty
+
+
+# Most bin cells (rows times bins plus one) split at once.  Each per-bin
+# array of a block takes 8 bytes a cell, so a block's arrays stay at a few
+# MiB, or at one row's when --bins alone is larger.
+_BLOCK_CELLS = 1 << 20
 
 
 def _validated(forecasts, outcomes) -> tuple[np.ndarray, np.ndarray]:
@@ -86,36 +113,88 @@ def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
     bin centers precisely so that this identity is exact; empty bins
     contribute nothing.
 
-    Member counts, positive counts and forecast sums come from one
-    ``np.bincount`` each over the bin index, and the rule is evaluated
-    once per score function on the arrays of non-empty bins.  The bin
-    terms are summed in bin order, as a running total over the bins would.
+    This is `decompose_table` on a table of one forecaster: member sums
+    in forecast order, bin terms summed in bin order, -0.0 for an empty
+    bin.
     """
     forecasts, outcomes = _validated(forecasts, outcomes)
+    split = decompose_table(forecasts[np.newaxis], outcomes, rule, bins)
+    return ScoreReport(
+        total=float(split.total[0]),
+        calibration=float(split.calibration[0]),
+        refinement=float(split.refinement[0]),
+        bins=bins,
+        per_bin=tuple(BinSummary((b + 0.5) / bins, count, frequency)
+                      for b, (count, frequency) in enumerate(zip(
+                          split.bin_counts[0].tolist(), split.bin_frequencies[0].tolist()))),
+    )
+
+
+def decompose_table(forecasts, outcomes, rule: ScoringRule, bins: int = 10) -> TableSplit:
+    """`decompose` for every forecaster of an (N, Q) forecast matrix at
+    once, NaN marking an absent forecast; ``outcomes`` are the Q labels.
+
+    Each answered cell gets the key ``forecaster * (bins + 1) + bin``, an
+    absent one the spare bin ``bins`` of its row.  One `np.bincount` over
+    the row-major keys each gives the member counts, positive counts and
+    forecast sums of every (forecaster, bin), adding each forecaster's
+    members in question order as a bincount of its forecasts alone would.
+    The rule is evaluated once on the (N, bins) arrays, elementwise and
+    so bit for bit as on one row, and the bin terms are summed in bin
+    order by a cumulative sum along each row, with -0.0 in every empty
+    bin.  Blocks of rows are split in turn, so that a large ``bins``
+    keeps the arrays small.
+    """
+    forecasts = np.ascontiguousarray(forecasts, dtype=float)
+    outcomes = np.asarray(outcomes, dtype=int)
+    if forecasts.ndim != 2 or outcomes.shape != forecasts.shape[1:]:
+        raise ValueError("forecasts must be (N, Q) and outcomes of length Q")
+    if np.any((forecasts < 0) | (forecasts > 1)):
+        raise ValueError("forecasts must lie in [0, 1] or be NaN")
+    if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
+        raise ValueError("outcomes must be +1 or -1")
     if bins < 1:
         raise ValueError("bin count must be at least 1")
-    index = np.minimum((forecasts * bins).astype(int), bins - 1)
-    counts = np.bincount(index, minlength=bins)
-    positives = np.bincount(index, weights=outcomes == POSITIVE, minlength=bins)
-    sums = np.bincount(index, weights=forecasts, minlength=bins)
+    positive = outcomes == POSITIVE
+    rows = max(1, _BLOCK_CELLS // (bins + 1))
+    blocks = [_split_rows(forecasts[start:start + rows], positive, rule, bins)
+              for start in range(0, max(len(forecasts), 1), rows)]
+    return TableSplit(*map(np.concatenate, zip(*blocks)))
 
+
+def _split_rows(forecasts: np.ndarray, positive: np.ndarray, rule: ScoringRule,
+                bins: int) -> TableSplit:
+    """`decompose_table` of a C-contiguous block of rows; ``positive``
+    marks the questions that resolved positive."""
+    n, width = forecasts.shape[0], bins + 1
+    scaled = forecasts * bins
+    np.minimum(scaled, bins - 1, out=scaled)
+    scaled[np.isnan(scaled)] = bins  # the spare bin
+    keys = scaled.astype(np.intp)
+    del scaled
+    keys += np.arange(0, n * width, width)[:, np.newaxis]
+
+    def totals(keys, weights=None):
+        return np.bincount(keys.ravel(), weights, n * width).reshape(n, width)[:, :bins]
+
+    counts = totals(keys)
+    sums = totals(keys, forecasts.ravel())
+    positives = totals(keys[:, positive])
+    del keys
+
+    count = counts.sum(axis=1)
     filled = counts > 0
-    freq = positives[filled] / counts[filled]
-    mean_forecast = sums[filled] / counts[filled]
-    weight = counts[filled] / forecasts.size
-    refinement = float(np.cumsum(weight * rule.honest_score(freq))[-1])
-    calibration = float(np.cumsum(weight * (
-        freq * (rule.event_score(mean_forecast) - rule.event_score(freq))
-        + (1.0 - freq) * (rule.nonevent_score(mean_forecast) - rule.nonevent_score(freq))
-    ))[-1])
-
-    frequencies = np.full(bins, np.nan)
-    frequencies[filled] = freq
-    return ScoreReport(
-        total=calibration + refinement,
-        calibration=calibration,
-        refinement=refinement,
-        bins=bins,
-        per_bin=tuple(BinSummary((b + 0.5) / bins, int(counts[b]), float(frequencies[b]))
-                      for b in range(bins)),
-    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        freq = positives / counts
+        mean_forecast = sums / counts
+        weight = counts / count[:, np.newaxis]
+        refinement = weight * rule.honest_score(freq)
+        calibration = weight * (
+            freq * (rule.event_score(mean_forecast) - rule.event_score(freq))
+            + (1.0 - freq) * (rule.nonevent_score(mean_forecast) - rule.nonevent_score(freq)))
+    answered = count > 0
+    refinement, calibration = (
+        np.where(answered, np.cumsum(np.where(filled, terms, -0.0), axis=1)[:, -1], np.nan)
+        for terms in (refinement, calibration))
+    return TableSplit(count, calibration + refinement, calibration, refinement,
+                      counts, np.where(filled, freq, np.nan))

@@ -1,10 +1,15 @@
-"""Row-by-row reference implementation of the forecasts-CSV loader.
+"""Row-by-row reference implementations of the forecasts-CSV loader and
+of the table writer.
 
-This is the package's loader as it was before it read the file in blocks
+The loader is the package's as it was before it read the file in blocks
 of columns: one `csv.reader` record at a time, each checked and stored in a
 dict keyed by (row, column).  It shares nothing with the package but the
 error type, and pins `dataio.load_forecast_matrix` down to equal ids,
 equal matrix bytes and equal error messages.
+
+The writer is the package's as it was before it joined each forecaster's
+rows: one `csv.writer` row per cell.  It pins `dataio.write_table` down to
+equal file bytes.
 """
 
 from __future__ import annotations
@@ -80,3 +85,23 @@ def load_forecast_matrix(path, forecaster_ids=None
     rows, columns = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
     matrix[rows, columns] = list(cells.values())
     return tuple(question_index), tuple(forecaster_index), matrix
+
+
+def write_table(table, forecasts_path, outcomes_path) -> None:
+    """Write a table as the forecasts/outcomes CSV pair, one row at a time."""
+    with Path(forecasts_path).open("w", newline="\n", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(FORECASTS_HEADER)
+        answered = table.answered
+        for i, forecaster_id in enumerate(table.forecaster_ids):
+            if table.question_ids and not answered[i].any():
+                writer.writerow([table.question_ids[0], forecaster_id, ""])
+            for q, question_id in enumerate(table.question_ids):
+                if answered[i, q]:
+                    writer.writerow([question_id, forecaster_id,
+                                     format(table.forecasts[i, q], ".17g")])
+    with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["question_id", "outcome"])
+        for q, question_id in enumerate(table.question_ids):
+            writer.writerow([question_id, "+1" if table.outcomes[q] > 0 else "-1"])

@@ -341,6 +341,18 @@ class TestScore:
         assert len(out) == 1 + table.n_forecasters
         assert out[0].startswith("Forecaster")
 
+    @pytest.mark.parametrize("bins", [10, 3])
+    def test_golden_report(self, tmp_path, capsys, bins):
+        # a seeded synth table whose forecaster f0026 gave no forecast
+        prefix = str(tmp_path / "t")
+        assert main(["synth", "--forecasters", "40", "--questions", "8", "--mode", "type2",
+                     "--coverage", "0.4", "--seed", "3", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        assert main(["score", "--forecasts", f"{prefix}.forecasts.csv",
+                     "--outcomes", f"{prefix}.outcomes.csv", "--bins", str(bins)]) == 0
+        golden = (DATA_DIR / f"golden_score_bins{bins}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
     def test_bad_bins_is_usage_error(self, tmp_path, capsys):
         # non-existent files: the count is rejected before any file is read
         assert main(["score", "--forecasts", str(tmp_path / "none.csv"),

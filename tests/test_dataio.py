@@ -168,6 +168,29 @@ class TestLoadForecastMatrix:
         assert matrix.tobytes() == expected[2].tobytes()
 
 
+# Ids with every character csv.writer quotes for, and some it does not.
+WRITER_IDS = st.text(alphabet=' ,"\n\rqé€x', max_size=4)
+WRITER_VALUES = (st.just(np.nan) | st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2])
+                 | st.floats(0.0, 1.0))
+
+
+@st.composite
+def awkward_tables(draw):
+    """A table with awkward ids, often with a forecaster that gave no
+    forecast, and sometimes with no question at all."""
+    question_ids = draw(st.lists(WRITER_IDS, max_size=5, unique=True))
+    forecaster_ids = draw(st.lists(WRITER_IDS, min_size=1, max_size=5, unique=True))
+    shape = (len(forecaster_ids), len(question_ids))
+    values = draw(st.lists(WRITER_VALUES, min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]))
+    forecasts = np.array(values, dtype=float).reshape(shape)
+    if draw(st.booleans()):
+        forecasts[draw(st.integers(0, shape[0] - 1))] = np.nan
+    outcomes = draw(st.lists(st.sampled_from([1, -1]), min_size=shape[1],
+                             max_size=shape[1]))
+    return ForecastTable(question_ids, forecaster_ids, forecasts, outcomes)
+
+
 class TestTableRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
         table = generate_synthetic(SyntheticSpec(forecasters=7, questions=30,
@@ -199,6 +222,16 @@ class TestTableRoundTrip:
         write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
         raw = (tmp_path / "f.csv").read_bytes()
         assert b"\r" not in raw
+
+    @given(table=awkward_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_the_row_by_row_writer(self, table):
+        with tempfile.TemporaryDirectory() as directory:
+            files = [Path(directory) / name for name in ("f.csv", "o.csv", "rf.csv", "ro.csv")]
+            write_table(table, *files[:2])
+            csv_reference.write_table(table, *files[2:])
+            assert files[0].read_bytes() == files[2].read_bytes()
+            assert files[1].read_bytes() == files[3].read_bytes()
 
 
 class TestModelRoundTrip:
@@ -305,6 +338,50 @@ class TestReportRoundTrip:
         path.write_text('{"schema": "nope"}', encoding="utf-8")
         with pytest.raises(DataFormatError, match="expected schema"):
             load_eval_report(path)
+
+    @pytest.mark.parametrize("edit", [
+        (("questions",), 10.9),
+        (("questions",), True),
+        (("questions",), "3"),
+        (("prediction_errors",), 1.0),
+        (("avg_unique_forecasters",), "2.5"),
+        (("avg_unique_forecasters",), None),
+        (("avg_unique_forecasters",), 10**400),
+        (("method",), 7),
+        (("baseline", "best_individual_errors"), False),
+        (("baseline", "mean_individual_errors"), [1.5]),
+        (("per_question", 0, "predicted"), True),
+        (("per_question", 0, "actual"), "-1"),
+        (("per_question", 0, "actual"), -1.0),
+        (("per_question", 0, "probability"), "0.5"),
+        (("per_question", 0, "question_id"), 3),
+        (("per_question",), {"q": 1}),
+    ], ids=lambda edit: "-".join(map(str, edit[0])) + f"={edit[1]!r}"[:12])
+    def test_json_types_are_not_coerced(self, tmp_path, toy_table, edit):
+        path = tmp_path / "report.json"
+        save_eval_report(loo_evaluate(toy_table, "realboost", 3), path)
+        record = json.loads(path.read_text())
+        keys, value = edit
+        owner = record
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed report record"):
+            load_eval_report(path)
+
+    def test_integral_numbers_load_as_floats(self, tmp_path, toy_table):
+        path = tmp_path / "report.json"
+        report = loo_evaluate(toy_table, "realboost", 3)
+        save_eval_report(report, path)
+        record = json.loads(path.read_text())
+        record["per_question"][0]["probability"] = 1
+        record["baseline"]["mean_individual_errors"] = 2
+        path.write_text(json.dumps(record))
+        loaded = load_eval_report(path)
+        assert type(loaded.per_question[0].probability) is float
+        assert loaded.per_question[0].probability == 1.0
+        assert type(loaded.mean_individual_errors) is float
 
 
 # Small ids, with the characters that make the CSV writer quote a field.
@@ -486,6 +563,35 @@ class TestBlockLoaderMatchesReference:
             path.write_bytes(text.encode("utf-8"))
             expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
             assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
+
+    @pytest.mark.parametrize("text,plain", [
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,\r\n\r\n"
+         "q1,b,0.25\r\nq2,b,1\r\n", True),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\nq2,a,0.125\r\nq1,b,0", True),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,7\r\nq1,b,0\r\n", True),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq1,a,0.5\r\n", True),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\rq2,a,0.25\r\n", False),
+        ("question_id,forecaster_id,probability\r\nq1,a\r,0.5\r\n", False),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\r\nq2,a,0.25\r\n", False),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,0.25\r", False),
+    ], ids=["crlf", "mixed-no-final-newline", "crlf-bad-value", "crlf-duplicate",
+            "lone-cr", "cr-in-field", "cr-before-crlf", "cr-at-end"])
+    def test_crlf_split_at_every_block_boundary(self, tmp_path, monkeypatch, text, plain):
+        """A CRLF that two blocks share is still one line ending: every
+        block size gives the reference's ids, matrix and error line, and
+        only a carriage return outside a CRLF sends the file to csv.reader."""
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = loaded(csv_reference.load_forecast_matrix, path)
+        quoted = []
+        read_quoted = dataio._read_quoted
+        monkeypatch.setattr(dataio, "_read_quoted",
+                            lambda *args: quoted.append(1) or read_quoted(*args))
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
+            quoted.clear()
+            assert loaded(load_forecast_matrix, path) == expected, block
+            assert quoted == ([] if plain else [1]), block
 
     @pytest.mark.parametrize("body,line", [
         (b"q1,a,0.5\nq2,a,0.\xff\n", 3),

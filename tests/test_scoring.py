@@ -7,12 +7,23 @@ from hypothesis import strategies as st
 
 from forecast_ensembles import (
     LinkSpec,
+    ScoringRule,
     decompose,
+    decompose_table,
     empirical_score,
     matched_scoring_rule,
 )
+from forecast_ensembles import scoring
+import score_reference
 
 DELTA = 1e-6
+
+# Every score -0.0: each filled bin's refinement term is -0.0, so a
+# forecaster's refinement is -0.0 and an empty bin summed in as +0.0
+# would turn it into +0.0.
+SIGNED_ZERO_RULE = ScoringRule(honest_score=lambda p: -0.0 * np.asarray(p),
+                               event_score=lambda p: -0.0 * np.asarray(p),
+                               nonevent_score=lambda p: -0.0 * np.asarray(p))
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +182,113 @@ class TestDecompose:
         assert abs(report.refinement - refinement) <= 1e-12
         assert abs(report.calibration - calibration) <= 1e-12
         assert abs(report.total - (calibration + refinement)) <= 1e-12
+
+
+def bin_edges_and_clip(bins):
+    """Forecasts that stress the binning and the clip: 0 and 1, the bin
+    edges k / bins and their neighbours, and values within 1e-6 of the
+    clip at both ends."""
+    edges = st.integers(0, bins).map(lambda k: k / bins)
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, DELTA, 1.0 - DELTA, DELTA / 2, 1.0 - DELTA / 2,
+                         np.nextafter(DELTA, 0.0), np.nextafter(DELTA, 1.0),
+                         np.nextafter(1.0 - DELTA, 0.0), np.nextafter(1.0 - DELTA, 1.0),
+                         np.nextafter(1.0, 0.0), 5e-324]),
+        edges,
+        edges.map(lambda x: float(np.nextafter(x, 0.0))),
+        edges.map(lambda x: float(np.nextafter(x, 1.0))),
+        st.floats(0.0, 2 * DELTA),
+        st.floats(1.0 - 2 * DELTA, 1.0),
+        st.floats(0.0, 1.0),
+    )
+
+
+@st.composite
+def scored_tables(draw):
+    """(forecasts with NaN for absent, outcomes, bins): often with an
+    all-abstain forecaster, sometimes with more bins than questions."""
+    bins = draw(st.integers(1, 12) | st.just(1) | st.integers(40, 200))
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 30))
+    cell = st.just(np.nan) | bin_edges_and_clip(bins)
+    forecasts = np.array(draw(st.lists(cell, min_size=n * q, max_size=n * q)),
+                         dtype=float).reshape(n, q)
+    if draw(st.booleans()):
+        forecasts[draw(st.integers(0, n - 1))] = np.nan
+    outcomes = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=q, max_size=q)))
+    return forecasts, outcomes, bins
+
+
+def split_hex(total, calibration, refinement):
+    return tuple(float(x).hex() for x in (total, calibration, refinement))
+
+
+class TestDecomposeTable:
+    """The whole-table split against the per-forecaster loop it replaced,
+    bit for bit: floats are compared by ``float.hex``, which tells -0.0
+    from +0.0."""
+
+    @given(case=scored_tables(), signed_zero=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_per_forecaster_loop(self, rule, case, signed_zero):
+        forecasts, outcomes, bins = case
+        rule = SIGNED_ZERO_RULE if signed_zero else rule
+        split = decompose_table(forecasts, outcomes, rule, bins)
+        expected = score_reference.score_table(forecasts, outcomes, rule, bins)
+        assert split.count.tolist() == (~np.isnan(forecasts)).sum(axis=1).tolist()
+        for i, report in enumerate(expected):
+            if report is None:
+                assert split.count[i] == 0
+                assert np.isnan([split.total[i], split.calibration[i],
+                                 split.refinement[i]]).all()
+                assert split.bin_counts[i].tolist() == [0] * bins
+                continue
+            assert (split_hex(split.total[i], split.calibration[i], split.refinement[i])
+                    == split_hex(report.total, report.calibration, report.refinement))
+            assert split.bin_counts[i].tolist() == [b.count for b in report.per_bin]
+            assert (split.bin_frequencies[i].tobytes()
+                    == np.array([b.frequency for b in report.per_bin]).tobytes())
+            answered = ~np.isnan(forecasts[i])
+            one = decompose(forecasts[i, answered], outcomes[answered], rule, bins)
+            assert (split_hex(one.total, one.calibration, one.refinement)
+                    == split_hex(report.total, report.calibration, report.refinement))
+            assert [(b.center, b.count) for b in one.per_bin] == \
+                [(b.center, b.count) for b in report.per_bin]
+
+    def test_empty_bins_add_negative_zero(self):
+        # bin 0 is empty and every filled bin's term is -0.0: the sum over
+        # the filled bins is -0.0, which a +0.0 filler would lose
+        split = decompose_table([[0.55, 0.95, np.nan]], [1, -1, 1], SIGNED_ZERO_RULE, 10)
+        assert float(split.refinement[0]).hex() == "-0x0.0p+0"
+        report = score_reference.decompose([0.55, 0.95], [1, -1], SIGNED_ZERO_RULE, 10)
+        assert float(report.refinement).hex() == "-0x0.0p+0"
+
+    def test_blocks_of_rows_give_the_same_bits(self, rule, monkeypatch):
+        rng = np.random.default_rng(4)
+        forecasts = rng.random((7, 40))
+        forecasts[rng.random((7, 40)) < 0.3] = np.nan
+        forecasts[2] = np.nan
+        outcomes = np.where(rng.random(40) < 0.5, 1, -1)
+        whole = decompose_table(forecasts, outcomes, rule, 10)
+        monkeypatch.setattr(scoring, "_BLOCK_CELLS", 25)  # two rows of 11 bins a block
+        blocked = decompose_table(forecasts, outcomes, rule, 10)
+        for got, want in zip(blocked, whole):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_table_without_forecasters_or_questions(self, rule):
+        split = decompose_table(np.empty((0, 3)), [1, -1, 1], rule, 4)
+        assert split.count.shape == (0,) and split.bin_counts.shape == (0, 4)
+        split = decompose_table(np.empty((2, 0)), [], rule, 4)
+        assert split.count.tolist() == [0, 0] and np.isnan(split.total).all()
+
+    @pytest.mark.parametrize("forecasts,outcomes,bins", [
+        ([0.5, 0.5], [1, -1], 10),
+        ([[0.5, 1.5]], [1, -1], 10),
+        ([[0.5, -0.1]], [1, -1], 10),
+        ([[0.5, 0.5]], [1, 0], 10),
+        ([[0.5, 0.5]], [1, -1, 1], 10),
+        ([[0.5, 0.5]], [1, -1], 0),
+    ], ids=["one-d", "above-one", "below-zero", "bad-outcome", "bad-length", "no-bins"])
+    def test_rejects_bad_input(self, rule, forecasts, outcomes, bins):
+        with pytest.raises(ValueError):
+            decompose_table(forecasts, outcomes, rule, bins)
