@@ -17,6 +17,7 @@ from .combiners import (
     bag,
     classify,
     ensemble_predict,
+    ensemble_predict_table,
     realboost_train,
     train,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "adaboost_train",
     "realboost_train",
     "ensemble_predict",
+    "ensemble_predict_table",
     "classify",
     "EvalReport",
     "QuestionResult",

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .combiners import METHODS, classify, ensemble_predict, train
+from .combiners import METHODS, classify, ensemble_predict_table, train
 from .dataio import (
     DataFormatError,
     load_forecast_matrix,
@@ -36,7 +36,7 @@ from .dataio import (
 from .domain import MAX_SEED
 from .evaluation import SyntheticSpec, generate_synthetic, loo_evaluate
 from .links import LinkSpec, matched_scoring_rule
-from .scoring import decompose_table
+from .scoring import MAX_BINS, decompose_table
 
 PREDICTION_SCHEMA = "prediction_report.v1"
 
@@ -73,11 +73,19 @@ def _seed(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type of --iterations and --bins: an integer of at least 1."""
+    """argparse type of --iterations: an integer of at least 1."""
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
+
+
+def _bins(text: str) -> int:
+    """argparse type of --bins: an integer in [1, `scoring.MAX_BINS`]."""
+    bins = _positive(text)
+    if bins > MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_BINS}, got {bins}")
+    return bins
 
 
 def _build_parser() -> _Parser:
@@ -115,7 +123,7 @@ def _build_parser() -> _Parser:
     score = commands.add_parser("score", help="per-forecaster score report")
     score.add_argument("--forecasts", required=True)
     score.add_argument("--outcomes", required=True)
-    score.add_argument("--bins", type=_positive, default=10)
+    score.add_argument("--bins", type=_bins, default=10)
     score.set_defaults(func=_cmd_score)
 
     synth = commands.add_parser("synth", help="write synthetic forecast data")
@@ -147,30 +155,25 @@ def _cmd_predict(args) -> int:
     if args.outcomes is not None:
         outcomes = load_outcomes(args.outcomes, args.forecasts, question_ids)
 
-    per_question = []
-    errors = 0
-    for j, question_id in enumerate(question_ids):
-        margin, probability = ensemble_predict(model, matrix[:, j])
-        predicted = classify(margin)
-        entry = {"question_id": question_id, "margin": margin,
-                 "probability": probability, "predicted": predicted}
-        if outcomes is not None:
-            entry["actual"] = outcomes[question_id]
-            if predicted != entry["actual"]:
-                errors += 1
-        per_question.append(entry)
-
+    margins, probabilities = ensemble_predict_table(model, matrix)
+    per_question = [{"question_id": question_id, "margin": margin,
+                     "probability": probability, "predicted": classify(margin)}
+                    for question_id, margin, probability in zip(
+                        question_ids, margins.tolist(), probabilities.tolist())]
     record = {"schema": PREDICTION_SCHEMA, "method": model.method,
               "questions": len(question_ids), "per_question": per_question}
     if outcomes is not None:
-        record["prediction_errors"] = errors
+        for entry in per_question:
+            entry["actual"] = outcomes[entry["question_id"]]
+        record["prediction_errors"] = sum(entry["predicted"] != entry["actual"]
+                                          for entry in per_question)
     with Path(args.report_out).open("w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")
 
     summary = f"{model.method}: predicted {len(question_ids)} questions"
     if outcomes is not None:
-        summary += f", {errors} errors"
+        summary += f", {record['prediction_errors']} errors"
     print(summary + f" -> {args.report_out}")
     return 0
 

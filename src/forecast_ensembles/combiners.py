@@ -18,9 +18,11 @@ The method fixes the loss, the link and how absent forecasts are filled
 rounds, the forecaster ids they index and, for adaboost, the seed of its
 fill; it keeps nothing of the training table.  `train` runs any method,
 with its default rounds when the caller does not choose.  A model applies
-to one question's forecast vector and yields a margin plus a probability;
-boosting models recover the probability through the exponential family's
-inverse link, bagging reports the mean forecast directly.
+to an (N, Q) forecast table (`ensemble_predict_table`) and yields a margin
+plus a probability per question: boosting sums its rounds' terms in
+selection order and recovers the probability through the exponential
+family's inverse link, bagging sums the forecasts in order and divides by
+N.  No BLAS product or pairwise sum decides a prediction's bits.
 
 Every boosting round is an argmin over forecasters of a weighted total
 over questions, and the specification is exact: each total is
@@ -43,7 +45,6 @@ trained models are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ __all__ = [
     "bag",
     "adaboost_train",
     "realboost_train",
+    "ensemble_predict_table",
     "ensemble_predict",
     "classify",
     "stage_weight",
@@ -106,9 +108,9 @@ class EnsembleModel:
 
     ``rounds`` lists (forecaster index, stage weight) in selection order;
     bagging uses every forecaster once with weight 1/N.  ``seed`` is the
-    seed of adaboost's fill: `ensemble_predict` fills absent forecasts by
-    the method's rule, on training questions and new ones alike.  The
-    link is the method's own.
+    seed of adaboost's fill: `ensemble_predict_table` fills absent
+    forecasts by the method's rule, on training questions and new ones
+    alike.  The link is the method's own.
     """
 
     method: str
@@ -157,26 +159,26 @@ def stage_weight(error_rate: float) -> float:
 
 def _ordered_totals(factors: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Column totals of ``factors * weights[:, None]``, each accumulated
-    strictly in question order: the full ordered pass.
-
-    ``factors`` is question-major, (Q, N): one row per question, one
-    column per forecaster, C-contiguous so the multiply streams.  ``out``
-    is a C-contiguous (Q, N) float buffer that receives the products, so
-    `_LeastTotal` allocates it once per training.  Only its layout sets the
-    order: summing ``out`` over its outer axis makes numpy add whole rows
-    one after another, which gives every column the rounding of a plain
-    left-to-right scalar loop.  A lone column (N == 1) takes ``np.cumsum``,
-    because numpy collapses a (Q, 1) reduction to one axis and would sum
-    it pairwise.
-    """
+    strictly in question order: the full ordered pass.  ``factors`` is
+    question-major, (Q, N) and C-contiguous, so the multiply streams;
+    ``out`` is the C-contiguous (Q, N) buffer for the products that
+    `_LeastTotal` allocates once per training."""
     np.multiply(factors, weights[:, np.newaxis], out=out)
-    if out.shape[1] == 1 and len(out):
-        return np.cumsum(out, axis=0)[-1]
-    return out.sum(axis=0)
+    return _ordered_sum(out)
 
 
-def _ordered_sum(values: np.ndarray) -> np.float64:
-    return values.cumsum()[-1]
+def _ordered_sum(values: np.ndarray):
+    """Sum over axis 0 of 1-D or 2-D input, bit for bit a left-to-right
+    loop from 0.0.  numpy adds the rows of a C-contiguous array with two
+    or more columns one after another; it would sum a lone column or an
+    F-ordered array pairwise, so those take ``np.cumsum``.  Adding 0.0
+    turns a total of -0.0 into the loop's +0.0 and changes no other."""
+    if values.ndim == 2 and values.shape[1] > 1 and values.flags.c_contiguous:
+        total = values.sum(axis=0)
+    else:
+        total = values.cumsum(axis=0)[-1]
+    total += 0.0
+    return total
 
 
 class _LeastTotal:
@@ -249,7 +251,7 @@ class _LeastTotal:
             totals = _ordered_totals(factors, weights, self.out)
             j = totals.argmin()
             return self.columns[j], totals[j]
-        totals = np.cumsum(factors[:, candidates] * weights[:, np.newaxis], axis=0)[-1]
+        totals = _ordered_sum(factors[:, candidates] * weights[:, np.newaxis])
         j = totals.argmin()
         return self.columns[candidates[j]], totals[j]
 
@@ -282,13 +284,13 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     Absent forecasts are filled once with seeded uniform draws over the
     whole table (`impute`).  The draws are not kept: predictions, on the
     training questions too, fill absent cells by the rule of
-    `ensemble_predict`.  Each round selects the forecaster with the least
-    weighted error mass (ties to the lowest index), then reweights the
-    training questions; weights are renormalized every round, which leaves
-    both the selection and the stage weight unchanged.  Rounds stop early
-    once no forecaster beats chance under the current weights; if that
-    happens on the very first round the best forecaster is kept with a
-    zero stage weight so the model still exists (it then always predicts a
+    `ensemble_predict_table`.  Each round selects the forecaster with the
+    least weighted error mass (ties to the lowest index), then reweights
+    the training questions; weights are renormalized every round, which
+    leaves both the selection and the stage weight unchanged.  Rounds stop
+    early once no forecaster beats chance under the current weights; if
+    that happens on the very first round the best forecaster is kept with
+    a zero stage weight so the model still exists (it then always predicts a
     margin of zero).
     """
     _check_trainable(table, iterations)
@@ -373,51 +375,45 @@ def train(table: ForecastTable, method: str, iterations: int | None = None,
     return realboost_train(table, iterations)
 
 
-def _filled_vector(model: EnsembleModel, forecasts: np.ndarray) -> np.ndarray:
-    present = ~np.isnan(forecasts)
-    if np.any(present & ((forecasts < 0) | (forecasts > 1))):
+def ensemble_predict_table(model: EnsembleModel, forecasts) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, probabilities) of every question of an (N, Q) forecast
+    matrix, NaN marking an absent forecast.  Absent cells read as 0.5,
+    except under adaboost, where forecaster i's takes entry i of one
+    ``default_rng(model.seed).random(N)`` draw.  Boosting reads only the
+    rows its rounds pick, and a margin is ``0.0 + t_1 + ... + t_R``, its
+    rounds' terms in selection order; bagging's probability is the ordered
+    sum over forecasters, divided by N."""
+    forecasts = np.asarray(forecasts, dtype=float)
+    n = model.n_forecasters
+    if forecasts.ndim != 2 or len(forecasts) != n:
+        raise ValueError(f"expected {n} forecasts per question, got shape {forecasts.shape}")
+    if np.any((forecasts < 0) | (forecasts > 1)):
         raise ValueError("forecasts must lie in [0, 1] (or be NaN for absent)")
-    if model.method != "adaboost":
-        return np.where(present, forecasts, 0.5)
-    return np.where(present, forecasts, _random_fill(model.seed, forecasts.size))
 
+    if model.method == "bagging":
+        probabilities = _ordered_sum(np.where(np.isnan(forecasts), 0.5, forecasts)) / n
+        return model.link.link(probabilities), probabilities
 
-@functools.lru_cache(maxsize=1)
-def _random_fill(seed: int, n: int) -> np.ndarray:
-    """``default_rng(seed).random(n)``, drawn once for the predicts of one
-    model and read-only, since every caller shares it."""
-    fill = np.random.default_rng(seed).random(n)
-    fill.flags.writeable = False
-    return fill
+    rows, alphas = map(list, zip(*model.rounds))
+    picked = forecasts[rows]  # (R, Q)
+    if model.method == "adaboost":
+        fill = np.random.default_rng(model.seed).random(n)[rows, np.newaxis]
+        terms = np.where(np.where(np.isnan(picked), fill, picked) > 0.5, 1.0, -1.0)
+    else:
+        terms = model.link.link(np.where(np.isnan(picked), 0.5, picked))
+    terms *= np.array(alphas)[:, np.newaxis]
+    margins = _ordered_sum(terms)
+    return margins, model.link.inverse_link(margins)
 
 
 def ensemble_predict(model: EnsembleModel, forecasts) -> tuple[float, float]:
-    """Apply the combiner to one question's length-N forecast vector.
-
-    ``forecasts`` holds one entry per model forecaster, NaN where a
-    forecaster abstained.  Absent cells read as 0.5, except under adaboost,
-    where forecaster i's absent cell takes entry i of
-    ``default_rng(model.seed).random(N)``, the same draw on every question.
-    Returns (margin, probability).
-    """
+    """(margin, probability) of one question's length-N forecast vector:
+    `ensemble_predict_table`, with the bits of its column of any table."""
     forecasts = np.asarray(forecasts, dtype=float)
     if forecasts.shape != (model.n_forecasters,):
-        raise ValueError(f"expected {model.n_forecasters} forecasts, "
-                         f"got shape {forecasts.shape}")
-    filled = _filled_vector(model, forecasts)
-
-    if model.method == "bagging":
-        probability = float(filled.mean())
-        return float(model.link.link(probability)), probability
-
-    if model.method == "adaboost":
-        base = np.where(filled > 0.5, 1.0, -1.0)
-    else:
-        base = np.asarray(model.link.link(filled), dtype=float)
-    indices = np.fromiter((j for j, _ in model.rounds), dtype=int, count=len(model.rounds))
-    alphas = np.fromiter((a for _, a in model.rounds), dtype=float, count=len(model.rounds))
-    margin = float(alphas @ base[indices])
-    return margin, float(model.link.inverse_link(margin))
+        raise ValueError(f"expected {model.n_forecasters} forecasts, got shape {forecasts.shape}")
+    margins, probabilities = ensemble_predict_table(model, forecasts[:, np.newaxis])
+    return float(margins[0]), float(probabilities[0])
 
 
 def classify(margin: float) -> int:

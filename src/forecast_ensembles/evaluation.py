@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .combiners import METHODS, classify, ensemble_predict, train
+from .combiners import METHODS, classify, ensemble_predict, ensemble_predict_table, train
 from .domain import NEGATIVE, POSITIVE, ForecastTable
 
 __all__ = [
@@ -74,34 +74,30 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
     """Leave-one-out evaluation: for each question, train on the others and
     predict the held-out one.
 
-    Bagging has no trainable state, so one model serves every fold; the
-    boosting methods retrain per fold through `train`, with its default
-    rounds when ``iterations`` is None and a fold-local seed of
-    ``seed XOR fold_index``.
+    Bagging has no trainable state, so one model predicts every question
+    in one call; the boosting methods retrain per fold through `train`,
+    with its default rounds when ``iterations`` is None and a fold-local
+    seed of ``seed XOR fold_index``, and predict the held-out column.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "bagging":
-        if table.n_questions < 1:
-            raise ValueError("need at least one question")
-    elif table.n_questions < 2:
-        raise ValueError("boosting needs at least two questions, one to hold out")
+        model = train(table, method)
+        margins, probabilities = ensemble_predict_table(model, table.forecasts)
+        unique_counts = [model.unique_forecasters] * table.n_questions
+    else:
+        if table.n_questions < 2:
+            raise ValueError("boosting needs at least two questions, one to hold out")
+        margins, probabilities = np.empty((2, table.n_questions))
+        unique_counts = []
+        for q in range(table.n_questions):
+            model = train(table.without_question(q), method, iterations, seed ^ q)
+            margins[q], probabilities[q] = ensemble_predict(model, table.forecasts[:, q])
+            unique_counts.append(model.unique_forecasters)
 
-    bagging_model = train(table, method) if method == "bagging" else None
-
-    per_question = []
-    errors = 0
-    unique_counts = []
-    for q in range(table.n_questions):
-        model = bagging_model or train(table.without_question(q), method, iterations, seed ^ q)
-        margin, probability = ensemble_predict(model, table.forecasts[:, q])
-        predicted = classify(margin)
-        actual = int(table.outcomes[q])
-        if predicted != actual:
-            errors += 1
-        unique_counts.append(model.unique_forecasters)
-        per_question.append(QuestionResult(table.question_ids[q], predicted,
-                                           actual, probability))
+    per_question = tuple(map(QuestionResult, table.question_ids, map(classify, margins.tolist()),
+                             table.outcomes.tolist(), probabilities.tolist()))
+    errors = sum(result.predicted != result.actual for result in per_question)
 
     _, best, mean = individual_baseline(table)
     return EvalReport(
@@ -109,7 +105,7 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
         questions=table.n_questions,
         prediction_errors=errors,
         avg_unique_forecasters=float(np.mean(unique_counts)),
-        per_question=tuple(per_question),
+        per_question=per_question,
         best_individual_errors=best,
         mean_individual_errors=mean,
     )
@@ -148,8 +144,8 @@ class SyntheticSpec:
             raise ValueError("need at least one forecaster and one question")
         if self.mode not in ("type1", "type2"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.noise >= 0:
-            raise ValueError("noise must be non-negative")
+        if not (self.noise >= 0 and np.isfinite(self.noise * self.noise)):
+            raise ValueError("noise must be non-negative, with a finite square")
         if not 0 < self.coverage <= 1:
             raise ValueError("coverage must lie in (0, 1]")
         if self.seed < 0:

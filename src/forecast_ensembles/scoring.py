@@ -23,8 +23,8 @@ import numpy as np
 from .domain import POSITIVE, NEGATIVE
 from .links import ScoringRule
 
-__all__ = ["BinSummary", "ScoreReport", "TableSplit", "empirical_score", "decompose",
-           "decompose_table"]
+__all__ = ["MAX_BINS", "BinSummary", "ScoreReport", "TableSplit", "empirical_score",
+           "decompose", "decompose_table"]
 
 
 class BinSummary(NamedTuple):
@@ -63,10 +63,11 @@ class TableSplit(NamedTuple):
     bin_frequencies: np.ndarray  # (N, bins) positive frequency, NaN when empty
 
 
-# Most bin cells (rows times bins plus one) split at once.  Each per-bin
-# array of a block takes 8 bytes a cell, so a block's arrays stay at a few
-# MiB, or at one row's when --bins alone is larger.
+# Most bin cells (rows times bins plus one) split at once, and the most
+# bins, with which a block holds one row.  Each per-bin array of a block
+# takes 8 bytes a cell, so a block's arrays stay at a few MiB.
 _BLOCK_CELLS = 1 << 20
+MAX_BINS = _BLOCK_CELLS - 1
 
 
 def _validated(forecasts, outcomes) -> tuple[np.ndarray, np.ndarray]:
@@ -153,10 +154,10 @@ def decompose_table(forecasts, outcomes, rule: ScoringRule, bins: int = 10) -> T
         raise ValueError("forecasts must lie in [0, 1] or be NaN")
     if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
         raise ValueError("outcomes must be +1 or -1")
-    if bins < 1:
-        raise ValueError("bin count must be at least 1")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bin count must lie in [1, {MAX_BINS}]")
     positive = outcomes == POSITIVE
-    rows = max(1, _BLOCK_CELLS // (bins + 1))
+    rows = _BLOCK_CELLS // (bins + 1)
     blocks = [_split_rows(forecasts[start:start + rows], positive, rule, bins)
               for start in range(0, max(len(forecasts), 1), rows)]
     return TableSplit(*map(np.concatenate, zip(*blocks)))

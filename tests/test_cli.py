@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,9 +127,15 @@ class TestSynth:
         assert table.n_forecasters == 5
 
     def test_bad_coverage_is_usage_error(self, tmp_path, capsys):
-        assert main(["synth", "--forecasters", "2", "--questions", "2",
-                     "--mode", "type2", "--coverage", "0",
-                     "--out-prefix", str(tmp_path / "x")]) == 1
+        # a noise whose square overflows is as bad as an infinite one
+        for flag, value in [("--coverage", "0"), ("--noise", "inf"), ("--noise", "nan"),
+                            ("--noise", "1e160"), ("--noise", "1e308")]:
+            assert main(["synth", "--forecasters", "2", "--questions", "2",
+                         "--mode", "type2", flag, value,
+                         "--out-prefix", str(tmp_path / "x")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_mode_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--forecasters", "2", "--questions", "2",
@@ -162,6 +171,50 @@ class TestCombinePredict:
             margin, probability = ensemble_predict(model, reloaded.forecasts[:, q])
             assert by_id[question_id]["margin"] == margin
             assert by_id[question_id]["probability"] == probability
+
+    def test_zero_weight_model_reports_positive_zero_margin(self, tmp_path, capsys):
+        # nobody beats chance: one round of weight 0.0, whose term on a
+        # forecast below 0.5 is 0.0 * -1.0 = -0.0
+        fpath, opath = tmp_path / "f.csv", tmp_path / "o.csv"
+        fpath.write_text("question_id,forecaster_id,probability\na,x,0.9\nb,x,0.9\n")
+        opath.write_text("question_id,outcome\na,-1\nb,-1\n")
+        other = tmp_path / "g.csv"
+        other.write_text("question_id,forecaster_id,probability\nc,x,0.1\n")
+        model_path, report_path = tmp_path / "model.json", tmp_path / "pred.json"
+        assert main(["combine", "--method", "adaboost", "--forecasts", str(fpath),
+                     "--outcomes", str(opath), "--model-out", str(model_path)]) == 0
+        assert main(["predict", "--model", str(model_path), "--forecasts", str(other),
+                     "--report-out", str(report_path)]) == 0
+        capsys.readouterr()
+        assert '"margin": 0.0,' in report_path.read_text()
+
+    def test_reports_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # OpenBLAS picks its dot-product kernel by CPU; Prescott runs on
+        # every x86-64 CPU, and other builds ignore the variable
+        def run(*args, coretype=None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            subprocess.run([sys.executable, "-m", "forecast_ensembles.cli", *args],
+                           env=env, check=True, capture_output=True)
+
+        prefix = tmp_path / "paper"
+        run("synth", "--forecasters", "338", "--questions", "88", "--mode", "type2",
+            "--coverage", "0.5", "--seed", "0", "--out-prefix", str(prefix))
+        data = ["--forecasts", f"{prefix}.forecasts.csv", "--outcomes", f"{prefix}.outcomes.csv"]
+        run("combine", "--method", "adaboost", *data, "--iterations", "20",
+            "--model-out", str(tmp_path / "model.json"))
+        reports = {}
+        for coretype in (None, "Prescott"):
+            predict, loo = tmp_path / f"predict-{coretype}.json", tmp_path / f"loo-{coretype}.json"
+            run("predict", "--model", str(tmp_path / "model.json"), *data,
+                "--report-out", str(predict), coretype=coretype)
+            run("loo", "--method", "adaboost", "--iterations", "20", *data,
+                "--report-out", str(loo), coretype=coretype)
+            reports[coretype] = predict.read_bytes(), loo.read_bytes()
+        assert reports[None] == reports["Prescott"]
 
     def test_predict_without_outcomes(self, table_files, tmp_path, capsys):
         _, fpath, opath = table_files
@@ -354,12 +407,14 @@ class TestScore:
         assert capsys.readouterr().out == golden
 
     def test_bad_bins_is_usage_error(self, tmp_path, capsys):
-        # non-existent files: the count is rejected before any file is read
-        assert main(["score", "--forecasts", str(tmp_path / "none.csv"),
-                     "--outcomes", str(tmp_path / "none2.csv"), "--bins", "0"]) == 1
-        captured = capsys.readouterr()
-        assert "--bins" in captured.err
-        assert captured.out == ""
+        # non-existent files: the count is rejected before any file is read;
+        # 2**20 is one more than scoring.MAX_BINS
+        for bins in ("0", "1000000000000", str(2**20)):
+            assert main(["score", "--forecasts", str(tmp_path / "none.csv"),
+                         "--outcomes", str(tmp_path / "none2.csv"), "--bins", bins]) == 1
+            captured = capsys.readouterr()
+            assert "--bins" in captured.err
+            assert captured.out == ""
 
     def test_silent_forecaster_gets_placeholder_row(self, tmp_path, capsys):
         fpath = tmp_path / "f.csv"

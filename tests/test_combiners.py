@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boost_reference import adaboost_reference, realboost_reference
+from boost_reference import adaboost_reference, ordered_sum, realboost_reference
 from conftest import random_table
 from forecast_ensembles import (
     DEFAULT_ITERATIONS,
@@ -19,15 +19,16 @@ from forecast_ensembles import (
     bag,
     classify,
     ensemble_predict,
+    ensemble_predict_table,
     impute,
     realboost_train,
     train,
 )
 from forecast_ensembles.combiners import (
+    METHODS,
     _LeastTotal,
     _ordered_sum,
     _ordered_totals,
-    _random_fill,
     stage_weight,
 )
 
@@ -411,20 +412,81 @@ class TestEnsemblePredict:
         assert first[0] == pytest.approx(expected, abs=1e-12)
         assert first[1] == model.link.inverse_link(first[0])
 
-    def test_fill_is_drawn_once_per_model_and_read_only(self, toy_table):
-        model = adaboost_train(toy_table, 3, seed=21)
-        other = adaboost_train(toy_table, 3, seed=22)
-        vector = np.array([np.nan, 0.8, np.nan])
-        first = ensemble_predict(model, vector)
-        fill = _random_fill(21, toy_table.n_forecasters)
-        assert _random_fill(21, toy_table.n_forecasters) is fill
-        assert not fill.flags.writeable
-        with pytest.raises(ValueError):
-            fill[0] = 0.0
-        assert fill.tobytes() == np.random.default_rng(21).random(3).tobytes()
-        # another model's draw evicts this one; drawing it again gives the same
-        ensemble_predict(other, vector)
-        assert ensemble_predict(model, vector) == first
+
+@st.composite
+def predict_cases(draw):
+    """A model of any method and an (N, Q) matrix for it with absent cells,
+    forecasts of exactly 0.5 and adaboost rounds of zero weight."""
+    method = draw(st.sampled_from(METHODS))
+    # past 8 terms numpy's pairwise sum no longer adds in order
+    n, q = draw(st.integers(1, 20)), draw(st.integers(1, 5))
+    cell = st.one_of(st.just(np.nan), st.just(0.5), st.floats(0, 1))
+    matrix = np.array(draw(st.lists(cell, min_size=n * q, max_size=n * q))).reshape(n, q)
+    if method == "bagging":
+        rounds = tuple((j, 1.0 / n) for j in range(n))
+    else:
+        weight = st.one_of(st.just(0.0), st.floats(0, 20)) if method == "adaboost" \
+            else st.floats(-20, 20)
+        rounds = tuple(draw(st.lists(st.tuples(st.integers(0, n - 1), weight),
+                                     min_size=1, max_size=20)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return EnsembleModel(method, rounds, tuple(f"f{i}" for i in range(n)), seed), matrix
+
+
+def reference_prediction(model, column):
+    """(margin, probability) by the scalar loops of `boost_reference`: the
+    margin sums the rounds' terms from 0.0 in selection order, bagging's
+    probability sums the forecasts in forecaster order.  The realboost
+    terms use the package's link: only the summation is under test."""
+    n = model.n_forecasters
+    if model.method == "bagging":
+        probability = ordered_sum(0.5 if math.isnan(v) else v for v in column) / n
+        return 2.0 * probability - 1.0, probability
+    fill = np.random.default_rng(model.seed).random(n).tolist()
+    terms = []
+    for j, alpha in model.rounds:
+        value = column[j]
+        if model.method == "adaboost":
+            value = fill[j] if math.isnan(value) else value
+            terms.append(alpha * (1.0 if value > 0.5 else -1.0))
+        else:
+            terms.append(alpha * float(model.link.link(0.5 if math.isnan(value) else value)))
+    margin = ordered_sum(terms)
+    return margin, float(model.link.inverse_link(margin))
+
+
+class TestOrderedMargin:
+    @given(case=predict_cases())
+    @example(case=(EnsembleModel("adaboost", ((0, 0.0),), ("f0",)), np.array([[0.1]])))
+    @example(case=(EnsembleModel("adaboost", ((1, 0.0), (0, 0.0)), ("f0", "f1"), 5),
+                   np.array([[0.1, np.nan], [np.nan, 0.2]])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_loop_bit_for_bit(self, case):
+        model, matrix = case
+        margins, probabilities = ensemble_predict_table(model, matrix)
+        for q in range(matrix.shape[1]):
+            expected = [x.hex() for x in reference_prediction(model, matrix[:, q].tolist())]
+            table_column = [float(margins[q]).hex(), float(probabilities[q]).hex()]
+            one_column = [x.hex() for x in ensemble_predict(model, matrix[:, q])]
+            assert table_column == one_column == expected
+
+    def test_zero_weight_round_gives_positive_zero(self):
+        # 0.0 * -1.0 is -0.0; the loop from 0.0 makes the margin +0.0
+        model = EnsembleModel("adaboost", ((0, 0.0),), ("f0",))
+        margins, probabilities = ensemble_predict_table(model, [[0.1, 0.9]])
+        assert [float(m).hex() for m in margins] == ["0x0.0p+0", "0x0.0p+0"]
+        assert probabilities.tolist() == [0.5, 0.5]
+        margin, _ = ensemble_predict(model, [0.1])
+        assert margin.hex() == "0x0.0p+0"
+
+    def test_rejects_bad_tables(self, toy_table):
+        model = bag(toy_table)
+        with pytest.raises(ValueError, match="expected 3 forecasts"):
+            ensemble_predict_table(model, toy_table.forecasts[:2])
+        with pytest.raises(ValueError, match="expected 3 forecasts"):
+            ensemble_predict_table(model, toy_table.forecasts[:, 0])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ensemble_predict_table(model, np.full((3, 2), 1.5))
 
 
 class TestTrain:

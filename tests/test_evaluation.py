@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,9 @@ class TestSyntheticGenerator:
             SyntheticSpec(forecasters=0)
         with pytest.raises(ValueError):
             SyntheticSpec(mode="type3")
-        with pytest.raises(ValueError):
-            SyntheticSpec(noise=-1.0)
+        for noise in (-1.0, math.inf, math.nan, 1e160):
+            with pytest.raises(ValueError):
+                SyntheticSpec(noise=noise)
         with pytest.raises(ValueError):
             SyntheticSpec(coverage=0.0)
 

@@ -288,7 +288,9 @@ class TestDecomposeTable:
         ([[0.5, 0.5]], [1, 0], 10),
         ([[0.5, 0.5]], [1, -1, 1], 10),
         ([[0.5, 0.5]], [1, -1], 0),
-    ], ids=["one-d", "above-one", "below-zero", "bad-outcome", "bad-length", "no-bins"])
+        ([[0.5, 0.5]], [1, -1], scoring.MAX_BINS + 1),
+    ], ids=["one-d", "above-one", "below-zero", "bad-outcome", "bad-length", "no-bins",
+            "too-many-bins"])
     def test_rejects_bad_input(self, rule, forecasts, outcomes, bins):
         with pytest.raises(ValueError):
             decompose_table(forecasts, outcomes, rule, bins)
