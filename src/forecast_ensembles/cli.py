@@ -15,16 +15,15 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .combiners import METHODS, classify, ensemble_predict_table, train
 from .dataio import (
     DataFormatError,
+    _write_record,
     load_forecast_matrix,
     load_model,
     load_outcomes,
@@ -167,9 +166,7 @@ def _cmd_predict(args) -> int:
             entry["actual"] = outcomes[entry["question_id"]]
         record["prediction_errors"] = sum(entry["predicted"] != entry["actual"]
                                           for entry in per_question)
-    with Path(args.report_out).open("w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    _write_record(record, args.report_out)
 
     summary = f"{model.method}: predicted {len(question_ids)} questions"
     if outcomes is not None:

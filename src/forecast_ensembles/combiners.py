@@ -351,8 +351,9 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
                            "forecaster beats the constant predictor",
                            round_index + 1, objective)
         rounds.append((picked, 1.0))
+        # the objective is the ordered sum of these very products
         weights = weights * loss_factors[:, picked]
-        weights /= _ordered_sum(weights)
+        weights /= objective
     _log_argmin("realboost", iterations, table.n_forecasters, least_objective)
 
     return EnsembleModel("realboost", tuple(rounds), table.forecaster_ids)

@@ -23,7 +23,10 @@ orders questions by first appearance and forecasters by first appearance
 or as the caller gives (a model's); `load_table` adds the outcomes file
 and puts the questions in its order.  Probabilities are written with 17
 significant digits and JSON floats use shortest-round-trip repr, so every
-file round-trips bit-exactly.
+file round-trips bit-exactly.  Each JSON file, the CLI's prediction report
+too, is one line of compact, strict JSON (no NaN or infinity) written by
+`_write_record`; ``python -m json.tool FILE`` pretty-prints one, and the
+readers take any layout.
 
 The forecasts file is read in blocks of whole lines, each turned into
 question, forecaster and probability columns by `str.split` and `float`, then
@@ -500,6 +503,13 @@ def _read_record(path: Path, schema: str) -> dict:
     return record
 
 
+def _write_record(record: dict, path) -> None:
+    """Write ``record`` as one line of compact JSON; a NaN or an infinity
+    raises ValueError before the file is opened."""
+    Path(path).write_text(json.dumps(record, separators=(",", ":"), allow_nan=False) + "\n",
+                          encoding="utf-8")
+
+
 def save_model(model: EnsembleModel, path) -> None:
     """Serialize a trained model as schema ``ensemble_model.v2`` JSON."""
     link, mode = _method_policy(model.method)
@@ -511,9 +521,7 @@ def save_model(model: EnsembleModel, path) -> None:
         "forecaster_ids": list(model.forecaster_ids),
         "rounds": [[index, weight] for index, weight in model.rounds],
     }
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    _write_record(record, path)
 
 
 def load_model(path) -> EnsembleModel:
@@ -557,9 +565,7 @@ def save_eval_report(report: EvalReport, path) -> None:
             for r in report.per_question
         ],
     }
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    _write_record(record, path)
 
 
 def load_eval_report(path) -> EvalReport:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .combiners import METHODS, classify, ensemble_predict, ensemble_predict_table, train
 from .domain import NEGATIVE, POSITIVE, ForecastTable
@@ -144,8 +143,8 @@ class SyntheticSpec:
             raise ValueError("need at least one forecaster and one question")
         if self.mode not in ("type1", "type2"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (self.noise >= 0 and np.isfinite(self.noise * self.noise)):
-            raise ValueError("noise must be non-negative, with a finite square")
+        if not (self.noise == 0 or (self.noise > 0 and 0 < self.noise * self.noise < np.inf)):
+            raise ValueError("noise must be 0, or positive with a positive finite square")
         if not 0 < self.coverage <= 1:
             raise ValueError("coverage must lie in (0, 1]")
         if self.seed < 0:
@@ -176,6 +175,8 @@ def generate_synthetic(spec: SyntheticSpec) -> ForecastTable:
     is the prior 0.5 on every question (at noise 0 every channel,
     including that one, sees the signal exactly).
     """
+    from scipy.special import ndtr  # imported here: only synth needs scipy
+
     rng = np.random.default_rng(spec.seed)
     n, q = spec.forecasters, spec.questions
     signal = rng.normal(0.0, _SIGNAL_SCALE, size=q)

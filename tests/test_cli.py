@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,9 +128,11 @@ class TestSynth:
         assert table.n_forecasters == 5
 
     def test_bad_coverage_is_usage_error(self, tmp_path, capsys):
-        # a noise whose square overflows is as bad as an infinite one
+        # a noise whose square overflows is as bad as an infinite one, and
+        # a positive one whose square underflows to 0 as bad as a negative one
         for flag, value in [("--coverage", "0"), ("--noise", "inf"), ("--noise", "nan"),
-                            ("--noise", "1e160"), ("--noise", "1e308")]:
+                            ("--noise", "1e160"), ("--noise", "1e308"),
+                            ("--noise", "1e-200")]:
             assert main(["synth", "--forecasters", "2", "--questions", "2",
                          "--mode", "type2", flag, value,
                          "--out-prefix", str(tmp_path / "x")]) == 1
@@ -186,7 +189,8 @@ class TestCombinePredict:
         assert main(["predict", "--model", str(model_path), "--forecasts", str(other),
                      "--report-out", str(report_path)]) == 0
         capsys.readouterr()
-        assert '"margin": 0.0,' in report_path.read_text()
+        [entry] = json.loads(report_path.read_text())["per_question"]
+        assert entry["margin"] == 0.0 and math.copysign(1.0, entry["margin"]) == 1.0
 
     def test_reports_do_not_depend_on_the_blas_kernel(self, tmp_path):
         # OpenBLAS picks its dot-product kernel by CPU; Prescott runs on
@@ -358,6 +362,69 @@ class TestLoo:
         out = capsys.readouterr().out
         assert "best_individual" in out
         assert "bagging" in out
+
+
+def _exact(value):
+    """``value`` with dict key order kept and every leaf tagged by its type,
+    floats by their hex digits, so equal results mean the same JSON."""
+    if isinstance(value, dict):
+        return [(key, _exact(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value
+
+
+class TestJsonArtifacts:
+    def test_one_compact_line_that_parses_back(self, table_files, tmp_path, capsys,
+                                               monkeypatch):
+        written = []
+        write = dataio._write_record
+
+        def recorded(record, path):
+            written.append(record)
+            write(record, path)
+
+        monkeypatch.setattr(dataio, "_write_record", recorded)
+        monkeypatch.setattr(cli, "_write_record", recorded)
+        _, fpath, opath = table_files
+        data = ["--forecasts", fpath, "--outcomes", opath]
+        model, loo, predictions = (tmp_path / name for name in ("m.json", "l.json", "p.json"))
+        assert main(["combine", "--method", "adaboost", "--iterations", "10", *data,
+                     "--model-out", str(model)]) == 0
+        assert main(["loo", "--method", "realboost", "--iterations", "5", *data,
+                     "--report-out", str(loo)]) == 0
+        assert main(["predict", "--model", str(model), *data,
+                     "--report-out", str(predictions)]) == 0
+        capsys.readouterr()
+        assert len(written) == 3
+        for path, record in zip((model, loo, predictions), written):
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert _exact(json.loads(text)) == _exact(record)
+
+        # files written with indent=2 by earlier versions still load
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(model.read_text()), indent=2) + "\n")
+        assert load_model(indented) == load_model(model)
+
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                dataio._write_record({"schema": "x", "value": [1.0, bad]}, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # only synth needs scipy, and generate_synthetic imports it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", "import sys, forecast_ensembles.cli; "
+                               "print('scipy' in sys.modules)"],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestTrainerBindings:

@@ -174,7 +174,7 @@ class TestSyntheticGenerator:
             SyntheticSpec(forecasters=0)
         with pytest.raises(ValueError):
             SyntheticSpec(mode="type3")
-        for noise in (-1.0, math.inf, math.nan, 1e160):
+        for noise in (-1.0, math.inf, math.nan, 1e160, 1e-200):
             with pytest.raises(ValueError):
                 SyntheticSpec(noise=noise)
         with pytest.raises(ValueError):
