@@ -16,7 +16,6 @@ from .combiners import (
     adaboost_train,
     bag,
     classify,
-    ensemble_predict,
     ensemble_predict_table,
     realboost_train,
     train,
@@ -30,15 +29,7 @@ from .dataio import (
     save_model,
     write_table,
 )
-from .domain import (
-    NEGATIVE,
-    POSITIVE,
-    ForecastTable,
-    ImputationPolicy,
-    impute,
-    validate_outcome,
-    validate_probability,
-)
+from .domain import NEGATIVE, POSITIVE, ForecastTable
 from .evaluation import (
     EvalReport,
     QuestionResult,
@@ -61,7 +52,6 @@ from .scoring import (
     TableSplit,
     decompose,
     decompose_table,
-    empirical_score,
 )
 
 __all__ = [
@@ -69,10 +59,6 @@ __all__ = [
     "POSITIVE",
     "NEGATIVE",
     "ForecastTable",
-    "ImputationPolicy",
-    "impute",
-    "validate_probability",
-    "validate_outcome",
     "LinkSpec",
     "ScoringRule",
     "savage_scores",
@@ -81,7 +67,6 @@ __all__ = [
     "conditional_risk",
     "BinSummary",
     "ScoreReport",
-    "empirical_score",
     "decompose",
     "TableSplit",
     "decompose_table",
@@ -91,7 +76,6 @@ __all__ = [
     "bag",
     "adaboost_train",
     "realboost_train",
-    "ensemble_predict",
     "ensemble_predict_table",
     "classify",
     "EvalReport",

@@ -7,9 +7,9 @@ Subcommands:
   score     per-forecaster score / calibration / refinement report
   synth     write a seeded synthetic forecasts/outcomes CSV pair
 
-Exit codes: 0 success, 1 usage error, 2 data error.  The LOG_LEVEL
-environment variable (error, warn, info, debug) controls diagnostics on
-stderr.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
+The LOG_LEVEL environment variable (error, warn, info, debug) controls
+diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -232,6 +232,10 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

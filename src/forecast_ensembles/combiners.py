@@ -51,14 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (
-    MAX_SEED,
-    NEGATIVE,
-    POSITIVE,
-    ForecastTable,
-    ImputationPolicy,
-    impute,
-)
+from .domain import MAX_SEED, NEGATIVE, POSITIVE, ForecastTable
 from .links import LinkSpec
 
 __all__ = [
@@ -70,7 +63,6 @@ __all__ = [
     "adaboost_train",
     "realboost_train",
     "ensemble_predict_table",
-    "ensemble_predict",
     "classify",
     "stage_weight",
 ]
@@ -281,20 +273,21 @@ def bag(table: ForecastTable) -> EnsembleModel:
 def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> EnsembleModel:
     """Stagewise boosting of sign predictors.
 
-    Absent forecasts are filled once with seeded uniform draws over the
-    whole table (`impute`).  The draws are not kept: predictions, on the
-    training questions too, fill absent cells by the rule of
-    `ensemble_predict_table`.  Each round selects the forecaster with the
-    least weighted error mass (ties to the lowest index), then reweights
-    the training questions; weights are renormalized every round, which
-    leaves both the selection and the stage weight unchanged.  Rounds stop
-    early once no forecaster beats chance under the current weights; if
-    that happens on the very first round the best forecaster is kept with
-    a zero stage weight so the model still exists (it then always predicts a
-    margin of zero).
+    Absent cell (i, q) is filled once with entry (i, q) of
+    ``default_rng(seed).random((N, Q))``.  The draws are not kept:
+    predictions, on the training questions too, fill absent cells by the
+    rule of `ensemble_predict_table`.  Each round selects the forecaster
+    with the least weighted error mass (ties to the lowest index), then
+    reweights the training questions; weights are renormalized every
+    round, which leaves both the selection and the stage weight unchanged.
+    Rounds stop early once no forecaster beats chance under the current
+    weights; if that happens on the very first round the best forecaster
+    is kept with a zero stage weight so the model still exists (it then
+    always predicts a margin of zero).
     """
     _check_trainable(table, iterations)
-    dense = impute(table, ImputationPolicy("random", seed))
+    dense = np.where(table.answered, table.forecasts,
+                     np.random.default_rng(seed).random(table.forecasts.shape))
     base = np.where(dense.T > 0.5, POSITIVE, NEGATIVE)
     mistaken = base != table.outcomes[:, np.newaxis]  # (Q, N)
     least_mass = _LeastTotal(mistaken.astype(float, order="C"))
@@ -336,7 +329,7 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     exponential risk.
     """
     _check_trainable(table, iterations)
-    margins = LinkSpec("exponential").link(impute(table, ImputationPolicy("half")))
+    margins = LinkSpec("exponential").link(np.where(table.answered, table.forecasts, 0.5))
     # (Q, N), fixed across rounds
     loss_factors = np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))
     least_objective = _LeastTotal(loss_factors)
@@ -405,16 +398,6 @@ def ensemble_predict_table(model: EnsembleModel, forecasts) -> tuple[np.ndarray,
     terms *= np.array(alphas)[:, np.newaxis]
     margins = _ordered_sum(terms)
     return margins, model.link.inverse_link(margins)
-
-
-def ensemble_predict(model: EnsembleModel, forecasts) -> tuple[float, float]:
-    """(margin, probability) of one question's length-N forecast vector:
-    `ensemble_predict_table`, with the bits of its column of any table."""
-    forecasts = np.asarray(forecasts, dtype=float)
-    if forecasts.shape != (model.n_forecasters,):
-        raise ValueError(f"expected {model.n_forecasters} forecasts, got shape {forecasts.shape}")
-    margins, probabilities = ensemble_predict_table(model, forecasts[:, np.newaxis])
-    return float(margins[0]), float(probabilities[0])
 
 
 def classify(margin: float) -> int:

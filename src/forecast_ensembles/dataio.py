@@ -18,10 +18,11 @@ model JSON      schema ``ensemble_model.v2``: method, rounds as
                 rule on every question.  A ``v1`` file is rejected.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
-Every forecasts CSV is read in one pass by `load_forecast_matrix`, which
+Every forecasts CSV is read in one pass by `_read_forecasts`, which
 orders questions by first appearance and forecasters by first appearance
-or as the caller gives (a model's); `load_table` adds the outcomes file
-and puts the questions in its order.  Probabilities are written with 17
+or as the caller gives (a model's).  `load_forecast_matrix` lays its
+cells out in that order; `load_table` adds the outcomes file and puts
+the questions in its order.  Probabilities are written with 17
 significant digits and JSON floats use shortest-round-trip repr, so every
 file round-trips bit-exactly.  Each JSON file, the CLI's prediction report
 too, is one line of compact, strict JSON (no NaN or infinity) written by

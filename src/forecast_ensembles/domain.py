@@ -1,11 +1,11 @@
-"""Core value types: probabilities, outcomes, forecast tables, imputation.
+"""Core value types: outcomes and forecast tables.
 
 A forecast table is the rectangular block of probability forecasts made by
 N forecasters on Q resolved binary questions.  Cells are NaN-coded: a cell
 holds either a probability in [0, 1] or NaN meaning the forecaster gave no
 forecast for that question.  NaN can never silently act as a probability,
-which is the point: anything that needs a dense matrix must go through
-`impute` and say how absent cells are filled.
+which is the point: anything that needs a dense matrix fills the absent
+cells itself, by a rule it states (each combiner's is in `combiners`).
 
 All values here are immutable after construction and safe to share between
 concurrent tasks.
@@ -17,36 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "POSITIVE",
-    "NEGATIVE",
-    "validate_probability",
-    "validate_outcome",
-    "ForecastTable",
-    "ImputationPolicy",
-    "impute",
-]
+__all__ = ["POSITIVE", "NEGATIVE", "ForecastTable"]
 
 POSITIVE = 1
 NEGATIVE = -1
 
 MAX_SEED = 2**64 - 1
-
-
-def validate_probability(value: float) -> float:
-    """Return ``value`` as a float, rejecting anything outside [0, 1]."""
-    v = float(value)
-    if not 0.0 <= v <= 1.0:  # also rejects NaN
-        raise ValueError(f"probability must lie in [0, 1], got {value!r}")
-    return v
-
-
-def validate_outcome(label: int) -> int:
-    """Return ``label`` as an int, accepting only +1 and -1."""
-    v = int(label)
-    if v not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"outcome must be +1 or -1, got {label!r}")
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,34 +101,3 @@ class ForecastTable:
             and np.array_equal(self.forecasts, other.forecasts, equal_nan=True)
             and np.array_equal(self.outcomes, other.outcomes)
         )
-
-
-@dataclass(frozen=True)
-class ImputationPolicy:
-    """How absent forecasts are treated.
-
-    half:    substitute 0.5
-    random:  substitute a seeded uniform draw
-    """
-
-    mode: str
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("half", "random"):
-            raise ValueError(f"unknown imputation mode {self.mode!r}")
-        if not 0 <= int(self.seed) <= MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-def impute(table: ForecastTable, policy: ImputationPolicy) -> np.ndarray:
-    """Dense (N, Q) probability matrix with absent cells filled per ``policy``.
-
-    Present cells pass through unchanged.  Random mode is deterministic:
-    the same seed and table shape always produce the same draws.
-    """
-    if policy.mode == "half":
-        fill = np.full(table.forecasts.shape, 0.5)
-    else:
-        fill = np.random.default_rng(policy.seed).random(table.forecasts.shape)
-    return np.where(table.answered, table.forecasts, fill)

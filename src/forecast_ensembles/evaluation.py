@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combiners import METHODS, classify, ensemble_predict, ensemble_predict_table, train
+from .combiners import METHODS, classify, ensemble_predict_table, train
 from .domain import NEGATIVE, POSITIVE, ForecastTable
 
 __all__ = [
@@ -91,7 +91,8 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
         unique_counts = []
         for q in range(table.n_questions):
             model = train(table.without_question(q), method, iterations, seed ^ q)
-            margins[q], probabilities[q] = ensemble_predict(model, table.forecasts[:, q])
+            margins[q:q + 1], probabilities[q:q + 1] = ensemble_predict_table(
+                model, table.forecasts[:, [q]])
             unique_counts.append(model.unique_forecasters)
 
     per_question = tuple(map(QuestionResult, table.question_ids, map(classify, margins.tolist()),

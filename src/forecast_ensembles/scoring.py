@@ -5,12 +5,14 @@ exposed by an exact split into a calibration part (non-positive, zero for a
 perfectly calibrated forecaster) and a refinement part (how decisively the
 forecaster commits to 0 or 1), estimated with equal-width probability bins.
 
-`decompose_table` splits every forecaster of a table in one pass, and
-`decompose` is its one-forecaster case, so both give the same bits.  Each
-forecaster's bin totals add up its members in question order, and its bin
-terms are summed in bin order; an empty bin's term is -0.0, which leaves
-any running total unchanged (x + -0.0 == x, also for x = -0.0), so the
-sum is the one over the filled bins alone.
+`decompose_table` splits every forecaster of a table in one pass and
+returns only the per-forecaster parts; `decompose` splits one forecaster
+by the same code, so both give the same bits, and adds its per-bin
+counts and frequencies.  Each forecaster's bin totals add up its members
+in question order, and its bin terms are summed in bin order; an empty
+bin's term is -0.0, which leaves any running total unchanged
+(x + -0.0 == x, also for x = -0.0), so the sum is the one over the
+filled bins alone.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .domain import POSITIVE, NEGATIVE
 from .links import ScoringRule
 
-__all__ = ["MAX_BINS", "BinSummary", "ScoreReport", "TableSplit", "empirical_score",
-           "decompose", "decompose_table"]
+__all__ = ["MAX_BINS", "BinSummary", "ScoreReport", "TableSplit", "decompose",
+           "decompose_table"]
 
 
 class BinSummary(NamedTuple):
@@ -51,48 +53,23 @@ class ScoreReport:
 
 
 class TableSplit(NamedTuple):
-    """`decompose_table`'s split of every forecaster of a table: row i is
-    forecaster i.  A forecaster without forecasts has count 0 and NaN
-    total, calibration and refinement."""
+    """`decompose_table`'s split of every forecaster of a table: entry i
+    is forecaster i.  A forecaster without forecasts has count 0 and NaN
+    total, calibration and refinement.  Per-bin counts and frequencies
+    are not kept; `decompose` gives them for one forecaster."""
 
-    count: np.ndarray            # (N,) forecasts given
-    total: np.ndarray            # (N,)
-    calibration: np.ndarray      # (N,)
-    refinement: np.ndarray       # (N,)
-    bin_counts: np.ndarray       # (N, bins) members per bin
-    bin_frequencies: np.ndarray  # (N, bins) positive frequency, NaN when empty
+    count: np.ndarray        # (N,) forecasts given
+    total: np.ndarray        # (N,)
+    calibration: np.ndarray  # (N,)
+    refinement: np.ndarray   # (N,)
 
 
 # Most bin cells (rows times bins plus one) split at once, and the most
 # bins, with which a block holds one row.  Each per-bin array of a block
-# takes 8 bytes a cell, so a block's arrays stay at a few MiB.
+# takes 8 bytes a cell and lives only while its block is split, so memory
+# stays at a few MiB a block whatever the bin count.
 _BLOCK_CELLS = 1 << 20
 MAX_BINS = _BLOCK_CELLS - 1
-
-
-def _validated(forecasts, outcomes) -> tuple[np.ndarray, np.ndarray]:
-    forecasts = np.asarray(forecasts, dtype=float)
-    outcomes = np.asarray(outcomes, dtype=int)
-    if forecasts.ndim != 1 or outcomes.shape != forecasts.shape:
-        raise ValueError("forecasts and outcomes must be 1-d and of equal length")
-    if forecasts.size == 0:
-        raise ValueError("cannot score an empty forecast list")
-    if np.any(np.isnan(forecasts)) or np.any((forecasts < 0) | (forecasts > 1)):
-        raise ValueError("forecasts must lie in [0, 1]")
-    if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
-        raise ValueError("outcomes must be +1 or -1")
-    return forecasts, outcomes
-
-
-def empirical_score(forecasts: Sequence[float], outcomes: Sequence[int],
-                    rule: ScoringRule) -> float:
-    """Average realized score: event_score for questions that resolved
-    positive, nonevent_score otherwise."""
-    forecasts, outcomes = _validated(forecasts, outcomes)
-    scores = np.where(outcomes == POSITIVE,
-                      rule.event_score(forecasts),
-                      rule.nonevent_score(forecasts))
-    return float(scores.mean())
 
 
 def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
@@ -114,12 +91,24 @@ def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
     bin centers precisely so that this identity is exact; empty bins
     contribute nothing.
 
-    This is `decompose_table` on a table of one forecaster: member sums
-    in forecast order, bin terms summed in bin order, -0.0 for an empty
-    bin.
+    This is `decompose_table`'s split of a one-row table, by the same
+    code: member sums in forecast order, bin terms summed in bin order,
+    -0.0 for an empty bin.  ``per_bin`` holds that row's bin counts and
+    positive frequencies, NaN for an empty bin.
     """
-    forecasts, outcomes = _validated(forecasts, outcomes)
-    split = decompose_table(forecasts[np.newaxis], outcomes, rule, bins)
+    forecasts = np.asarray(forecasts, dtype=float)
+    outcomes = np.asarray(outcomes, dtype=int)
+    if forecasts.ndim != 1 or outcomes.shape != forecasts.shape:
+        raise ValueError("forecasts and outcomes must be 1-d and of equal length")
+    if forecasts.size == 0:
+        raise ValueError("cannot score an empty forecast list")
+    if np.any(np.isnan(forecasts)) or np.any((forecasts < 0) | (forecasts > 1)):
+        raise ValueError("forecasts must lie in [0, 1]")
+    if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
+        raise ValueError("outcomes must be +1 or -1")
+    _check_bins(bins)
+    split, counts, frequencies = _split_rows(forecasts[np.newaxis], outcomes == POSITIVE,
+                                             rule, bins)
     return ScoreReport(
         total=float(split.total[0]),
         calibration=float(split.calibration[0]),
@@ -127,7 +116,7 @@ def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
         bins=bins,
         per_bin=tuple(BinSummary((b + 0.5) / bins, count, frequency)
                       for b, (count, frequency) in enumerate(zip(
-                          split.bin_counts[0].tolist(), split.bin_frequencies[0].tolist()))),
+                          counts[0].tolist(), frequencies[0].tolist()))),
     )
 
 
@@ -143,8 +132,8 @@ def decompose_table(forecasts, outcomes, rule: ScoringRule, bins: int = 10) -> T
     The rule is evaluated once on the (N, bins) arrays, elementwise and
     so bit for bit as on one row, and the bin terms are summed in bin
     order by a cumulative sum along each row, with -0.0 in every empty
-    bin.  Blocks of rows are split in turn, so that a large ``bins``
-    keeps the arrays small.
+    bin.  Blocks of rows are split in turn and only their (N,) parts
+    are kept, so that memory stays small whatever ``bins`` is.
     """
     forecasts = np.ascontiguousarray(forecasts, dtype=float)
     outcomes = np.asarray(outcomes, dtype=int)
@@ -154,19 +143,24 @@ def decompose_table(forecasts, outcomes, rule: ScoringRule, bins: int = 10) -> T
         raise ValueError("forecasts must lie in [0, 1] or be NaN")
     if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
         raise ValueError("outcomes must be +1 or -1")
-    if not 1 <= bins <= MAX_BINS:
-        raise ValueError(f"bin count must lie in [1, {MAX_BINS}]")
+    _check_bins(bins)
     positive = outcomes == POSITIVE
     rows = _BLOCK_CELLS // (bins + 1)
-    blocks = [_split_rows(forecasts[start:start + rows], positive, rule, bins)
+    blocks = [_split_rows(forecasts[start:start + rows], positive, rule, bins)[0]
               for start in range(0, max(len(forecasts), 1), rows)]
     return TableSplit(*map(np.concatenate, zip(*blocks)))
 
 
+def _check_bins(bins: int) -> None:
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bin count must lie in [1, {MAX_BINS}]")
+
+
 def _split_rows(forecasts: np.ndarray, positive: np.ndarray, rule: ScoringRule,
-                bins: int) -> TableSplit:
-    """`decompose_table` of a C-contiguous block of rows; ``positive``
-    marks the questions that resolved positive."""
+                bins: int) -> tuple[TableSplit, np.ndarray, np.ndarray]:
+    """`decompose_table` of a block of rows, with the block's (rows, bins)
+    member counts and positive frequencies (NaN in an empty bin);
+    ``positive`` marks the questions that resolved positive."""
     n, width = forecasts.shape[0], bins + 1
     scaled = forecasts * bins
     np.minimum(scaled, bins - 1, out=scaled)
@@ -197,5 +191,5 @@ def _split_rows(forecasts: np.ndarray, positive: np.ndarray, rule: ScoringRule,
     refinement, calibration = (
         np.where(answered, np.cumsum(np.where(filled, terms, -0.0), axis=1)[:, -1], np.nan)
         for terms in (refinement, calibration))
-    return TableSplit(count, calibration + refinement, calibration, refinement,
-                      counts, np.where(filled, freq, np.nan))
+    return (TableSplit(count, calibration + refinement, calibration, refinement),
+            counts, np.where(filled, freq, np.nan))

@@ -1,9 +1,10 @@
-"""Brute-force reference implementations of the two boosting loops.
+"""Brute-force reference implementations of the two boosting loops, and
+of the fill of absent forecasts that each trainer fits.
 
 Pure-Python scalar arithmetic with no code shared with the package: these
 pin the vectorized implementations down to exact selection indices and
 1e-12 numeric agreement.  Inputs are dense probability matrices given as
-nested lists indexed [forecaster][question].
+nested lists indexed [forecaster][question]; `training_fill` makes them.
 
 Every total is accumulated left to right by `ordered_sum`, never by the
 builtin ``sum``, which uses compensated summation from Python 3.12 on:
@@ -15,8 +16,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 ERROR_CLAMP = 1e-8
 PROB_CLIP = 1e-6
+
+
+def training_fill(forecasts, seed=None):
+    """Dense copy of an (N, Q) forecast matrix with NaN for an absent
+    forecast, as a trainer fits it: an absent cell reads as 0.5 (bagging
+    and realboost) or, given adaboost's ``seed``, cell (i, q) takes entry
+    (i, q) of ``numpy.random.default_rng(seed).random((N, Q))``."""
+    forecasts = np.asarray(forecasts, dtype=float)
+    fill = 0.5 if seed is None else np.random.default_rng(seed).random(forecasts.shape)
+    return np.where(np.isnan(forecasts), fill, forecasts)
 
 
 def ordered_sum(values):

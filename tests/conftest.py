@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from forecast_ensembles import ForecastTable
+from forecast_ensembles import ForecastTable, ensemble_predict_table
 
 
 @pytest.fixture
@@ -31,3 +31,11 @@ def random_table(rng: np.random.Generator, n_forecasters: int, n_questions: int,
         forecasts=forecasts,
         outcomes=outcomes,
     )
+
+
+def predict_column(model, forecasts) -> tuple[float, float]:
+    """(margin, probability) of one question's length-N forecast vector:
+    `ensemble_predict_table` on its one-column matrix."""
+    column = np.asarray(forecasts, dtype=float)[:, np.newaxis]
+    margins, probabilities = ensemble_predict_table(model, column)
+    return float(margins[0]), float(probabilities[0])

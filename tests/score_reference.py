@@ -5,7 +5,8 @@ in one pass, with the `score` subcommand's loop that called it once per
 forecaster: three `np.bincount` calls over one forecaster's answered
 cells, the rule evaluated on its filled bins only, and the bin terms
 summed in bin order.  It pins `scoring.decompose_table` and
-`scoring.decompose` down bit for bit.
+`scoring.decompose` down bit for bit.  `empirical_score`, the average
+realized score, pins down what the split adds up to.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import numpy as np
 from forecast_ensembles.scoring import BinSummary, ScoreReport
 
 POSITIVE = 1
+
+
+def empirical_score(forecasts, outcomes, rule) -> float:
+    """Average realized score: event_score for questions that resolved
+    positive, nonevent_score otherwise."""
+    forecasts = np.asarray(forecasts, dtype=float)
+    scores = np.where(np.asarray(outcomes) == POSITIVE,
+                      rule.event_score(forecasts), rule.nonevent_score(forecasts))
+    return float(scores.mean())
 
 
 def decompose(forecasts, outcomes, rule, bins: int = 10) -> ScoreReport:

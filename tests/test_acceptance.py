@@ -13,17 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from boost_reference import adaboost_reference, realboost_reference
-from conftest import random_table
+from boost_reference import adaboost_reference, realboost_reference, training_fill
+from conftest import predict_column, random_table
 from forecast_ensembles import (
-    ImputationPolicy,
     LinkSpec,
     SyntheticSpec,
     adaboost_train,
     decompose,
-    ensemble_predict,
     generate_synthetic,
-    impute,
     individual_baseline,
     load_table,
     loo_evaluate,
@@ -140,23 +137,23 @@ class TestCriterion5OracleEquivalence:
             seed = int(rng.integers(10_000))
 
             ada = adaboost_train(table, iterations, seed)
-            dense = impute(table, ImputationPolicy("random", seed))
+            dense = training_fill(table.forecasts, seed)
             ref_rounds, ref_margins = adaboost_reference(
                 dense.tolist(), table.outcomes.tolist(), iterations)
             assert [j for j, _ in ada.rounds] == [j for j, _ in ref_rounds]
             for (_, alpha), (_, ref_alpha) in zip(ada.rounds, ref_rounds):
                 assert abs(alpha - ref_alpha) <= 1e-12
             for q in range(table.n_questions):
-                margin, _ = ensemble_predict(ada, dense[:, q])
+                margin, _ = predict_column(ada, dense[:, q])
                 assert abs(margin - ref_margins[q]) <= 1e-12
 
             real = realboost_train(table, iterations)
-            half_dense = impute(table, ImputationPolicy("half"))
+            half_dense = training_fill(table.forecasts)
             ref_picks, ref_margins = realboost_reference(
                 half_dense.tolist(), table.outcomes.tolist(), iterations)
             assert [j for j, _ in real.rounds] == ref_picks
             for q in range(table.n_questions):
-                margin, _ = ensemble_predict(real, table.forecasts[:, q])
+                margin, _ = predict_column(real, table.forecasts[:, q])
                 assert abs(margin - ref_margins[q]) <= 1e-12
             tables += 1
         elapsed = time.perf_counter() - started
@@ -175,7 +172,7 @@ class TestCriterion6RiskMonotonicityAndDominance:
         for seed in range(20):
             table = generate_synthetic(SyntheticSpec(forecasters=50, questions=200,
                                                      noise=1.0, seed=seed))
-            margins = np.asarray(link.link(impute(table, ImputationPolicy("half"))))
+            margins = np.asarray(link.link(training_fill(table.forecasts)))
             outcomes = table.outcomes
             individual_risks = np.exp(-outcomes[None, :] * margins).mean(axis=1)
             model = realboost_train(table, 70)
@@ -202,7 +199,7 @@ class TestCriterion7BaggingDominance:
         for seed in range(20):
             table = generate_synthetic(SyntheticSpec(forecasters=50, questions=200,
                                                      noise=1.0, seed=seed))
-            dense = impute(table, ImputationPolicy("half"))
+            dense = training_fill(table.forecasts)
             y01 = (table.outcomes + 1) / 2
             ensemble_err = (y01 - dense.mean(axis=0)) ** 2
             member_err = ((y01[None, :] - dense) ** 2).mean(axis=0)

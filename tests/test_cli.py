@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import predict_column
 from forecast_ensembles import (
     SyntheticSpec,
-    ensemble_predict,
     generate_synthetic,
     load_eval_report,
     load_model,
@@ -18,6 +18,7 @@ from forecast_ensembles import (
 )
 from forecast_ensembles import cli, combiners, dataio
 from forecast_ensembles.cli import main
+from forecast_ensembles.scoring import MAX_BINS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -171,7 +172,7 @@ class TestCombinePredict:
         reloaded = load_table(fpath, opath)
         by_id = {entry["question_id"]: entry for entry in record["per_question"]}
         for q, question_id in enumerate(reloaded.question_ids):
-            margin, probability = ensemble_predict(model, reloaded.forecasts[:, q])
+            margin, probability = predict_column(model, reloaded.forecasts[:, q])
             assert by_id[question_id]["margin"] == margin
             assert by_id[question_id]["probability"] == probability
 
@@ -425,6 +426,41 @@ class TestStartup:
                                "print('scipy' in sys.modules)"],
                               env=env, capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
+
+
+class TestMemoryCap:
+    """The CLI in a process whose address space is capped at 600 MiB, on
+    one BLAS thread so that the space it reserves does not grow with the
+    core count."""
+
+    CAP = 600 << 20
+
+    def run(self, tmp_path, *args):
+        resource = pytest.importorskip("resource")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "forecast_ensembles.cli", *args], cwd=tmp_path, env=env,
+            capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP)))
+
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path):
+        done = self.run(tmp_path, "synth", "--forecasters", "1000000", "--questions", "1000000",
+                        "--mode", "type2", "--out-prefix", "huge")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_score_at_the_most_bins_keeps_only_per_forecaster_numbers(self, tmp_path):
+        # per-bin arrays of all 24 forecasters at 2^20 bins would take
+        # about 700 MiB on top of the interpreter
+        table = generate_synthetic(SyntheticSpec(forecasters=24, questions=20, seed=0))
+        write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
+        done = self.run(tmp_path, "score", "--forecasts", "f.csv", "--outcomes", "o.csv",
+                        "--bins", str(MAX_BINS))
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 1 + table.n_forecasters
 
 
 class TestTrainerBindings:

@@ -7,20 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boost_reference import adaboost_reference, ordered_sum, realboost_reference
-from conftest import random_table
+from boost_reference import adaboost_reference, ordered_sum, realboost_reference, training_fill
+from conftest import predict_column, random_table
 from forecast_ensembles import (
     DEFAULT_ITERATIONS,
     EnsembleModel,
     ForecastTable,
-    ImputationPolicy,
     LinkSpec,
     adaboost_train,
     bag,
     classify,
-    ensemble_predict,
     ensemble_predict_table,
-    impute,
     realboost_train,
     train,
 )
@@ -45,24 +42,24 @@ def single_question_table(forecasts, outcome=1):
 class TestBagging:
     def test_mean_of_two(self):
         model = bag(single_question_table([0.4, 0.6]))
-        margin, probability = ensemble_predict(model, [0.4, 0.6])
+        margin, probability = predict_column(model, [0.4, 0.6])
         assert probability == pytest.approx(0.5, abs=1e-12)
         assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_absent_counts_as_half(self):
         model = bag(single_question_table([0.9, np.nan]))
-        _, probability = ensemble_predict(model, [0.9, np.nan])
+        _, probability = predict_column(model, [0.9, np.nan])
         assert probability == pytest.approx(0.7, abs=1e-12)
 
     def test_single_forecaster_is_identity(self):
         model = bag(single_question_table([0.37]))
         for value in (0.0, 0.37, 0.81, 1.0):
-            _, probability = ensemble_predict(model, [value])
+            _, probability = predict_column(model, [value])
             assert probability == value
 
     def test_three_way_mean(self):
         model = bag(single_question_table([0.2, 0.6, 0.7]))
-        _, probability = ensemble_predict(model, [0.2, 0.6, 0.7])
+        _, probability = predict_column(model, [0.2, 0.6, 0.7])
         assert probability == pytest.approx(0.5, abs=1e-12)
 
     def test_model_shape(self, toy_table):
@@ -82,7 +79,7 @@ class TestBagging:
         rng = np.random.default_rng(4)
         for _ in range(25):
             table = random_table(rng, 6, 12, missing=0.3)
-            dense = impute(table, ImputationPolicy("half"))
+            dense = training_fill(table.forecasts)
             y01 = (table.outcomes + 1) / 2
             ensemble_err = (y01 - dense.mean(axis=0)) ** 2
             member_err = ((y01[np.newaxis, :] - dense) ** 2).mean(axis=0)
@@ -262,10 +259,10 @@ class TestAdaBoost:
     def test_toy_table_matches_reference(self, toy_table):
         seed = 11
         model = adaboost_train(toy_table, 2, seed=seed)
-        dense = impute(toy_table, ImputationPolicy("random", seed))
+        dense = training_fill(toy_table.forecasts, seed)
         rounds, margins = adaboost_reference(dense.tolist(), toy_table.outcomes.tolist(), 2)
         assert [(j, pytest.approx(a, abs=1e-12)) for j, a in rounds] == list(model.rounds)
-        predicted = [ensemble_predict(model, dense[:, q])[0]
+        predicted = [predict_column(model, dense[:, q])[0]
                      for q in range(toy_table.n_questions)]
         assert predicted == pytest.approx(margins, abs=1e-12)
 
@@ -292,7 +289,7 @@ class TestAdaBoost:
                               np.array([-1, -1]))
         model = adaboost_train(table, 5, seed=0)
         assert model.rounds == ((0, 0.0),)
-        margin, probability = ensemble_predict(model, [0.9])
+        margin, probability = predict_column(model, [0.9])
         assert margin == 0.0 and probability == 0.5
 
     def test_early_stop_truncates_after_progress(self):
@@ -335,11 +332,11 @@ class TestRealBoost:
         rng = np.random.default_rng(7)
         table = random_table(rng, 4, 5, missing=0.25)
         model = realboost_train(table, 3)
-        dense = impute(table, ImputationPolicy("half"))
+        dense = training_fill(table.forecasts)
         picks, margins = realboost_reference(dense.tolist(), table.outcomes.tolist(), 3)
         assert [j for j, _ in model.rounds] == picks
         assert all(a == 1.0 for _, a in model.rounds)
-        predicted = [ensemble_predict(model, table.forecasts[:, q])[0]
+        predicted = [predict_column(model, table.forecasts[:, q])[0]
                      for q in range(table.n_questions)]
         assert predicted == pytest.approx(margins, abs=1e-12)
 
@@ -360,7 +357,7 @@ class TestRealBoost:
         for _ in range(10):
             table = random_table(rng, 5, 9, missing=0.3)
             model = realboost_train(table, 6)
-            margins = np.asarray(link.link(impute(table, ImputationPolicy("half"))))
+            margins = np.asarray(link.link(training_fill(table.forecasts)))
             weights = np.full(table.n_questions, 1.0 / table.n_questions)
             cumulative = np.zeros(table.n_questions)
             previous_risk = None
@@ -385,7 +382,7 @@ class TestRealBoost:
 class TestEnsemblePredict:
     def test_zero_margin_maps_to_half(self, toy_table):
         model = realboost_train(toy_table, 2)
-        margin, probability = ensemble_predict(model, [0.5, 0.5, 0.5])
+        margin, probability = predict_column(model, [0.5, 0.5, 0.5])
         assert margin == 0.0 and probability == 0.5
 
     def test_margin_probability_round_trip(self, toy_table):
@@ -398,13 +395,13 @@ class TestEnsemblePredict:
     def test_length_mismatch_rejected(self, toy_table):
         model = bag(toy_table)
         with pytest.raises(ValueError, match="expected 3 forecasts"):
-            ensemble_predict(model, [0.5, 0.5])
+            predict_column(model, [0.5, 0.5])
 
     def test_unseen_question_prediction_is_deterministic(self, toy_table):
         model = adaboost_train(toy_table, 3, seed=21)
         vector = np.array([np.nan, 0.8, np.nan])
-        first = ensemble_predict(model, vector)
-        assert ensemble_predict(model, vector) == first
+        first = predict_column(model, vector)
+        assert predict_column(model, vector) == first
         # the one fill rule: absent cell i takes entry i of one seeded draw
         fill = np.random.default_rng(21).random(toy_table.n_forecasters)
         base = np.where(np.where(np.isnan(vector), fill, vector) > 0.5, 1.0, -1.0)
@@ -467,7 +464,7 @@ class TestOrderedMargin:
         for q in range(matrix.shape[1]):
             expected = [x.hex() for x in reference_prediction(model, matrix[:, q].tolist())]
             table_column = [float(margins[q]).hex(), float(probabilities[q]).hex()]
-            one_column = [x.hex() for x in ensemble_predict(model, matrix[:, q])]
+            one_column = [x.hex() for x in predict_column(model, matrix[:, q])]
             assert table_column == one_column == expected
 
     def test_zero_weight_round_gives_positive_zero(self):
@@ -476,7 +473,7 @@ class TestOrderedMargin:
         margins, probabilities = ensemble_predict_table(model, [[0.1, 0.9]])
         assert [float(m).hex() for m in margins] == ["0x0.0p+0", "0x0.0p+0"]
         assert probabilities.tolist() == [0.5, 0.5]
-        margin, _ = ensemble_predict(model, [0.1])
+        margin, _ = predict_column(model, [0.1])
         assert margin.hex() == "0x0.0p+0"
 
     def test_rejects_bad_tables(self, toy_table):

@@ -3,33 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boost_reference import training_fill
 from forecast_ensembles import (
     ForecastTable,
-    ImputationPolicy,
-    impute,
-    validate_outcome,
-    validate_probability,
+    LinkSpec,
+    adaboost_train,
+    decompose,
+    matched_scoring_rule,
+    realboost_train,
 )
+
+RULE = matched_scoring_rule(LinkSpec("exponential"))
 
 
 class TestValidation:
+    """Bare probabilities and outcome labels, as `decompose` checks them:
+    a table reads NaN as an absent forecast, so `decompose` is where a
+    NaN probability is refused."""
+
     @pytest.mark.parametrize("value", [0.0, 1.0, 0.5, 0.73])
     def test_probability_accepts_unit_interval(self, value):
-        assert validate_probability(value) == value
+        assert sum(b.count for b in decompose([value], [1], RULE).per_bin) == 1
 
     @pytest.mark.parametrize("value", [-0.1, 1.3, float("nan"), float("inf")])
     def test_probability_rejects_outside(self, value):
-        with pytest.raises(ValueError):
-            validate_probability(value)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            decompose([value], [1], RULE)
 
     def test_outcome_accepts_signs(self):
-        assert validate_outcome(1) == 1
-        assert validate_outcome(-1) == -1
+        assert decompose([0.5, 0.5], [1, -1], RULE, bins=1).per_bin[0].frequency == 0.5
 
     @pytest.mark.parametrize("value", [0, 2, -2])
     def test_outcome_rejects_other(self, value):
-        with pytest.raises(ValueError):
-            validate_outcome(value)
+        with pytest.raises(ValueError, match="outcomes must be"):
+            decompose([0.5], [value], RULE)
 
 
 class TestForecastTable:
@@ -77,45 +84,56 @@ class TestForecastTable:
         assert toy_table.without_question(0) != toy_table
 
 
+def filled(table, seed=None):
+    """The dense table that `boost_reference.training_fill` makes of
+    ``table``; building it refuses a probability outside [0, 1]."""
+    return ForecastTable(table.question_ids, table.forecaster_ids,
+                         training_fill(table.forecasts, seed), table.outcomes)
+
+
 class TestImpute:
+    """The trainers' fill of absent forecasts, pinned by
+    `boost_reference.training_fill`: a model trained on a table equals one
+    trained on the dense table that the fill makes of it."""
+
     def test_half_fills_absent_with_half(self, toy_table):
-        dense = impute(toy_table, ImputationPolicy("half"))
-        assert dense[1, 1] == 0.5
-        assert dense[2, 2] == 0.5
+        dense = filled(toy_table)
+        assert dense.forecasts[1, 1] == dense.forecasts[2, 2] == 0.5
+        assert realboost_train(toy_table, 3) == realboost_train(dense, 3)
 
     def test_present_cells_unchanged(self, toy_table):
-        for mode in ("half", "random"):
-            dense = impute(toy_table, ImputationPolicy(mode, seed=3))
-            assert dense[0, 2] == 0.8
-            np.testing.assert_array_equal(dense[toy_table.answered],
-                                          toy_table.forecasts[toy_table.answered])
+        answered = toy_table.answered
+        for seed in (None, 3):
+            np.testing.assert_array_equal(filled(toy_table, seed).forecasts[answered],
+                                          toy_table.forecasts[answered])
+        assert adaboost_train(toy_table, 3, 3).rounds == \
+            adaboost_train(filled(toy_table, 3), 3, 3).rounds
 
-    def test_random_is_deterministic(self, toy_table):
-        first = impute(toy_table, ImputationPolicy("random", seed=7))
-        second = impute(toy_table, ImputationPolicy("random", seed=7))
-        np.testing.assert_array_equal(first, second)
-        other = impute(toy_table, ImputationPolicy("random", seed=8))
-        assert not np.array_equal(first, other)
-
-    @pytest.mark.parametrize("mode", ["zero", "error"])
-    def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(ValueError, match="mode"):
-            ImputationPolicy(mode)
+    def test_random_is_deterministic(self):
+        # one forecaster that never answers: its error rate is the fill's
+        table = ForecastTable(tuple("abcdef"), ("x",), np.full((1, 6), np.nan),
+                              np.array([1, -1, 1, 1, -1, -1]))
+        first = adaboost_train(table, 3, 7)
+        assert adaboost_train(table, 3, 7) == first
+        assert any(adaboost_train(table, 3, seed).rounds != first.rounds
+                   for seed in range(8, 40))
 
     def test_idempotent_on_dense_tables(self):
         table = ForecastTable(("a", "b"), ("x",), np.array([[0.2, 0.9]]),
                               np.array([1, -1]))
-        for mode in ("half", "random"):
-            dense = impute(table, ImputationPolicy(mode, seed=1))
-            np.testing.assert_array_equal(dense, table.forecasts)
+        assert filled(table, 1) == table
+        assert adaboost_train(table, 3, 1).rounds == adaboost_train(table, 3, 2).rounds
 
-    @given(seed=st.integers(0, 2**32), mode=st.sampled_from(["half", "random"]),
+    @given(seed=st.integers(0, 2**32), adaboost=st.booleans(),
            mask=st.lists(st.booleans(), min_size=6, max_size=6))
     @settings(max_examples=50, deadline=None)
-    def test_output_always_in_unit_interval(self, seed, mode, mask):
+    def test_output_always_in_unit_interval(self, seed, adaboost, mask):
         forecasts = np.linspace(0.1, 0.9, 6).reshape(2, 3)
         forecasts = np.where(np.array(mask).reshape(2, 3), np.nan, forecasts)
         table = ForecastTable(("a", "b", "c"), ("x", "y"), forecasts,
                               np.array([1, -1, 1]))
-        dense = impute(table, ImputationPolicy(mode, seed=seed))
-        assert np.all((dense >= 0) & (dense <= 1))
+        if adaboost:
+            assert adaboost_train(table, 3, seed).rounds == \
+                adaboost_train(filled(table, seed), 3, seed).rounds
+        else:
+            assert realboost_train(table, 3) == realboost_train(filled(table), 3)

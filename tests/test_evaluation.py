@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_table
+from boost_reference import training_fill
+from conftest import predict_column, random_table
 from forecast_ensembles import (
     EvalReport,
     ForecastTable,
-    ImputationPolicy,
     SyntheticSpec,
     bag,
     classify,
-    ensemble_predict,
     generate_synthetic,
-    impute,
     individual_baseline,
     loo_evaluate,
 )
@@ -71,7 +69,7 @@ class TestLeaveOneOut:
         report = loo_evaluate(toy_table, "bagging")
         model = bag(toy_table)
         for q, entry in enumerate(report.per_question):
-            margin, probability = ensemble_predict(model, toy_table.forecasts[:, q])
+            margin, probability = predict_column(model, toy_table.forecasts[:, q])
             assert entry.probability == probability
             assert entry.predicted == classify(margin)
 
@@ -187,7 +185,7 @@ class TestSyntheticGenerator:
             spec = SyntheticSpec(forecasters=50, questions=200, noise=1.0,
                                  coverage=1.0, seed=seed)
             table = generate_synthetic(spec)
-            dense = impute(table, ImputationPolicy("half"))
+            dense = training_fill(table.forecasts)
             y01 = (table.outcomes + 1) / 2
             bagged_mse = float(np.mean((y01 - dense.mean(axis=0)) ** 2))
             member_mse = float(np.mean((y01[np.newaxis, :] - dense) ** 2))

@@ -10,11 +10,11 @@ from forecast_ensembles import (
     ScoringRule,
     decompose,
     decompose_table,
-    empirical_score,
     matched_scoring_rule,
 )
 from forecast_ensembles import scoring
 import score_reference
+from score_reference import empirical_score
 
 DELTA = 1e-6
 
@@ -40,6 +40,9 @@ def calibrated_sample(n, seed):
 
 
 class TestEmpiricalScore:
+    """The average realized score of `score_reference`, against which
+    `decompose`'s total is checked."""
+
     def test_half_forecasts_score_minus_one(self, rule):
         assert empirical_score([0.5, 0.5], [1, -1], rule) == pytest.approx(-1.0, abs=1e-12)
 
@@ -54,15 +57,6 @@ class TestEmpiricalScore:
         assert score == pytest.approx(-math.sqrt(DELTA / (1 - DELTA)), abs=1e-9)
         assert -0.002 < score < 0.0
 
-    def test_rejects_empty_and_mismatched(self, rule):
-        with pytest.raises(ValueError):
-            empirical_score([], [], rule)
-        with pytest.raises(ValueError):
-            empirical_score([0.5], [1, -1], rule)
-        with pytest.raises(ValueError):
-            empirical_score([0.5], [2], rule)
-        with pytest.raises(ValueError):
-            empirical_score([1.5], [1], rule)
 
 
 class TestDecompose:
@@ -130,6 +124,18 @@ class TestDecompose:
     def test_rejects_bad_bins(self, rule):
         with pytest.raises(ValueError):
             decompose([0.5], [1], rule, 0)
+        with pytest.raises(ValueError):
+            decompose([0.5], [1], rule, scoring.MAX_BINS + 1)
+
+    def test_rejects_empty_and_mismatched(self, rule):
+        with pytest.raises(ValueError):
+            decompose([], [], rule)
+        with pytest.raises(ValueError):
+            decompose([0.5], [1, -1], rule)
+        with pytest.raises(ValueError):
+            decompose([0.5], [2], rule)
+        with pytest.raises(ValueError):
+            decompose([1.5], [1], rule)
 
     @given(data=st.lists(st.tuples(st.floats(0, 1), st.sampled_from([1, -1])),
                          min_size=1, max_size=60),
@@ -241,19 +247,17 @@ class TestDecomposeTable:
                 assert split.count[i] == 0
                 assert np.isnan([split.total[i], split.calibration[i],
                                  split.refinement[i]]).all()
-                assert split.bin_counts[i].tolist() == [0] * bins
                 continue
             assert (split_hex(split.total[i], split.calibration[i], split.refinement[i])
                     == split_hex(report.total, report.calibration, report.refinement))
-            assert split.bin_counts[i].tolist() == [b.count for b in report.per_bin]
-            assert (split.bin_frequencies[i].tobytes()
-                    == np.array([b.frequency for b in report.per_bin]).tobytes())
             answered = ~np.isnan(forecasts[i])
             one = decompose(forecasts[i, answered], outcomes[answered], rule, bins)
             assert (split_hex(one.total, one.calibration, one.refinement)
                     == split_hex(report.total, report.calibration, report.refinement))
             assert [(b.center, b.count) for b in one.per_bin] == \
                 [(b.center, b.count) for b in report.per_bin]
+            assert (np.array([b.frequency for b in one.per_bin]).tobytes()
+                    == np.array([b.frequency for b in report.per_bin]).tobytes())
 
     def test_empty_bins_add_negative_zero(self):
         # bin 0 is empty and every filled bin's term is -0.0: the sum over
@@ -277,7 +281,7 @@ class TestDecomposeTable:
 
     def test_table_without_forecasters_or_questions(self, rule):
         split = decompose_table(np.empty((0, 3)), [1, -1, 1], rule, 4)
-        assert split.count.shape == (0,) and split.bin_counts.shape == (0, 4)
+        assert all(part.shape == (0,) for part in split)
         split = decompose_table(np.empty((2, 0)), [], rule, 4)
         assert split.count.tolist() == [0, 0] and np.isnan(split.total).all()
 
