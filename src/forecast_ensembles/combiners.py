@@ -39,6 +39,16 @@ ordered pass (`_ordered_totals`) instead.  The bound holds for any
 summation order, so picks and totals do not depend on how BLAS sums or
 on how many threads it uses.
 
+A round is a pure function of the question weights, so a round that
+leaves them bit for bit as they were is repeated by every later one.  The
+trainers stop computing there and fill the rounds left with copies of it
+(one info line says where).  Adaboost tests for it when the pick's error
+mass is 0.0 and the weights' ordered total is 1.0: the reweighting then
+scales only zero weights and divides by 1.0.  Realboost tests for it when
+the objective is 1.0 and the pick's factors leave every weight as it was;
+any other round pays one scalar comparison.  Models are the same, bit for
+bit, as those of training every round.
+
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
 """
@@ -254,6 +264,16 @@ def _log_argmin(method: str, rounds: int, n_forecasters: int, least: _LeastTotal
                  len(least.columns), n_forecasters, least.candidates, least.fallbacks)
 
 
+def _repeat_to_the_end(method: str, rounds: list[tuple[int, float]], iterations: int) -> None:
+    """Fill ``rounds`` up to ``iterations`` with copies of its last round,
+    which left the weights bit for bit as they were: each round is a pure
+    function of the weights, so every later one would repeat it."""
+    repeats = iterations - len(rounds)
+    logger.info("%s: round %d leaves the weights unchanged; %d later rounds "
+                "repeat it", method, len(rounds), repeats)
+    rounds.extend([rounds[-1]] * repeats)
+
+
 def _check_trainable(table: ForecastTable, iterations: int) -> None:
     if table.n_forecasters < 1 or table.n_questions < 1:
         raise ValueError("cannot train on an empty table")
@@ -283,7 +303,9 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     Rounds stop early once no forecaster beats chance under the current
     weights; if that happens on the very first round the best forecaster
     is kept with a zero stage weight so the model still exists (it then
-    always predicts a margin of zero).
+    always predicts a margin of zero).  A round whose pick errs on no
+    question of nonzero weight, under weights that sum to exactly 1.0,
+    changes no weight, and it fills every round left.
     """
     _check_trainable(table, iterations)
     dense = np.where(table.answered, table.forecasts,
@@ -296,7 +318,8 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
         picked, mass = least_mass(weights)
-        error_rate = mass / _ordered_sum(weights)
+        total = _ordered_sum(weights)
+        error_rate = mass / total
         if error_rate >= 0.5:
             if not rounds:
                 logger.warning("no forecaster beats chance; emitting a single "
@@ -308,6 +331,11 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
             break
         alpha = stage_weight(error_rate)
         rounds.append((picked, alpha))
+        if mass == 0.0 and total == 1.0:
+            # the pick's wrong questions all weigh 0.0 and the weights
+            # already sum to 1.0, so the reweighting below is a no-op
+            _repeat_to_the_end("adaboost", rounds, iterations)
+            break
         # math.exp rounds as the scalar reference does; only the questions
         # the pick got wrong are scaled
         np.multiply(weights, math.exp(alpha), out=weights, where=mistaken[:, picked])
@@ -326,7 +354,9 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     predictor enters with unit weight.  A round whose best objective
     exceeds 1 means no forecaster beats the constant predictor under the
     current weights; it is kept but flagged, since it raises the ensemble's
-    exponential risk.
+    exponential risk.  A round whose objective is exactly 1.0 and whose
+    factors leave every weight as it was (a constant 0.5 forecaster under
+    weights that sum to 1.0) fills every round left.
     """
     _check_trainable(table, iterations)
     margins = LinkSpec("exponential").link(np.where(table.answered, table.forecasts, 0.5))
@@ -345,7 +375,11 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
                            round_index + 1, objective)
         rounds.append((picked, 1.0))
         # the objective is the ordered sum of these very products
-        weights = weights * loss_factors[:, picked]
+        reweighted = weights * loss_factors[:, picked]
+        if objective == 1.0 and np.array_equal(reweighted, weights):
+            _repeat_to_the_end("realboost", rounds, iterations)
+            break
+        weights = reweighted
         weights /= objective
     _log_argmin("realboost", iterations, table.n_forecasters, least_objective)
 

@@ -1,9 +1,15 @@
 """Empirical forecaster evaluation under a proper scoring rule.
 
 The headline number is the average realized score.  Its structure is
-exposed by an exact split into a calibration part (non-positive, zero for a
+exposed by a split into a calibration part (non-positive, zero for a
 perfectly calibrated forecaster) and a refinement part (how decisively the
 forecaster commits to 0 or 1), estimated with equal-width probability bins.
+The two parts add up to the average score with each forecast replaced by
+its bin's mean forecast, except in a bin whose outcome frequency is 0 or
+1: the rule clips probabilities to [clip, 1 - clip], so that bin's honest
+score is taken at the clip, and its term comes out lower by clip times
+the gap between the event and non-event scores there, about 0.001 times
+the bin's share of the forecasts for the exponential rule (clip 1e-6).
 
 `decompose_table` splits every forecaster of a table in one pass and
 returns only the per-forecaster parts; `decompose` splits one forecaster
@@ -37,7 +43,8 @@ class BinSummary(NamedTuple):
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Average score split exactly as total = calibration + refinement.
+    """Average score split as total = calibration + refinement (see the
+    module docstring for the bins where that total is not the binned score).
 
     Calibration is never positive: it is the score lost to dishonest or
     distorted forecasts.  Refinement is the score a perfectly recalibrated
@@ -89,7 +96,9 @@ def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
     which equals the average score with every forecast replaced by its
     bin's mean forecast.  Bin representatives are member means rather than
     bin centers precisely so that this identity is exact; empty bins
-    contribute nothing.
+    contribute nothing.  A bin whose f_b is 0 or 1 is the exception: the
+    rule evaluates honest_score(f_b) at the clip, so the bin's term is
+    lower, by about 0.001 times n_b / n for the exponential rule.
 
     This is `decompose_table`'s split of a one-row table, by the same
     code: member sums in forecast order, bin terms summed in bin order,

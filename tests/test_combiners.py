@@ -313,14 +313,16 @@ class TestAdaBoost:
             adaboost_train(toy_table, 0)
 
     def test_debug_line_counts_the_argmin_work(self, caplog):
-        # x and y forecast alike, so one of the two columns is collapsed
+        # x and y forecast alike, so one of the two columns is collapsed; x
+        # is right on all three questions, so adaboost screens one round
+        # and repeats it (TestFixedPoint)
         forecasts = np.array([[0.9, 0.2, 0.8], [0.9, 0.2, 0.8], [0.1, 0.7, 0.4]])
         table = ForecastTable(("a", "b", "c"), ("x", "y", "z"), forecasts, np.array([1, -1, 1]))
         with caplog.at_level(logging.DEBUG, logger="forecast_ensembles.combiners"):
             adaboost_train(table, 3)
             realboost_train(table, 2)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
-            "adaboost: 3 rounds, 2 of 3 forecasters distinct, 3 candidates rechecked, "
+            "adaboost: 3 rounds, 2 of 3 forecasters distinct, 1 candidates rechecked, "
             "0 full-pass fallbacks",
             "realboost: 2 rounds, 2 of 3 forecasters distinct, 2 candidates rechecked, "
             "0 full-pass fallbacks",
@@ -377,6 +379,112 @@ class TestRealBoost:
     def test_rejects_bad_inputs(self, toy_table):
         with pytest.raises(ValueError):
             realboost_train(toy_table, 0)
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """The rounds screened by `_LeastTotal`, counted as they happen."""
+    calls = []
+    screen = _LeastTotal.__call__
+
+    def counted(self, weights):
+        calls.append(None)
+        return screen(self, weights)
+
+    monkeypatch.setattr(_LeastTotal, "__call__", counted)
+    return calls
+
+
+def planted_table(rng, n_forecasters, n_questions, planted):
+    """Random forecasts with forecaster 1 (or 0, if it is the only one)
+    right on every question with certainty ("perfect") or absent
+    everywhere, which reads as 0.5 ("constant")."""
+    table = random_table(rng, n_forecasters, n_questions, missing=0.2)
+    row = min(1, n_forecasters - 1)
+    forecasts = table.forecasts.copy()
+    forecasts[row] = (np.where(table.outcomes == 1, 1.0, 0.0) if planted == "perfect"
+                      else np.nan)
+    return ForecastTable(table.question_ids, table.forecaster_ids, forecasts, table.outcomes)
+
+
+class TestFixedPoint:
+    """A round that leaves the weights bit for bit as they were is repeated
+    to the last round without screening again; the rounds stay those of
+    the references, which screen every round."""
+
+    @staticmethod
+    def perfect_table(n_questions):
+        outcomes = np.resize([1, -1], n_questions)
+        forecasts = np.vstack([np.full(n_questions, 0.7),  # always the event
+                               np.where(outcomes == 1, 0.9, 0.2)])
+        return ForecastTable(tuple(f"q{j}" for j in range(n_questions)), ("half", "perfect"),
+                             forecasts, outcomes)
+
+    @pytest.mark.parametrize("n_questions, total, n_screens", [
+        (3, 1.0, 1),
+        # the first weights sum to one ulp above 1.0, so the rule waits one
+        # normalization
+        (11, 1.0000000000000002, 2),
+    ])
+    def test_adaboost_perfect_forecaster(self, screens, n_questions, total, n_screens):
+        assert ordered_sum([1.0 / n_questions] * n_questions) == total
+        table = self.perfect_table(n_questions)
+        model = adaboost_train(table, 800)
+        rounds, _ = adaboost_reference(table.forecasts.tolist(), table.outcomes.tolist(), 800)
+        assert list(model.rounds) == rounds
+        assert model.rounds[0] == (1, stage_weight(0.0))
+        assert len(screens) == n_screens
+
+    def test_realboost_settles_on_the_constant_member(self, screens):
+        # after five rounds the absent forecaster w, whose factors are all
+        # 1, has the least objective; in round 6 that objective, the weights'
+        # total, is one ulp below 1.0, so round 7 is the first to leave the
+        # weights as they were
+        forecasts = np.array([[np.nan] * 4, [0.0, 0.0, 0.8, 0.9], [0.6, 0.7, 0.5, 0.9],
+                              [0.8, 0.0, 0.9, 0.0]])
+        outcomes = np.array([-1, -1, -1, 1])
+        table = ForecastTable(("a", "b", "c", "d"), ("w", "x", "y", "z"), forecasts, outcomes)
+        model = realboost_train(table, 30)
+        picks, _ = realboost_reference(training_fill(forecasts).tolist(), outcomes.tolist(), 30)
+        assert [j for j, _ in model.rounds] == picks == [1, 2, 2, 2, 2] + [0] * 25
+        assert all(a == 1.0 for _, a in model.rounds)
+        assert len(screens) == 7
+
+    def test_realboost_objective_of_one_that_moves_the_weights(self, screens):
+        # x's factors, 0.49999999999999994 and 1.5000000000000002, average
+        # to exactly 1.0 but reweight the questions to 1/4 and 3/4, under
+        # which y is the better pick
+        forecasts = np.array([[0.8, 0.3076923076923076], [0.28, 0.83]])
+        outcomes = np.array([1, 1])
+        table = ForecastTable(("a", "b"), ("x", "y"), forecasts, outcomes)
+        model = realboost_train(table, 4)
+        picks, _ = realboost_reference(forecasts.tolist(), outcomes.tolist(), 4)
+        assert [j for j, _ in model.rounds] == picks
+        assert picks[:2] == [0, 1]
+        assert len(screens) == 4
+
+    def test_info_line_names_the_fixed_point(self, caplog):
+        with caplog.at_level(logging.INFO, logger="forecast_ensembles.combiners"):
+            adaboost_train(self.perfect_table(3), 800)
+            adaboost_train(self.perfect_table(3), 1)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            "adaboost: round 1 leaves the weights unchanged; 799 later rounds repeat it",
+            "adaboost: round 1 leaves the weights unchanged; 0 later rounds repeat it",
+        ]
+
+    @given(n=st.integers(1, 5), q=st.integers(1, 12),
+           planted=st.sampled_from(["perfect", "constant"]),
+           iterations=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_rounds_match_the_references(self, n, q, planted, iterations, seed):
+        table = planted_table(np.random.default_rng(seed), n, q, planted)
+        outcomes = table.outcomes.tolist()
+        rounds, _ = adaboost_reference(training_fill(table.forecasts, seed).tolist(), outcomes,
+                                       iterations)
+        assert list(adaboost_train(table, iterations, seed).rounds) == rounds
+        picks, _ = realboost_reference(training_fill(table.forecasts).tolist(), outcomes,
+                                       iterations)
+        assert list(realboost_train(table, iterations).rounds) == [(j, 1.0) for j in picks]
 
 
 class TestEnsemblePredict:
