@@ -19,6 +19,7 @@ from .combiners import (
     ensemble_predict_table,
     realboost_train,
     train,
+    train_folds,
 )
 from .dataio import (
     DataFormatError,
@@ -73,6 +74,7 @@ __all__ = [
     "EnsembleModel",
     "DEFAULT_ITERATIONS",
     "train",
+    "train_folds",
     "bag",
     "adaboost_train",
     "realboost_train",

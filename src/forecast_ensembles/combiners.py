@@ -17,12 +17,13 @@ The method fixes the loss, the link and how absent forecasts are filled
 (`_METHOD_LINK_AND_IMPUTATION`), so a trained model is its method, its
 rounds, the forecaster ids they index and, for adaboost, the seed of its
 fill; it keeps nothing of the training table.  `train` runs any method,
-with its default rounds when the caller does not choose.  A model applies
-to an (N, Q) forecast table (`ensemble_predict_table`) and yields a margin
-plus a probability per question: boosting sums its rounds' terms in
-selection order and recovers the probability through the exponential
-family's inverse link, bagging sums the forecasts in order and divides by
-N.  No BLAS product or pairwise sum decides a prediction's bits.
+with its default rounds when the caller does not choose, and
+`train_folds` trains a boosting method's leave-one-out fold models.  A
+model applies to an (N, Q) forecast table (`ensemble_predict_table`) and
+yields a margin plus a probability per question: boosting sums its
+rounds' terms in selection order and recovers the probability through the
+exponential family's inverse link, bagging sums the forecasts in order
+and divides by N.  No BLAS product or pairwise sum decides a prediction's bits.
 
 Every boosting round is an argmin over forecasters of a weighted total
 over questions, and the specification is exact: each total is
@@ -49,6 +50,12 @@ the objective is 1.0 and the pick's factors leave every weight as it was;
 any other round pays one scalar comparison.  Models are the same, bit for
 bit, as those of training every round.
 
+Realboost's factors of a fold are the full table's without the held-out
+question's row, since an absent forecast reads as 0.5 whatever the fold.
+So `train_folds` builds them once (`_loss_factors`, the one builder) and
+hands each fold its rows; adaboost folds each draw their own fill from
+``seed ^ q`` and build their own.
+
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
 """
@@ -69,6 +76,7 @@ __all__ = [
     "DEFAULT_ITERATIONS",
     "EnsembleModel",
     "train",
+    "train_folds",
     "bag",
     "adaboost_train",
     "realboost_train",
@@ -221,9 +229,12 @@ class _LeastTotal:
     """
 
     def __init__(self, factors: np.ndarray) -> None:
+        # each column's bytes as one void scalar, listed as bytes objects
+        keys = np.ascontiguousarray(factors.T).view(
+            np.dtype((np.void, factors.itemsize * factors.shape[0]))).ravel().tolist()
         first: dict[bytes, int] = {}
-        for j, column in enumerate(np.ascontiguousarray(factors.T)):
-            first.setdefault(column.tobytes(), j)
+        for j, key in enumerate(keys):
+            first.setdefault(key, j)
         self.columns = list(first.values())
         if len(first) < factors.shape[1]:
             # the gather comes back in F order, which `_ordered_totals`
@@ -345,7 +356,17 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     return EnsembleModel("adaboost", tuple(rounds), table.forecaster_ids, seed)
 
 
-def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
+def _loss_factors(table: ForecastTable) -> np.ndarray:
+    """Realboost's per-question factors exp(-y_q * m_iq), question-major
+    (Q, N) and C-contiguous, with absent forecasts read as 0.5 (margin 0).
+    Row q depends only on question q, so a table's factors without row q
+    are, bit for bit, those of the table without question q."""
+    margins = LinkSpec("exponential").link(np.where(table.answered, table.forecasts, 0.5))
+    return np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))
+
+
+def realboost_train(table: ForecastTable, iterations: int, *,
+                    loss_factors: np.ndarray | None = None) -> EnsembleModel:
     """Stagewise boosting of log-odds predictors.
 
     Absent forecasts read as 0.5, i.e. a zero-margin abstention.  Each
@@ -357,11 +378,17 @@ def realboost_train(table: ForecastTable, iterations: int) -> EnsembleModel:
     exponential risk.  A round whose objective is exactly 1.0 and whose
     factors leave every weight as it was (a constant 0.5 forecaster under
     weights that sum to 1.0) fills every round left.
+
+    ``loss_factors``, when given, must be the table's own (Q, N) factors,
+    as `_loss_factors` builds them; `train_folds` hands each fold the
+    rows of the full table's.  A wrong shape raises ValueError.
     """
     _check_trainable(table, iterations)
-    margins = LinkSpec("exponential").link(np.where(table.answered, table.forecasts, 0.5))
-    # (Q, N), fixed across rounds
-    loss_factors = np.ascontiguousarray(np.exp(-table.outcomes[:, np.newaxis] * margins.T))
+    shape = (table.n_questions, table.n_forecasters)
+    if loss_factors is None:
+        loss_factors = _loss_factors(table)
+    elif np.shape(loss_factors) != shape:
+        raise ValueError(f"loss factors have shape {np.shape(loss_factors)}, expected {shape}")
     least_objective = _LeastTotal(loss_factors)
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
@@ -401,6 +428,40 @@ def train(table: ForecastTable, method: str, iterations: int | None = None,
     if method == "adaboost":
         return adaboost_train(table, iterations, seed)
     return realboost_train(table, iterations)
+
+
+def train_folds(table: ForecastTable, method: str, iterations: int | None = None,
+                seed: int = 0) -> list[EnsembleModel]:
+    """The leave-one-out fold models of a boosting ``method``: model q is,
+    bit for bit, ``train(table.without_question(q), method, iterations,
+    seed ^ q)``.  Each fold goes through the module's trainer at call time,
+    in fold order, so a caller that rebinds it sees every fold.  Realboost
+    builds the table's loss factors once and hands fold q those rows but
+    row q, the only one that reads question q's outcome.  One info line
+    reports progress every tenth of the folds, rounded up."""
+    if method not in DEFAULT_ITERATIONS:
+        raise ValueError(f"unknown boosting method {method!r}; expected one of "
+                         f"{tuple(DEFAULT_ITERATIONS)}")
+    if iterations is None:
+        iterations = DEFAULT_ITERATIONS[method]
+    if iterations < 1:
+        raise ValueError("iteration count must be at least 1")
+    n_questions = table.n_questions
+    if n_questions < 2:
+        raise ValueError("boosting needs at least two questions, one to hold out")
+    factors = _loss_factors(table) if method == "realboost" else None
+    every = -(-n_questions // 10)
+    models = []
+    for q in range(n_questions):
+        fold = table.without_question(q)
+        if factors is None:
+            models.append(adaboost_train(fold, iterations, seed ^ q))
+        else:
+            models.append(realboost_train(fold, iterations,
+                                          loss_factors=np.delete(factors, q, axis=0)))
+        if (q + 1) % every == 0:
+            logger.info("%s: fold %d of %d", method, q + 1, n_questions)
+    return models
 
 
 def ensemble_predict_table(model: EnsembleModel, forecasts) -> tuple[np.ndarray, np.ndarray]:

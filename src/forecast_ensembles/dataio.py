@@ -20,7 +20,10 @@ report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
 Every forecasts CSV is read in one pass by `_read_forecasts`, which
 orders questions by first appearance and forecasters by first appearance
-or as the caller gives (a model's).  `load_forecast_matrix` lays its
+or as the caller gives (a model's).  The one lookup that maps a block's
+ids to row and column numbers also numbers each id it meets for the
+first time (`_numbering`); a caller's forecasters are looked up with a
+default of -1 for one it did not give.  `load_forecast_matrix` lays its
 cells out in that order; `load_table` adds the outcomes file and puts
 the questions in its order.  Probabilities are written with 17
 significant digits and JSON floats use shortest-round-trip repr, so every
@@ -33,7 +36,8 @@ The forecasts file is read in blocks of whole lines, each turned into
 question, forecaster and probability columns by `str.split` and `float`, then
 checked as arrays, each CRLF read as LF.  Text with a quote, a NUL or a
 carriage return that does not start a CRLF, or a line longer than
-``csv.field_size_limit()``, is tokenized by csv.reader instead, whose
+``csv.field_size_limit()`` (looked for only in text longer than that
+limit), is tokenized by csv.reader instead, whose
 records feed the same columns, so both read a file alike.
 An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
@@ -45,7 +49,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain, count, filterfalse, repeat
+from collections import defaultdict
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +165,9 @@ class _Columns:
     def __init__(self, path: Path, forecaster_ids) -> None:
         self.path = path
         self.fixed = forecaster_ids is not None
-        self.forecaster_index = {f: i for i, f in enumerate(forecaster_ids or ())}
-        self.question_index: dict[str, int] = {}
+        self.forecaster_index = ({f: i for i, f in enumerate(forecaster_ids)} if self.fixed
+                                 else _numbering())
+        self.question_index = _numbering()
         # one entry per block, from an empty one, so that there is always
         # something to concatenate
         self.rows = [np.empty(0, np.intp)]
@@ -177,7 +183,6 @@ class _Columns:
             if "" in ids:
                 failures.append((ids.index(""), 0,
                                  "question_id and forecaster_id must be non-empty"))
-        _number_new(self.question_index, question_ids)
         columns = np.fromiter(map(self.question_index.__getitem__, question_ids),
                               np.intp, len(question_ids))
         if self.fixed:
@@ -189,7 +194,6 @@ class _Columns:
                 failures.append((position, 3, f"forecaster {forecaster_ids[position]!r} "
                                               "is not part of the model"))
         else:
-            _number_new(self.forecaster_index, forecaster_ids)
             rows = np.fromiter(map(self.forecaster_index.__getitem__, forecaster_ids),
                                np.intp, len(forecaster_ids))
         values, present, parsed = _probabilities(fields)
@@ -244,11 +248,13 @@ class _Columns:
         raise IndexError(position)
 
 
-def _number_new(index: dict[str, int], ids) -> None:
-    """Number the ids not yet in ``index`` on from its size, in order of
-    first appearance."""
-    fresh = filterfalse(index.__contains__, dict.fromkeys(ids))
-    index.update(zip(fresh, count(len(index))))
+def _numbering() -> defaultdict[str, int]:
+    """An id -> number dict that numbers an id it is indexed with on from
+    its size, so that looking ids up numbers them in order of first
+    appearance.  Only ids that are to be numbered may index it."""
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__
+    return index
 
 
 def _probabilities(fields):
@@ -301,7 +307,9 @@ def _plain_blocks(handle):
             text = text.replace("\r\n", "\n") + held
         lines = text.split("\n")
         tail = lines.pop()
-        if len(tail) > limit or max(map(len, lines), default=0) > limit:
+        # no line of text within the limit can exceed it
+        if len(text) > limit and (len(tail) > limit
+                                  or max(map(len, lines), default=0) > limit):
             raise _NotPlain
         if lines:
             yield lines

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combiners import METHODS, classify, ensemble_predict_table, train
+from .combiners import METHODS, classify, ensemble_predict_table, train, train_folds
 from .domain import NEGATIVE, POSITIVE, ForecastTable
 
 __all__ = [
@@ -74,9 +74,10 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
     predict the held-out one.
 
     Bagging has no trainable state, so one model predicts every question
-    in one call; the boosting methods retrain per fold through `train`,
-    with its default rounds when ``iterations`` is None and a fold-local
-    seed of ``seed XOR fold_index``, and predict the held-out column.
+    in one call.  The boosting methods train their fold models through
+    `train_folds`, with the method's default rounds when ``iterations`` is
+    None and a fold-local seed of ``seed XOR fold_index``; each model then
+    predicts its held-out column.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -85,12 +86,9 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
         margins, probabilities = ensemble_predict_table(model, table.forecasts)
         unique_counts = [model.unique_forecasters] * table.n_questions
     else:
-        if table.n_questions < 2:
-            raise ValueError("boosting needs at least two questions, one to hold out")
         margins, probabilities = np.empty((2, table.n_questions))
         unique_counts = []
-        for q in range(table.n_questions):
-            model = train(table.without_question(q), method, iterations, seed ^ q)
+        for q, model in enumerate(train_folds(table, method, iterations, seed)):
             margins[q:q + 1], probabilities[q:q + 1] = ensemble_predict_table(
                 model, table.forecasts[:, [q]])
             unique_counts.append(model.unique_forecasters)

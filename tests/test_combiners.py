@@ -20,10 +20,13 @@ from forecast_ensembles import (
     ensemble_predict_table,
     realboost_train,
     train,
+    train_folds,
 )
+from forecast_ensembles import combiners
 from forecast_ensembles.combiners import (
     METHODS,
     _LeastTotal,
+    _loss_factors,
     _ordered_sum,
     _ordered_totals,
     stage_weight,
@@ -604,6 +607,71 @@ class TestTrain:
     def test_unknown_method_rejected(self, toy_table):
         with pytest.raises(ValueError, match="unknown method"):
             train(toy_table, "stacking")
+
+
+class TestTrainFolds:
+    """`train_folds` gives each leave-one-out fold the model `train` gives
+    it; realboost folds get the full table's loss factors without the
+    held-out row."""
+
+    @given(n=st.integers(1, 4), q=st.integers(2, 8), missing=st.sampled_from([0.0, 0.3]),
+           iterations=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_models_are_trains(self, n, q, missing, iterations, seed):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n, q, missing)
+        # plus a forecaster absent everywhere and a constant 0.5 member
+        forecasts = np.vstack([table.forecasts, np.full((2, q), np.nan)])
+        forecasts[-1] = 0.5
+        table = ForecastTable(table.question_ids, (*table.forecaster_ids, "absent", "half"),
+                              forecasts, table.outcomes)
+        factors = _loss_factors(table)
+        for method in ("adaboost", "realboost"):
+            models = train_folds(table, method, iterations, seed)
+            assert len(models) == q
+            for fold_index, model in enumerate(models):
+                fold = table.without_question(fold_index)
+                assert model == train(fold, method, iterations, seed ^ fold_index)
+                assert np.delete(factors, fold_index, axis=0).tobytes() == \
+                    _loss_factors(fold).tobytes()
+
+    def test_default_rounds(self, toy_table):
+        models = train_folds(toy_table, "realboost")
+        assert [len(m.rounds) for m in models] == [DEFAULT_ITERATIONS["realboost"]] * 4
+
+    def test_wrong_factor_shape_rejected(self, toy_table):
+        factors = _loss_factors(toy_table)
+        with pytest.raises(ValueError, match="shape"):
+            realboost_train(toy_table, 3, loss_factors=factors[1:])
+        with pytest.raises(ValueError, match="shape"):
+            realboost_train(toy_table, 3, loss_factors=factors.T)
+
+    @pytest.mark.parametrize("method, iterations, n_questions, message", [
+        ("bagging", 3, 4, "unknown boosting method"),
+        ("stacking", 3, 4, "unknown boosting method"),
+        ("realboost", 0, 4, "at least 1"),
+        ("adaboost", -1, 4, "at least 1"),
+        ("realboost", 3, 1, "two questions"),
+        ("adaboost", 3, 1, "two questions"),
+    ])
+    def test_rejects_before_building_anything(self, monkeypatch, method, iterations,
+                                              n_questions, message):
+        def built(*args, **kwargs):
+            raise AssertionError("built before the arguments were checked")
+
+        for name in ("_loss_factors", "adaboost_train", "realboost_train"):
+            monkeypatch.setattr(combiners, name, built)
+        monkeypatch.setattr(ForecastTable, "without_question", built)
+        table = random_table(np.random.default_rng(0), 3, n_questions)
+        with pytest.raises(ValueError, match=message):
+            train_folds(table, method, iterations)
+
+    def test_info_line_every_tenth_of_the_folds(self, caplog):
+        table = random_table(np.random.default_rng(1), 3, 25, missing=0.2)
+        with caplog.at_level(logging.INFO, logger="forecast_ensembles.combiners"):
+            train_folds(table, "realboost", 2)
+        assert [r.getMessage() for r in caplog.records if "fold" in r.getMessage()] == [
+            f"realboost: fold {k} of 25" for k in range(3, 26, 3)]
 
 
 class TestClassify:

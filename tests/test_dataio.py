@@ -125,6 +125,20 @@ class TestLoadForecastMatrix:
         assert forecaster_ids == ("bob", "alice")
         np.testing.assert_array_equal(matrix, [[0.9, 0.2, np.nan], [np.nan, 0.7, np.nan]])
 
+    def test_late_block_numbers_new_ids_next(self, tmp_path, monkeypatch):
+        # 16-character blocks: carol and q4 first appear blocks after the
+        # ids numbered before them
+        fpath, _ = write_files(tmp_path, "question_id,forecaster_id,probability\n"
+                               "q1,alice,0.5\nq2,bob,0.25\nq1,bob,\nq3,alice,1\n"
+                               "q4,carol,0.75\nq2,alice,0\n", GOOD_OUTCOMES)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 16)
+        question_ids, forecaster_ids, matrix = load_forecast_matrix(fpath)
+        assert question_ids == ("q1", "q2", "q3", "q4")
+        assert forecaster_ids == ("alice", "bob", "carol")
+        np.testing.assert_array_equal(matrix, [[0.5, 0.0, 1.0, np.nan],
+                                               [np.nan, 0.25, np.nan, np.nan],
+                                               [np.nan, np.nan, np.nan, 0.75]])
+
     def test_rows_follow_given_forecaster_ids(self, tmp_path):
         fpath, _ = write_files(tmp_path, GOOD_FORECASTS, GOOD_OUTCOMES)
         question_ids, forecaster_ids, matrix = load_forecast_matrix(
