@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,14 +432,17 @@ def train(table: ForecastTable, method: str, iterations: int | None = None,
 
 
 def train_folds(table: ForecastTable, method: str, iterations: int | None = None,
-                seed: int = 0) -> list[EnsembleModel]:
-    """The leave-one-out fold models of a boosting ``method``: model q is,
-    bit for bit, ``train(table.without_question(q), method, iterations,
-    seed ^ q)``.  Each fold goes through the module's trainer at call time,
-    in fold order, so a caller that rebinds it sees every fold.  Realboost
-    builds the table's loss factors once and hands fold q those rows but
-    row q, the only one that reads question q's outcome.  One info line
-    reports progress every tenth of the folds, rounded up."""
+                seed: int = 0) -> Iterator[EnsembleModel]:
+    """The leave-one-out fold models of a boosting ``method``, in fold
+    order: model q is, bit for bit, ``train(table.without_question(q),
+    method, iterations, seed ^ q)``.  The arguments are checked at the
+    call; each fold is trained when the iterator is asked for it, so a
+    caller that takes one model at a time holds one at a time.  Each fold
+    goes through the module's trainer at that time, so a caller that
+    rebinds it sees every fold.  Realboost builds the table's loss factors
+    once and hands fold q those rows but row q, the only one that reads
+    question q's outcome.  One info line reports progress every tenth of
+    the folds, rounded up."""
     if method not in DEFAULT_ITERATIONS:
         raise ValueError(f"unknown boosting method {method!r}; expected one of "
                          f"{tuple(DEFAULT_ITERATIONS)}")
@@ -446,22 +450,25 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
         iterations = DEFAULT_ITERATIONS[method]
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
-    n_questions = table.n_questions
-    if n_questions < 2:
+    if table.n_questions < 2:
         raise ValueError("boosting needs at least two questions, one to hold out")
+    return _trained_folds(table, method, iterations, seed)
+
+
+def _trained_folds(table: ForecastTable, method: str, iterations: int,
+                   seed: int) -> Iterator[EnsembleModel]:
     factors = _loss_factors(table) if method == "realboost" else None
+    n_questions = table.n_questions
     every = -(-n_questions // 10)
-    models = []
     for q in range(n_questions):
         fold = table.without_question(q)
         if factors is None:
-            models.append(adaboost_train(fold, iterations, seed ^ q))
+            model = adaboost_train(fold, iterations, seed ^ q)
         else:
-            models.append(realboost_train(fold, iterations,
-                                          loss_factors=np.delete(factors, q, axis=0)))
+            model = realboost_train(fold, iterations, loss_factors=np.delete(factors, q, axis=0))
         if (q + 1) % every == 0:
             logger.info("%s: fold %d of %d", method, q + 1, n_questions)
-    return models
+        yield model
 
 
 def ensemble_predict_table(model: EnsembleModel, forecasts) -> tuple[np.ndarray, np.ndarray]:

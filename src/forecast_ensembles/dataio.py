@@ -18,9 +18,9 @@ model JSON      schema ``ensemble_model.v2``: method, rounds as
                 rule on every question.  A ``v1`` file is rejected.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
-Every forecasts CSV is read in one pass by `_read_forecasts`, which
-orders questions by first appearance and forecasters by first appearance
-or as the caller gives (a model's).  The one lookup that maps a block's
+Every forecasts CSV is read by `_read_forecasts`, which orders questions
+by first appearance and forecasters by first appearance or as the caller
+gives (a model's).  The one lookup that maps a block's
 ids to row and column numbers also numbers each id it meets for the
 first time (`_numbering`); a caller's forecasters are looked up with a
 default of -1 for one it did not give.  `load_forecast_matrix` lays its
@@ -42,16 +42,36 @@ records feed the same columns, so both read a file alike.
 An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
 changed) and a byte that is not UTF-8 are errors too, not crashes.
+
+A file of at least twice `_MIN_RANGE_BYTES` is cut into byte ranges that
+end after a line feed, one per CPU this process may run on but no more
+than the file holds `_MIN_RANGE_BYTES` (`_range_ends`).  This process
+reads the first range and a forked child each other one, into memory
+they share (`_Child`).
+The ranges are merged in file order: a range's ids take the numbers a
+single pass gives them, its lines are counted on from the ranges before
+it, and the records after the first error in the file are dropped, so
+ids, arrays and messages are those of one pass.  A range with text for
+csv.reader or a byte that is not UTF-8 sends the whole file to
+csv.reader, and a child that fails leaves its range to this process.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import io
 import json
+import mmap
+import os
+import pickle
+import signal
+import warnings
 from collections import defaultdict
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,18 +156,41 @@ def _read_rows(path, header: list[str]):
             yield line, row
 
 
-# Characters read per block of a forecasts file.  A block's lines and
-# fields take many times its size in memory while it is parsed, and each
-# block adds a fixed cost of some microseconds: 64 Ki characters keep both
-# small.  The unfinished last line goes on to the next block.  Records that
-# csv.reader tokenizes go on in blocks of a 32nd as many, about as many as
-# a block of plain lines holds.
-_BLOCK_CHARS = 1 << 16
+# Bytes read per block of a forecasts file.  A block's lines and fields
+# take many times its size in memory while they are parsed, and each block
+# adds a fixed cost of some microseconds: 64 KiB keep both small.  The
+# unfinished last line goes on to the next block.  Records that csv.reader
+# tokenizes go on in blocks of a 32nd as many, about as many as a block of
+# plain lines holds.
+_BLOCK_BYTES = 1 << 16
+
+# The bytes of a forecasts file per process that parses it (see
+# `_range_ends`), so a file of less than twice as many is read by one
+# process.  A child costs some milliseconds: the fork, the copy of its
+# arrays into shared memory, its exit and the merge.  This is the smallest
+# range at which two processes beat one in timed pairs on a 2-core
+# machine (CHANGES.md).
+_MIN_RANGE_BYTES = 1 << 18
 
 # Text that `str.split` would not tokenize as csv.reader does: a quote, or
 # a NUL (rejected by csv on some Python versions).  A carriage return ends
 # a line for csv too; it is split as one only where it starts a CRLF.
 _CSV_ONLY = ('"', "\0")
+
+
+class _Part(NamedTuple):
+    """The records a child kept from a range of a forecasts file that does
+    not start it: ids numbered by first appearance in the range, lines
+    counted from its start (`_shared`)."""
+
+    question_ids: tuple[str, ...]
+    forecaster_ids: tuple[str, ...]  # empty when the caller gave them
+    rows: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
+    lines: np.ndarray
+    error: tuple[int, str] | None
+    consumed: int  # physical lines in the range
 
 
 class _Columns:
@@ -157,9 +200,9 @@ class _Columns:
     Feeding stops at the first record that fails a check of its own: field
     count, empty id, not a number, out of range or unknown forecaster, in
     that order within a record.  A reader that stops on an error of its
-    own, after the records fed so far, sets `error` to it.  `validated`
-    then looks for a duplicate cell among the records kept and raises what
-    comes first in the file.
+    own, after the records fed so far, sets `error` to its line and
+    message.  `validated` then looks for a duplicate cell among the records
+    kept and raises what comes first in the file.
     """
 
     def __init__(self, path: Path, forecaster_ids) -> None:
@@ -173,8 +216,8 @@ class _Columns:
         self.rows = [np.empty(0, np.intp)]
         self.columns = [np.empty(0, np.intp)]
         self.values = [np.empty(0)]
-        self.lines = [()]  # physical line numbers of the records
-        self.error: Exception | None = None
+        self.lines = [np.empty(0, np.intp)]  # physical line numbers of the records
+        self.error: tuple[int, str] | None = None
 
     def add(self, question_ids, forecaster_ids, fields, lines) -> bool:
         """Check and keep one block of records; False once one fails."""
@@ -183,8 +226,7 @@ class _Columns:
             if "" in ids:
                 failures.append((ids.index(""), 0,
                                  "question_id and forecaster_id must be non-empty"))
-        columns = np.fromiter(map(self.question_index.__getitem__, question_ids),
-                              np.intp, len(question_ids))
+        columns = _renumbered(self.question_index, question_ids)
         if self.fixed:
             rows = np.fromiter(map(self.forecaster_index.get, forecaster_ids, repeat(-1)),
                                np.intp, len(forecaster_ids))
@@ -194,8 +236,7 @@ class _Columns:
                 failures.append((position, 3, f"forecaster {forecaster_ids[position]!r} "
                                               "is not part of the model"))
         else:
-            rows = np.fromiter(map(self.forecaster_index.__getitem__, forecaster_ids),
-                               np.intp, len(forecaster_ids))
+            rows = _renumbered(self.forecaster_index, forecaster_ids)
         values, present, parsed = _probabilities(fields)
         if parsed < len(fields):
             failures.append((parsed, 1, f"probability {fields[parsed]!r} is not a number"))
@@ -211,11 +252,24 @@ class _Columns:
         self.rows.append(rows[:kept])
         self.columns.append(columns[:kept])
         self.values.append(values[:kept])
-        self.lines.append(lines)
+        self.lines.append(np.asarray(lines[:kept], np.intp))
         if failures:
             position, _, message = min(failures)
-            self.error = DataFormatError(f"{self.path}:{lines[position]}: {message}")
+            self.error = (int(lines[position]), message)
         return not failures
+
+    def merge(self, part: _Part, offset: int) -> None:
+        """Keep the records of a later range of the file, ``offset``
+        physical lines in, as if fed here: its ids take this file's
+        numbers, new ones next in the range's order of first appearance."""
+        self.columns.append(_renumbered(self.question_index, part.question_ids)[part.columns])
+        self.rows.append(part.rows if self.fixed else
+                         _renumbered(self.forecaster_index, part.forecaster_ids)[part.rows])
+        self.values.append(part.values)
+        self.lines.append(part.lines + offset)
+        if part.error is not None:
+            line, message = part.error
+            self.error = (line + offset, message)
 
     def validated(self):
         """``(question_ids, forecaster_ids, rows, columns, values)`` of the
@@ -233,19 +287,12 @@ class _Columns:
             position = int(np.flatnonzero(repeated)[0])
             question_id = tuple(self.question_index)[columns[position]]
             forecaster_id = tuple(self.forecaster_index)[rows[position]]
-            _fail(self.path, self._line(position),
+            _fail(self.path, np.concatenate(self.lines)[position],
                   f"duplicate forecast for ({question_id}, {forecaster_id})")
         if self.error is not None:
-            raise self.error
+            _fail(self.path, *self.error)
         return (tuple(self.question_index), tuple(self.forecaster_index),
                 rows, columns, values)
-
-    def _line(self, position: int) -> int:
-        for kept, lines in zip(self.values, self.lines):
-            if position < kept.size:
-                return lines[position]
-            position -= kept.size
-        raise IndexError(position)
 
 
 def _numbering() -> defaultdict[str, int]:
@@ -255,6 +302,11 @@ def _numbering() -> defaultdict[str, int]:
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     return index
+
+
+def _renumbered(index, ids) -> np.ndarray:
+    """``index[id]`` of each id, as an array."""
+    return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
 
 
 def _probabilities(fields):
@@ -285,15 +337,15 @@ class _NotPlain(Exception):
     """The text holds what only csv.reader tokenizes as it should."""
 
 
-def _plain_blocks(handle):
-    """The file's lines, a list of whole lines per block, each CRLF read
-    as LF.  Raises `_NotPlain` at text that `str.split` would not tokenize
-    as csv.reader does: one of `_CSV_ONLY`, a carriage return that does
-    not start a CRLF, or a line over ``csv.field_size_limit()``, whose
-    fields csv may reject."""
+def _plain_blocks(chunks):
+    """The lines of the text ``chunks`` make up, a list of whole lines per
+    chunk, each CRLF read as LF.  Raises `_NotPlain` at text that
+    `str.split` would not tokenize as csv.reader does: one of `_CSV_ONLY`,
+    a carriage return that does not start a CRLF, or a line over
+    ``csv.field_size_limit()``, whose fields csv may reject."""
     limit = csv.field_size_limit()
     tail = ""  # the unfinished last line of the text read so far
-    while chunk := handle.read(_BLOCK_CHARS):
+    for chunk in chunks:
         if any(c in chunk for c in _CSV_ONLY):
             raise _NotPlain
         text = tail + chunk
@@ -319,24 +371,43 @@ def _plain_blocks(handle):
         yield [tail]
 
 
-def _read_plain(path: Path, columns: _Columns) -> None:
-    """Feed ``columns`` from the file's lines split by `str.split`."""
+def _decoded(handle, start: int, end: int):
+    """Bytes ``start`` to ``end`` of the binary file ``handle``, decoded as
+    UTF-8 a block at a time; a range that ends inside a character raises
+    UnicodeDecodeError."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    handle.seek(start)
+    left = end - start
+    while left > 0 and (data := handle.read(min(_BLOCK_BYTES, left))):
+        left -= len(data)
+        if text := decoder.decode(data):
+            yield text
+    decoder.decode(b"", final=True)
+
+
+def _read_range(path: Path, columns: _Columns, start: int, end: int, before: int = 0) -> int:
+    """Feed ``columns`` from the lines of bytes ``start`` to ``end`` of the
+    file, split by `str.split` and numbered on from ``before``; the range
+    at 0 starts with the header.  Returns the physical lines read."""
     width = len(FORECASTS_HEADER)
-    with path.open(newline="", encoding="utf-8") as handle:
-        blocks = _plain_blocks(handle)
-        lines = next(blocks, None)
-        if lines is None:
-            _fail(path, 1, f"missing header; expected {','.join(FORECASTS_HEADER)}")
-        header = lines.pop(0).split(",")
-        if header != FORECASTS_HEADER:
-            _fail(path, 1, f"bad header {','.join(header)!r}; "
-                           f"expected {','.join(FORECASTS_HEADER)}")
-        consumed = 1  # physical lines before the block
-        for lines in chain([lines], blocks):
-            numbers = range(consumed + 1, consumed + 1 + len(lines))
+    consumed = before  # physical lines before the block
+    with path.open("rb") as handle:
+        blocks = _plain_blocks(_decoded(handle, start, end))
+        if start == 0:
+            lines = next(blocks, None)
+            if lines is None:
+                _fail(path, 1, f"missing header; expected {','.join(FORECASTS_HEADER)}")
+            header = lines.pop(0).split(",")
+            if header != FORECASTS_HEADER:
+                _fail(path, 1, f"bad header {','.join(header)!r}; "
+                               f"expected {','.join(FORECASTS_HEADER)}")
+            consumed += 1
+            blocks = chain([lines], blocks)
+        for lines in blocks:
+            numbers = np.arange(consumed + 1, consumed + 1 + len(lines))
             consumed += len(lines)
             if "" in lines:  # blank lines hold no record
-                numbers = [n for n, line in zip(numbers, lines) if line]
+                numbers = numbers[np.fromiter(map(bool, lines), bool, len(lines))]
                 lines = list(filter(None, lines))
             commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
             wrong = np.flatnonzero(commas != width - 1)
@@ -344,17 +415,149 @@ def _read_plain(path: Path, columns: _Columns) -> None:
                 lines = lines[:wrong[0]]
             fields = ",".join(lines).split(",") if lines else []
             if not columns.add(fields[0::3], fields[1::3], fields[2::3], numbers):
-                return
+                break
             if wrong.size:
-                columns.error = DataFormatError(f"{path}:{numbers[wrong[0]]}: expected "
-                                                f"{width} fields, got {commas[wrong[0]] + 1}")
-                return
+                columns.error = (int(numbers[wrong[0]]),
+                                 f"expected {width} fields, got {commas[wrong[0]] + 1}")
+                break
+    return consumed - before
+
+
+def _range_ends(path: Path) -> list[int]:
+    """0, then the byte offset where each range of the file ends: range k
+    of n at the first line feed at or after byte k * size // n, the last
+    at the end of the file.  There is a range per CPU this process may run
+    on, but no more than the file holds `_MIN_RANGE_BYTES`, and one where
+    the platform cannot fork."""
+    with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        count = 1
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+            count = min(len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES)
+        ends = [0]
+        for k in range(1, count):
+            handle.seek(max(k * size // count, ends[-1]))
+            while block := handle.read(_BLOCK_BYTES):
+                if (found := block.find(b"\n")) >= 0:
+                    ends.append(handle.tell() - len(block) + found + 1)
+                    break
+        if len(ends) > 1 and ends[-1] == size:  # the file's last line feed
+            ends.pop()
+    return ends + [size]
+
+
+class _Child:
+    """A child process that parses one range of a forecasts file into
+    memory it shares with this process (`_share`).  It only reads the
+    file, parses and writes that memory, and leaves by `os._exit`, so
+    nothing it inherits runs twice, neither `finally` blocks nor buffered
+    output."""
+
+    def __init__(self, path: Path, forecaster_ids, start: int, end: int) -> None:
+        # a record kept takes 5 bytes of the range at least ("q,f,\n") and
+        # 32 of arrays, and an id pickled at most 6 more than it takes in
+        # the range; a part that does not fit fails the child
+        self.shared = mmap.mmap(-1, _SHARED_HEAD + 16 * (end - start) + 4096)
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with threads (BLAS
+            # starts some); the child takes no lock that they may hold
+            warnings.simplefilter("ignore", DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                columns = _Columns(path, forecaster_ids)
+                _share(self.shared, columns, _read_range(path, columns, start, end))
+                code = 0
+            finally:
+                os._exit(code)
+
+    def part(self) -> _Part | None:
+        """The range's records once the child has ended, or None if it
+        failed, as it does at text `_read_range` declines."""
+        try:
+            _, status = os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped already: SIGCHLD is ignored
+            status = -1
+        self.pid = None
+        return _shared(self.shared) if status == 0 else None
+
+    def stop(self) -> None:
+        """End the child if it still runs, and wait for it."""
+        if self.pid is not None:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+# A child's shared memory starts with the number of records it kept and the
+# length of the rest of its part pickled; the record arrays follow, then
+# that pickle.
+_SHARED_HEAD = 16
+
+
+def _share(shared: mmap.mmap, columns: _Columns, consumed: int) -> None:
+    """Write the records ``columns`` kept from a range of ``consumed``
+    physical lines as `_shared` reads them."""
+    kept = sum(map(len, columns.values))
+    for k, parts in enumerate((columns.rows, columns.columns, columns.values, columns.lines)):
+        np.concatenate(parts, out=_shared_array(shared, kept, k))
+    rest = pickle.dumps((tuple(columns.question_index),
+                         () if columns.fixed else tuple(columns.forecaster_index),
+                         columns.error, consumed))
+    at = _SHARED_HEAD + 32 * kept
+    shared[at:at + len(rest)] = rest
+    shared[:_SHARED_HEAD] = np.array([kept, len(rest)], np.intp).tobytes()
+
+
+def _shared(shared: mmap.mmap) -> _Part:
+    """The part `_share` wrote; its arrays are views of ``shared``."""
+    kept, size = np.frombuffer(shared, np.intp, 2)
+    at = _SHARED_HEAD + 32 * kept
+    question_ids, forecaster_ids, error, consumed = pickle.loads(shared[at:at + size])
+    rows, columns, values, lines = (_shared_array(shared, kept, k) for k in range(4))
+    return _Part(question_ids, forecaster_ids, rows, columns, values, lines, error, consumed)
+
+
+def _shared_array(shared: mmap.mmap, kept: int, k: int) -> np.ndarray:
+    """Array k of rows, columns, values and lines in ``shared``."""
+    return np.frombuffer(shared, float if k == 2 else np.intp, kept, _SHARED_HEAD + 8 * kept * k)
+
+
+def _read_plain(path: Path, forecaster_ids) -> _Columns:
+    """The file's records split by `str.split`: the first range
+    (`_range_ends`) read in this process and each later one in a child of
+    its own, merged in file order up to the first range with an error."""
+    ends = _range_ends(path)
+    columns = _Columns(path, forecaster_ids)
+    children = []
+    try:
+        for start, end in zip(ends[1:], ends[2:]):
+            try:
+                children.append(_Child(path, forecaster_ids, start, end))
+            except OSError:  # no memory or process to spare
+                children.append(None)
+        offset = _read_range(path, columns, 0, ends[1])
+        for child, start, end in zip(children, ends[1:], ends[2:]):
+            if columns.error is not None:
+                break
+            part = child.part() if child else None
+            if part is None:  # this process reads the range, meeting what failed the child
+                offset += _read_range(path, columns, start, end, offset)
+            else:
+                columns.merge(part, offset)
+                offset += part.consumed
+    finally:
+        for child in filter(None, children):
+            child.stop()
+    return columns
 
 
 def _read_quoted(path: Path, columns: _Columns) -> None:
     """Feed ``columns`` from csv.reader's records, for text that
     `_plain_blocks` declines."""
-    size = max(1, _BLOCK_CHARS // 32)
+    size = max(1, _BLOCK_BYTES // 32)
     block = []
     try:
         for record in _read_rows(path, FORECASTS_HEADER):
@@ -363,9 +566,10 @@ def _read_quoted(path: Path, columns: _Columns) -> None:
                 if not _add_records(columns, block):
                     return
                 block = []
-    except DataFormatError as exc:
+    except DataFormatError:
         if _add_records(columns, block):
-            columns.error = exc
+            columns.validated()  # a duplicate before the record comes first
+            raise
         return
     _add_records(columns, block)
 
@@ -382,9 +586,8 @@ def _read_forecasts(path, forecaster_ids):
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
-    columns = _Columns(path, forecaster_ids)
     try:
-        _read_plain(path, columns)
+        columns = _read_plain(path, forecaster_ids)
     except (_NotPlain, UnicodeDecodeError):
         # csv.reader tokenizes the file instead, and meets a byte that is
         # not UTF-8 after the records before it, as a bad record would be

@@ -627,7 +627,7 @@ class TestTrainFolds:
                               forecasts, table.outcomes)
         factors = _loss_factors(table)
         for method in ("adaboost", "realboost"):
-            models = train_folds(table, method, iterations, seed)
+            models = list(train_folds(table, method, iterations, seed))
             assert len(models) == q
             for fold_index, model in enumerate(models):
                 fold = table.without_question(fold_index)
@@ -635,8 +635,27 @@ class TestTrainFolds:
                 assert np.delete(factors, fold_index, axis=0).tobytes() == \
                     _loss_factors(fold).tobytes()
 
+    @pytest.mark.parametrize("method", ["adaboost", "realboost"])
+    def test_trains_each_fold_when_asked(self, monkeypatch, toy_table, method):
+        expected = train(toy_table.without_question(0), method, 3, 0)
+        trained = []
+        original = getattr(combiners, f"{method}_train")
+
+        def counted(*args, **kwargs):
+            trained.append(args[0].n_questions)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(combiners, f"{method}_train", counted)
+        folds = train_folds(toy_table, method, 3)
+        assert trained == []
+        first = next(folds)
+        assert trained == [toy_table.n_questions - 1]
+        assert first == expected
+        assert len(list(folds)) == toy_table.n_questions - 1
+        assert len(trained) == toy_table.n_questions
+
     def test_default_rounds(self, toy_table):
-        models = train_folds(toy_table, "realboost")
+        models = list(train_folds(toy_table, "realboost"))
         assert [len(m.rounds) for m in models] == [DEFAULT_ITERATIONS["realboost"]] * 4
 
     def test_wrong_factor_shape_rejected(self, toy_table):
@@ -669,7 +688,7 @@ class TestTrainFolds:
     def test_info_line_every_tenth_of_the_folds(self, caplog):
         table = random_table(np.random.default_rng(1), 3, 25, missing=0.2)
         with caplog.at_level(logging.INFO, logger="forecast_ensembles.combiners"):
-            train_folds(table, "realboost", 2)
+            list(train_folds(table, "realboost", 2))
         assert [r.getMessage() for r in caplog.records if "fold" in r.getMessage()] == [
             f"realboost: fold {k} of 25" for k in range(3, 26, 3)]
 

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import tempfile
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +135,7 @@ class TestLoadForecastMatrix:
         fpath, _ = write_files(tmp_path, "question_id,forecaster_id,probability\n"
                                "q1,alice,0.5\nq2,bob,0.25\nq1,bob,\nq3,alice,1\n"
                                "q4,carol,0.75\nq2,alice,0\n", GOOD_OUTCOMES)
-        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 16)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 16)
         question_ids, forecaster_ids, matrix = load_forecast_matrix(fpath)
         assert question_ids == ("q1", "q2", "q3", "q4")
         assert forecaster_ids == ("alice", "bob", "carol")
@@ -565,14 +569,25 @@ def loaded(load, path, forecaster_ids=None):
     return question_ids, forecaster_ids, matrix.shape, matrix.tobytes()
 
 
+def split_into(patch, cpus):
+    """Make the loader cut every file of two bytes or more into ``cpus``
+    ranges where it can, one per CPU, whatever the machine has."""
+    patch.setattr(dataio, "_MIN_RANGE_BYTES", 1)
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 class TestBlockLoaderMatchesReference:
     @given(case=forecast_texts(),
-           block=st.integers(1, 48) | st.just(dataio._BLOCK_CHARS))
+           block=st.integers(1, 48) | st.just(dataio._BLOCK_BYTES),
+           cpus=st.sampled_from([None, 2, 3]))
     @settings(max_examples=500, deadline=None)
-    def test_same_ids_matrix_bytes_or_message(self, case, block):
+    def test_same_ids_matrix_bytes_or_message(self, case, block, cpus):
+        """Read in one pass, or in ranges by as many processes."""
         text, forecaster_ids = case
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dataio, "_BLOCK_CHARS", block)
+            patch.setattr(dataio, "_BLOCK_BYTES", block)
+            if cpus is not None:
+                split_into(patch, cpus)
             path = Path(directory) / "f.csv"
             path.write_bytes(text.encode("utf-8"))
             expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
@@ -602,7 +617,7 @@ class TestBlockLoaderMatchesReference:
         monkeypatch.setattr(dataio, "_read_quoted",
                             lambda *args: quoted.append(1) or read_quoted(*args))
         for block in range(1, len(text) + 2):
-            monkeypatch.setattr(dataio, "_BLOCK_CHARS", block)
+            monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
             quoted.clear()
             assert loaded(load_forecast_matrix, path) == expected, block
             assert quoted == ([] if plain else [1]), block
@@ -625,3 +640,169 @@ class TestBlockLoaderMatchesReference:
             expected = ("DataFormatError",
                         f"{path}:{line}: byte 0xff is not UTF-8 (invalid start byte)")
         assert loaded(load_forecast_matrix, path) == expected
+
+
+
+def no_child_left() -> bool:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestRanges:
+    """A file read in two ranges, the second by a child process, gives the
+    reference's ids, matrix bytes or message."""
+
+    @pytest.fixture
+    def split_file(self, tmp_path, monkeypatch):
+        """Make a file of the header, ``first`` and ``second``, read in two
+        ranges that part between them.  ``taken`` counts the parts this
+        process takes from a child."""
+        taken = []
+        shared = dataio._shared
+        monkeypatch.setattr(dataio, "_shared", lambda memory: taken.append(1) or shared(memory))
+
+        def make(first: bytes, second: bytes):
+            path = tmp_path / "f.csv"
+            path.write_bytes(",".join(FORECASTS_HEADER).encode() + b"\n" + first + second)
+            size = path.stat().st_size
+            monkeypatch.setattr(dataio, "_range_ends",
+                                lambda path: [0, size - len(second), size])
+            return path, taken
+
+        return make
+
+    @pytest.mark.parametrize("first,second,forecaster_ids,message", [
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,a,0.75\n", None,
+         ":5: duplicate forecast for (q1, a)"),
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,b,7\nq3,b,maybe\n", None,
+         ":5: probability '7' outside [0, 1]"),
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,c,0.5\n", ["b", "a"],
+         ":5: forecaster 'c' is not part of the model"),
+        (b"q1,a,0.5\n\nq2,b,0.25\n", b"q3,a,1\n\nq1,b,0.5,x\n", None,
+         ":7: expected 3 fields, got 4"),
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\nq3,a,0.5\n", None, None),
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\n", ["d", "c", "b", "a"], None),
+        (b"q1,a,0.5\r\nq2,b,0.25\r\n\r\n", b"q3,c,1\r\nq1,b,\r\nq2,a,0.125", None, None),
+    ], ids=["duplicate-across", "bad-probability", "unknown-forecaster", "field-count",
+            "new-ids", "new-ids-fixed", "crlf"])
+    def test_second_range_read_by_a_child(self, split_file, first, second, forecaster_ids,
+                                          message):
+        path, taken = split_file(first, second)
+        expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
+        if message is not None:
+            assert expected == ("DataFormatError", f"{path}{message}")
+        assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
+        assert taken == [1]
+        assert no_child_left()
+
+    def test_first_error_in_the_file_wins(self, split_file):
+        path, taken = split_file(b"q1,a,0.5\nq2,b,7\n", b"q3,a,1\nq1,b,maybe\n")
+        expected = ("DataFormatError", f"{path}:3: probability '7' outside [0, 1]")
+        assert loaded(csv_reference.load_forecast_matrix, path) == expected
+        assert loaded(load_forecast_matrix, path) == expected
+        assert taken == []  # the child's range was not needed
+        assert no_child_left()
+
+    @pytest.mark.parametrize("second", [b'q3,"a",1\n', b"q3,a,1\rq1,b,0.5\n", b"q3,a\r,1\n"],
+                             ids=["quote", "lone-cr", "cr-in-field"])
+    def test_text_for_csv_in_the_second_range_sends_the_file_to_csv(
+            self, split_file, monkeypatch, second):
+        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
+        quoted = []
+        read_quoted = dataio._read_quoted
+        monkeypatch.setattr(dataio, "_read_quoted",
+                            lambda *args: quoted.append(1) or read_quoted(*args))
+        assert loaded(load_forecast_matrix, path) == \
+            loaded(csv_reference.load_forecast_matrix, path)
+        # the child fails at the text, and this process meets it again
+        assert (taken, quoted) == ([], [1])
+        assert no_child_left()
+
+    def test_undecodable_byte_in_the_second_range(self, split_file):
+        path, _ = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,\xff,0.5\n")
+        assert loaded(load_forecast_matrix, path) == (
+            "DataFormatError", f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)")
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_a_failing_child_leaves_its_range_here(self, split_file, monkeypatch, failure):
+        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
+        expected = loaded(load_forecast_matrix, path)
+        here = os.getpid()
+        read_range = dataio._read_range
+
+        def failing(*args):
+            if os.getpid() != here:
+                if failure == "exit":
+                    os._exit(1)
+                raise RuntimeError("the child fails")
+            return read_range(*args)
+
+        monkeypatch.setattr(dataio, "_read_range", failing)
+        taken.clear()
+        assert loaded(load_forecast_matrix, path) == expected
+        assert taken == []
+        assert no_child_left()
+
+    def test_interrupt_ends_the_children(self, monkeypatch, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS, encoding="utf-8")
+        split_into(monkeypatch, 3)
+        here = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still at work
+
+        monkeypatch.setattr(dataio, "_read_range", interrupted)
+        assert len(dataio._range_ends(path)) == 4
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            load_forecast_matrix(path)
+        assert time.monotonic() - started < 30
+        assert no_child_left()
+
+    def test_no_fork_warning(self, monkeypatch, tmp_path):
+        """Python 3.12 warns of a fork in a process with threads."""
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS, encoding="utf-8")
+        split_into(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert load_forecast_matrix(path)[:2] == (("q1", "q2", "q3"), ("alice", "bob"))
+        finally:
+            release.set()
+            thread.join()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus, minimum, ranges", [
+        (1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 50, 3), (4, 100, 1), (8, 25, 7), (8, 30, 6)])
+    def test_one_range_per_cpu_and_minimum(self, monkeypatch, tmp_path, cpus, minimum,
+                                           ranges):
+        # a 191-byte file of lines of 7 to 38 bytes
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS + "q9," + "z" * 30 + ",0.5\n" + "q8,a,1\n" * 10,
+                        encoding="utf-8")
+        data = path.read_bytes()
+        split_into(monkeypatch, cpus)
+        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", minimum)
+        ends = dataio._range_ends(path)
+        assert ends[0] == 0 and ends[-1] == len(data)
+        assert len(ends) == ranges + 1
+        assert all(data[end - 1:end] == b"\n" for end in ends[1:-1])
+        # each ends at the first line feed at or after its share of the file
+        assert all(b"\n" not in data[k * len(data) // ranges:end - 1]
+                   for k, end in enumerate(ends[1:-1], 1))
+
+    def test_one_range_without_fork(self, monkeypatch, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS, encoding="utf-8")
+        split_into(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert dataio._range_ends(path) == [0, len(GOOD_FORECASTS)]
