@@ -642,7 +642,6 @@ class TestBlockLoaderMatchesReference:
         assert loaded(load_forecast_matrix, path) == expected
 
 
-
 def no_child_left() -> bool:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -725,10 +724,14 @@ class TestRanges:
             "DataFormatError", f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)")
         assert no_child_left()
 
+    @pytest.mark.parametrize("second", [b"q3,c,1\nq1,b,\n", b"q3,c,1\nq1,b,7\n"],
+                             ids=["records", "error"])
     @pytest.mark.parametrize("failure", ["raise", "exit"])
-    def test_a_failing_child_leaves_its_range_here(self, split_file, monkeypatch, failure):
-        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
-        expected = loaded(load_forecast_matrix, path)
+    def test_a_failing_child_leaves_its_range_here(self, split_file, monkeypatch, failure,
+                                                   second):
+        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
+        expected = loaded(csv_reference.load_forecast_matrix, path)
+        assert loaded(load_forecast_matrix, path) == expected
         here = os.getpid()
         read_range = dataio._read_range
 
