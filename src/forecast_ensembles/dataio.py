@@ -45,9 +45,10 @@ changed) and a byte that is not UTF-8 are errors too, not crashes.
 
 A file of at least twice `_MIN_RANGE_BYTES` is cut into byte ranges that
 end after a line feed, one per CPU this process may run on but no more
-than the file holds `_MIN_RANGE_BYTES` (`_range_ends`).  This process
-reads the first range and a forked child each other one, into memory
-they share (`_Child`).
+than `_MAX_RANGES` nor than the file holds `_MIN_RANGE_BYTES`, and only
+while no other thread of this interpreter runs (`_range_ends`).  This
+process reads the first range and a forked child each other one, into
+memory they share (`_Child`).
 The ranges are merged in file order: a range's ids take the numbers a
 single pass gives them, its lines are counted on from the ranges before
 it, and the records after the first error in the file are dropped, so
@@ -67,9 +68,10 @@ import mmap
 import os
 import pickle
 import signal
+import threading
 import warnings
 from collections import defaultdict
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import NamedTuple
 
@@ -171,6 +173,12 @@ _BLOCK_BYTES = 1 << 16
 # range at which two processes beat one in timed pairs on a 2-core
 # machine (CHANGES.md).
 _MIN_RANGE_BYTES = 1 << 18
+
+# The most ranges a file is cut into.  Two, this process and one child, is
+# what was timed to win on a 2-core machine; more ranges than the CPUs
+# that run them lose there (CHANGES.md), and a CPU quota does not shrink
+# the affinity mask that `_range_ends` counts.
+_MAX_RANGES = 2
 
 # Text that `str.split` would not tokenize as csv.reader does: a quote, or
 # a NUL (rejected by csv on some Python versions).  A carriage return ends
@@ -427,13 +435,16 @@ def _range_ends(path: Path) -> list[int]:
     """0, then the byte offset where each range of the file ends: range k
     of n at the first line feed at or after byte k * size // n, the last
     at the end of the file.  There is a range per CPU this process may run
-    on, but no more than the file holds `_MIN_RANGE_BYTES`, and one where
-    the platform cannot fork."""
+    on, but no more than `_MAX_RANGES` nor than the file holds
+    `_MIN_RANGE_BYTES`.  There is one where the platform cannot fork, and
+    while another thread of this interpreter runs, since `_Child` silences
+    the fork's warning with the filters that all threads share."""
     with path.open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         count = 1
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-            count = min(len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES)
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+                and threading.active_count() == 1:
+            count = min(_MAX_RANGES, len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES)
         ends = [0]
         for k in range(1, count):
             handle.seek(max(k * size // count, ends[-1]))
@@ -451,19 +462,37 @@ class _Child:
     memory it shares with this process (`_share`).  It only reads the
     file, parses and writes that memory, and leaves by `os._exit`, so
     nothing it inherits runs twice, neither `finally` blocks nor buffered
-    output."""
+    output.  It runs with SIGINT blocked: an interrupt reaches this
+    process, whose `stop` ends the child."""
 
-    def __init__(self, path: Path, forecaster_ids, start: int, end: int) -> None:
-        # a record kept takes 5 bytes of the range at least ("q,f,\n") and
-        # 32 of arrays, and an id pickled at most 6 more than it takes in
-        # the range; a part that does not fit fails the child
-        self.shared = mmap.mmap(-1, _SHARED_HEAD + 16 * (end - start) + 4096)
-        with warnings.catch_warnings():
-            # Python 3.12 warns of a fork in a process with threads (BLAS
-            # starts some); the child takes no lock that they may hold
-            warnings.simplefilter("ignore", DeprecationWarning)
-            self.pid = os.fork()
-        if self.pid == 0:
+    def __init__(self) -> None:
+        self.pids: list[int] = []  # the child's, once forked
+
+    def start(self, path: Path, forecaster_ids, start: int, end: int) -> None:
+        """Fork the child, unless memory or processes run short."""
+        try:
+            # a record kept takes 5 bytes of the range at least ("q,f,\n")
+            # and 32 of arrays, and an id pickled at most 6 more than it
+            # takes in the range; a part that does not fit fails the child
+            self.shared = mmap.mmap(-1, _SHARED_HEAD + 16 * (end - start) + 4096)
+            # the mask to restore, read apart from the change, after which
+            # pthread_sigmask may raise a pending KeyboardInterrupt
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+            try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+                with warnings.catch_warnings():
+                    # Python 3.12 warns of a fork in a process with threads
+                    # (BLAS starts some); the child takes no lock they hold
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    # list.extend stores the pid in C, with no bytecode
+                    # between where a KeyboardInterrupt would lose it
+                    self.pids.extend(starmap(os.fork, [()]))
+            finally:
+                if self.pids != [0]:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        except OSError:
+            return
+        if self.pids == [0]:
             code = 1
             try:
                 columns = _Columns(path, forecaster_ids)
@@ -474,21 +503,24 @@ class _Child:
 
     def part(self) -> _Part | None:
         """The range's records once the child has ended, or None if it
-        failed, as it does at text `_read_range` declines."""
+        failed, as it does at text `_read_range` declines, or never
+        started."""
+        if not self.pids:
+            return None
         try:
-            _, status = os.waitpid(self.pid, 0)
+            _, status = os.waitpid(self.pids[0], 0)
         except ChildProcessError:  # reaped already: SIGCHLD is ignored
             status = -1
-        self.pid = None
+        self.pids.clear()
         return _shared(self.shared) if status == 0 else None
 
     def stop(self) -> None:
         """End the child if it still runs, and wait for it."""
-        if self.pid is not None:
+        if self.pids:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            self.pid = None
+                os.kill(self.pids[0], signal.SIGKILL)
+                os.waitpid(self.pids[0], 0)
+            self.pids.clear()
 
 
 # A child's shared memory starts with the number of records it kept and the
@@ -531,25 +563,22 @@ def _read_plain(path: Path, forecaster_ids) -> _Columns:
     its own, merged in file order up to the first range with an error."""
     ends = _range_ends(path)
     columns = _Columns(path, forecaster_ids)
-    children = []
+    children = [_Child() for _ in ends[2:]]
     try:
-        for start, end in zip(ends[1:], ends[2:]):
-            try:
-                children.append(_Child(path, forecaster_ids, start, end))
-            except OSError:  # no memory or process to spare
-                children.append(None)
+        for child, start, end in zip(children, ends[1:], ends[2:]):
+            child.start(path, forecaster_ids, start, end)
         offset = _read_range(path, columns, 0, ends[1])
         for child, start, end in zip(children, ends[1:], ends[2:]):
             if columns.error is not None:
                 break
-            part = child.part() if child else None
+            part = child.part()
             if part is None:  # this process reads the range, meeting what failed the child
                 offset += _read_range(path, columns, start, end, offset)
             else:
                 columns.merge(part, offset)
                 offset += part.consumed
     finally:
-        for child in filter(None, children):
+        for child in children:
             child.stop()
     return columns
 

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -573,6 +575,7 @@ def split_into(patch, cpus):
     """Make the loader cut every file of two bytes or more into ``cpus``
     ranges where it can, one per CPU, whatever the machine has."""
     patch.setattr(dataio, "_MIN_RANGE_BYTES", 1)
+    patch.setattr(dataio, "_MAX_RANGES", cpus)
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
@@ -640,6 +643,16 @@ class TestBlockLoaderMatchesReference:
             expected = ("DataFormatError",
                         f"{path}:{line}: byte 0xff is not UTF-8 (invalid start byte)")
         assert loaded(load_forecast_matrix, path) == expected
+
+
+@contextlib.contextmanager
+def sigint_unblocked():
+    """Run with SIGINT unblocked in this thread, then restore its mask."""
+    mask = signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGINT])
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def no_child_left() -> bool:
@@ -726,7 +739,7 @@ class TestRanges:
 
     @pytest.mark.parametrize("second", [b"q3,c,1\nq1,b,\n", b"q3,c,1\nq1,b,7\n"],
                              ids=["records", "error"])
-    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    @pytest.mark.parametrize("failure", ["raise", "exit", "no-fork"])
     def test_a_failing_child_leaves_its_range_here(self, split_file, monkeypatch, failure,
                                                    second):
         path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
@@ -742,9 +755,16 @@ class TestRanges:
                 raise RuntimeError("the child fails")
             return read_range(*args)
 
+        def failing_fork():
+            raise OSError("no process to spare")
+
         monkeypatch.setattr(dataio, "_read_range", failing)
+        if failure == "no-fork":
+            monkeypatch.setattr(os, "fork", failing_fork)
         taken.clear()
-        assert loaded(load_forecast_matrix, path) == expected
+        with sigint_unblocked():
+            assert loaded(load_forecast_matrix, path) == expected
+            assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
         assert taken == []
         assert no_child_left()
 
@@ -767,33 +787,95 @@ class TestRanges:
         assert time.monotonic() - started < 30
         assert no_child_left()
 
-    def test_no_fork_warning(self, monkeypatch, tmp_path):
-        """Python 3.12 warns of a fork in a process with threads."""
+    def test_interrupt_while_waiting_ends_the_child(self, split_file, monkeypatch):
+        path, _ = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
+        waitpid = os.waitpid
+        waited = []
+
+        def interrupted(pid, options):
+            if not waited:
+                waited.append(pid)
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_forecast_matrix(path)
+        assert len(waited) == 1
+        assert no_child_left()
+
+    def test_fork_warning_neither_raises_nor_stays(self, monkeypatch, tmp_path):
+        """Python 3.12 warns of a fork in a process with threads, after the
+        fork; an error there would lose the child's pid."""
         path = tmp_path / "f.csv"
         path.write_text(GOOD_FORECASTS, encoding="utf-8")
         split_into(monkeypatch, 2)
+        fork = os.fork
+        forks = []
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+                warnings.warn("multi-threaded fork", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filters = list(warnings.filters)
+            assert load_forecast_matrix(path)[:2] == (("q1", "q2", "q3"), ("alice", "bob"))
+            assert warnings.filters == filters
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_one_range_while_another_thread_runs(self, monkeypatch, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS, encoding="utf-8")
+        split_into(monkeypatch, 2)
+        assert len(dataio._range_ends(path)) == 3
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert load_forecast_matrix(path)[:2] == (("q1", "q2", "q3"), ("alice", "bob"))
+            assert dataio._range_ends(path) == [0, len(GOOD_FORECASTS)]
         finally:
             release.set()
             thread.join()
+
+    def test_child_blocks_sigint_and_the_mask_is_restored(self, split_file, monkeypatch):
+        """A Ctrl-C reaches the child too; it must not unwind into the
+        caller's code, so only this process takes it."""
+        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
+        here = os.getpid()
+        read_range = dataio._read_range
+
+        def checked(*args):
+            if os.getpid() != here and signal.SIGINT not in signal.pthread_sigmask(
+                    signal.SIG_BLOCK, []):
+                os._exit(1)  # this process would read the range instead
+            return read_range(*args)
+
+        monkeypatch.setattr(dataio, "_read_range", checked)
+        with sigint_unblocked():
+            assert loaded(load_forecast_matrix, path) == \
+                loaded(csv_reference.load_forecast_matrix, path)
+            assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        assert taken == [1]
         assert no_child_left()
 
-    @pytest.mark.parametrize("cpus, minimum, ranges", [
-        (1, 1, 1), (2, 1, 2), (3, 1, 3), (4, 50, 3), (4, 100, 1), (8, 25, 7), (8, 30, 6)])
-    def test_one_range_per_cpu_and_minimum(self, monkeypatch, tmp_path, cpus, minimum,
-                                           ranges):
+    @pytest.mark.parametrize("cpus, maximum, minimum, ranges", [
+        (1, 8, 1, 1), (2, 8, 1, 2), (3, 8, 1, 3), (4, 8, 50, 3), (4, 8, 100, 1),
+        (8, 8, 25, 7), (8, 8, 30, 6), (8, 2, 1, 2), (8, 3, 30, 3), (1, 2, 1, 1)])
+    def test_one_range_per_cpu_maximum_and_minimum(self, monkeypatch, tmp_path, cpus,
+                                                   maximum, minimum, ranges):
         # a 191-byte file of lines of 7 to 38 bytes
         path = tmp_path / "f.csv"
         path.write_text(GOOD_FORECASTS + "q9," + "z" * 30 + ",0.5\n" + "q8,a,1\n" * 10,
                         encoding="utf-8")
         data = path.read_bytes()
         split_into(monkeypatch, cpus)
+        monkeypatch.setattr(dataio, "_MAX_RANGES", maximum)
         monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", minimum)
         ends = dataio._range_ends(path)
         assert ends[0] == 0 and ends[-1] == len(data)
