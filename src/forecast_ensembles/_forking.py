@@ -1,0 +1,96 @@
+"""Work done by a forked child process into memory it shares with this one.
+
+`Child.start` maps anonymous shared memory and forks; the child calls the
+work given with that memory, then leaves by `os._exit`, so nothing it
+inherits runs twice, neither `finally` blocks, nor atexit handlers, nor
+buffered output.  `Child.wait` gives the memory once the child has ended
+well, and `Child.stop` ends and reaps a child that still runs.  A child
+that fails, or a fork or a mapping that raises OSError, gives None, and
+the caller does the work itself.
+
+The fork runs with SIGINT blocked, and the child keeps it blocked: a
+Ctrl-C reaches the whole process group, but only this process takes it,
+and its `stop` ends the child.  The child's pid is kept before any
+bytecode runs after the fork, so an interrupt cannot lose it.  Python
+3.12's DeprecationWarning about a fork in a process with threads (BLAS
+starts some) is silenced for the fork only, by a filter that all threads
+share, so a caller forks only while `allowed` holds.  Each caller decides
+how much work is worth a child; there is no option for it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import mmap
+import os
+import signal
+import threading
+import warnings
+from itertools import starmap
+from typing import Callable
+
+
+def allowed() -> bool:
+    """Whether work may go to a child: the platform forks, and no other
+    thread of this interpreter runs, whose warning filters `Child.start`
+    would change under it."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+class Child:
+    """A child process that writes its work into memory it shares with
+    this process.  It must only read, compute and write that memory: it
+    takes no lock another thread of this process may hold, and writes to no
+    file or stream it inherits."""
+
+    def __init__(self) -> None:
+        self.pids: list[int] = []  # the child's, once forked
+
+    def start(self, size: int, work: Callable[[mmap.mmap], None]) -> None:
+        """Fork a child that calls ``work`` with ``size`` bytes of shared
+        memory, unless memory or processes run short."""
+        try:
+            self.shared = mmap.mmap(-1, size)
+            # the mask to restore, read apart from the change, after which
+            # pthread_sigmask may raise a pending KeyboardInterrupt
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+            try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+                with warnings.catch_warnings():
+                    # the child takes no lock the other threads hold
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    # list.extend stores the pid in C, with no bytecode
+                    # between where a KeyboardInterrupt would lose it
+                    self.pids.extend(starmap(os.fork, [()]))
+            finally:
+                if self.pids != [0]:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        except OSError:
+            return
+        if self.pids == [0]:
+            code = 1
+            try:
+                work(self.shared)
+                code = 0
+            finally:
+                os._exit(code)
+
+    def wait(self) -> mmap.mmap | None:
+        """The shared memory once the child has ended, or None if it
+        failed or never started."""
+        if not self.pids:
+            return None
+        try:
+            _, status = os.waitpid(self.pids[0], 0)
+        except ChildProcessError:  # reaped already: SIGCHLD is ignored
+            status = -1
+        self.pids.clear()
+        return self.shared if status == 0 else None
+
+    def stop(self) -> None:
+        """End the child if it still runs, and wait for it."""
+        if self.pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pids[0], signal.SIGKILL)
+                os.waitpid(self.pids[0], 0)
+            self.pids.clear()

@@ -43,40 +43,36 @@ An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
 changed) and a byte that is not UTF-8 are errors too, not crashes.
 
-A file of at least twice `_MIN_RANGE_BYTES` is cut into byte ranges that
-end after a line feed, one per CPU this process may run on but no more
-than `_MAX_RANGES` nor than the file holds `_MIN_RANGE_BYTES`, and only
-while no other thread of this interpreter runs (`_range_ends`).  This
-process reads the first range and a forked child each other one, into
-memory they share (`_Child`).
-The ranges are merged in file order: a range's ids take the numbers a
-single pass gives them, its lines are counted on from the ranges before
-it, and the records after the first error in the file are dropped, so
-ids, arrays and messages are those of one pass.  A range with text for
-csv.reader or a byte that is not UTF-8 sends the whole file to
-csv.reader, and a child that fails leaves its range to this process.
+A large forecasts file is read, or written, by as many processes as
+`_processes` gives for its size; each child is a `_forking.Child`, and one
+that fails leaves its work to this process.  The parse cuts the file into
+byte ranges that end after a line feed (`_range_ends`), merged in file
+order: a range's ids take the numbers a single pass gives them, its lines
+are counted on from the ranges before it, and the records after the first
+error in the file are dropped, so ids, arrays and messages are those of
+one pass.  A range with text for csv.reader or a byte that is not UTF-8
+sends the whole file to csv.reader.  `write_table` has a child format the
+later forecaster rows, and writes the bytes one process writes.
 """
 
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import io
 import json
 import mmap
 import os
 import pickle
-import signal
-import threading
-import warnings
 from collections import defaultdict
-from itertools import chain, repeat, starmap
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _forking
 from .combiners import _METHOD_LINK_AND_IMPUTATION, EnsembleModel
 from .domain import ForecastTable
 from .evaluation import EvalReport, QuestionResult
@@ -166,18 +162,17 @@ def _read_rows(path, header: list[str]):
 # plain lines holds.
 _BLOCK_BYTES = 1 << 16
 
-# The bytes of a forecasts file per process that parses it (see
-# `_range_ends`), so a file of less than twice as many is read by one
-# process.  A child costs some milliseconds: the fork, the copy of its
-# arrays into shared memory, its exit and the merge.  This is the smallest
-# range at which two processes beat one in timed pairs on a 2-core
-# machine (CHANGES.md).
+# The bytes of a forecasts file per process that parses or writes it
+# (`_processes`).  A child costs some milliseconds: the fork, the copy of
+# its work into shared memory, its exit and the parse's merge.  Two
+# processes beat one from here on in timed pairs on a 2-core machine, and
+# the write from a little less (CHANGES.md).
 _MIN_RANGE_BYTES = 1 << 18
 
-# The most ranges a file is cut into.  Two, this process and one child, is
-# what was timed to win on a 2-core machine; more ranges than the CPUs
+# The most processes that share a file.  Two, this process and one child,
+# is what was timed to win on a 2-core machine; more ranges than the CPUs
 # that run them lose there (CHANGES.md), and a CPU quota does not shrink
-# the affinity mask that `_range_ends` counts.
+# the affinity mask that `_processes` counts.
 _MAX_RANGES = 2
 
 # Text that `str.split` would not tokenize as csv.reader does: a quote, or
@@ -431,20 +426,23 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int, before: int
     return consumed - before
 
 
+def _processes(size: int) -> int:
+    """How many processes share work on ``size`` bytes of a forecasts
+    file: one per CPU this process may run on, but no more than
+    `_MAX_RANGES` nor than ``size`` holds `_MIN_RANGE_BYTES`; one unless
+    `_forking.allowed` and the platform tells the CPUs."""
+    if not (_forking.allowed() and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(_MAX_RANGES, len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES))
+
+
 def _range_ends(path: Path) -> list[int]:
     """0, then the byte offset where each range of the file ends: range k
     of n at the first line feed at or after byte k * size // n, the last
-    at the end of the file.  There is a range per CPU this process may run
-    on, but no more than `_MAX_RANGES` nor than the file holds
-    `_MIN_RANGE_BYTES`.  There is one where the platform cannot fork, and
-    while another thread of this interpreter runs, since `_Child` silences
-    the fork's warning with the filters that all threads share."""
+    at the end of the file, with n = `_processes` of its size."""
     with path.open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        count = 1
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
-                and threading.active_count() == 1:
-            count = min(_MAX_RANGES, len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES)
+        count = _processes(size)
         ends = [0]
         for k in range(1, count):
             handle.seek(max(k * size // count, ends[-1]))
@@ -457,81 +455,17 @@ def _range_ends(path: Path) -> list[int]:
     return ends + [size]
 
 
-class _Child:
-    """A child process that parses one range of a forecasts file into
-    memory it shares with this process (`_share`).  It only reads the
-    file, parses and writes that memory, and leaves by `os._exit`, so
-    nothing it inherits runs twice, neither `finally` blocks nor buffered
-    output.  It runs with SIGINT blocked: an interrupt reaches this
-    process, whose `stop` ends the child."""
-
-    def __init__(self) -> None:
-        self.pids: list[int] = []  # the child's, once forked
-
-    def start(self, path: Path, forecaster_ids, start: int, end: int) -> None:
-        """Fork the child, unless memory or processes run short."""
-        try:
-            # a record kept takes 5 bytes of the range at least ("q,f,\n")
-            # and 32 of arrays, and an id pickled at most 6 more than it
-            # takes in the range; a part that does not fit fails the child
-            self.shared = mmap.mmap(-1, _SHARED_HEAD + 16 * (end - start) + 4096)
-            # the mask to restore, read apart from the change, after which
-            # pthread_sigmask may raise a pending KeyboardInterrupt
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
-            try:
-                signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-                with warnings.catch_warnings():
-                    # Python 3.12 warns of a fork in a process with threads
-                    # (BLAS starts some); the child takes no lock they hold
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    # list.extend stores the pid in C, with no bytecode
-                    # between where a KeyboardInterrupt would lose it
-                    self.pids.extend(starmap(os.fork, [()]))
-            finally:
-                if self.pids != [0]:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        except OSError:
-            return
-        if self.pids == [0]:
-            code = 1
-            try:
-                columns = _Columns(path, forecaster_ids)
-                _share(self.shared, columns, _read_range(path, columns, start, end))
-                code = 0
-            finally:
-                os._exit(code)
-
-    def part(self) -> _Part | None:
-        """The range's records once the child has ended, or None if it
-        failed, as it does at text `_read_range` declines, or never
-        started."""
-        if not self.pids:
-            return None
-        try:
-            _, status = os.waitpid(self.pids[0], 0)
-        except ChildProcessError:  # reaped already: SIGCHLD is ignored
-            status = -1
-        self.pids.clear()
-        return _shared(self.shared) if status == 0 else None
-
-    def stop(self) -> None:
-        """End the child if it still runs, and wait for it."""
-        if self.pids:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(self.pids[0], signal.SIGKILL)
-                os.waitpid(self.pids[0], 0)
-            self.pids.clear()
-
-
 # A child's shared memory starts with the number of records it kept and the
 # length of the rest of its part pickled; the record arrays follow, then
 # that pickle.
 _SHARED_HEAD = 16
 
 
-def _share(shared: mmap.mmap, columns: _Columns, consumed: int) -> None:
-    """Write the records ``columns`` kept from a range of ``consumed``
-    physical lines as `_shared` reads them."""
+def _share(path: Path, forecaster_ids, start: int, end: int, shared: mmap.mmap) -> None:
+    """A child's work: the records of bytes ``start`` to ``end`` of the
+    file, written to ``shared`` as `_shared` reads them."""
+    columns = _Columns(path, forecaster_ids)
+    consumed = _read_range(path, columns, start, end)
     kept = sum(map(len, columns.values))
     for k, parts in enumerate((columns.rows, columns.columns, columns.values, columns.lines)):
         np.concatenate(parts, out=_shared_array(shared, kept, k))
@@ -563,18 +497,23 @@ def _read_plain(path: Path, forecaster_ids) -> _Columns:
     its own, merged in file order up to the first range with an error."""
     ends = _range_ends(path)
     columns = _Columns(path, forecaster_ids)
-    children = [_Child() for _ in ends[2:]]
+    children = [_forking.Child() for _ in ends[2:]]
     try:
         for child, start, end in zip(children, ends[1:], ends[2:]):
-            child.start(path, forecaster_ids, start, end)
+            # a record kept takes 5 bytes of the range at least ("q,f,\n")
+            # and 32 of arrays, and an id pickled at most 6 more than it
+            # takes in the range; a part that does not fit fails the child
+            child.start(_SHARED_HEAD + 16 * (end - start) + 4096,
+                        partial(_share, path, forecaster_ids, start, end))
         offset = _read_range(path, columns, 0, ends[1])
         for child, start, end in zip(children, ends[1:], ends[2:]):
             if columns.error is not None:
                 break
-            part = child.part()
-            if part is None:  # this process reads the range, meeting what failed the child
+            shared = child.wait()
+            if shared is None:  # this process reads the range, meeting what failed the child
                 offset += _read_range(path, columns, start, end, offset)
             else:
+                part = _shared(shared)
                 columns.merge(part, offset)
                 offset += part.consumed
     finally:
@@ -686,25 +625,85 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
     gets one empty-probability row on the first question, so that it is
     not lost.  Probabilities carry 17 significant digits.  Each id is
     quoted once by csv.writer, as it would quote it in any row, and each
-    forecaster's rows are joined and written at once.
+    forecaster's rows are one ``%`` template applied to its probabilities.
+    A child may format the later rows (`_Rows.split`); the bytes are the same.
     """
-    question_ids = _csv_fields(table.question_ids)
-    with Path(forecasts_path).open("w", newline="\n", encoding="utf-8") as handle:
-        handle.write(",".join(FORECASTS_HEADER) + "\n")
-        answered = table.answered
-        for i, forecaster_id in enumerate(_csv_fields(table.forecaster_ids)):
-            columns = np.flatnonzero(answered[i]).tolist()
-            if question_ids and not columns:
-                handle.write(f"{question_ids[0]},{forecaster_id},\n")
-                continue
-            handle.write("".join([
-                f"{question_ids[q]},{forecaster_id},{format(value, '.17g')}\n"
-                for q, value in zip(columns, table.forecasts[i, columns].tolist())]))
+    rows = _Rows(table)
+    with Path(forecasts_path).open("wb") as handle:
+        child = _forking.Child()
+        try:
+            half = rows.split(child)
+            handle.write((",".join(FORECASTS_HEADER) + "\n").encode())
+            handle.writelines(rows.text(0, half))
+            if (shared := child.wait()) is None:  # this process formats the child's rows
+                handle.writelines(rows.text(half, len(rows.cells)))
+            else:
+                handle.write(memoryview(shared)[8:int.from_bytes(shared[:8], "little")])
+        finally:
+            child.stop()
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(OUTCOMES_HEADER)
         for q, question_id in enumerate(table.question_ids):
             writer.writerow([question_id, "+1" if table.outcomes[q] > 0 else "-1"])
+
+
+class _Rows:
+    """A table's forecaster rows as the lines of a forecasts file."""
+
+    def __init__(self, table: ForecastTable) -> None:
+        self.forecasts, self.answered = table.forecasts, table.answered
+        self.cells = np.count_nonzero(self.answered, axis=1)  # probabilities per row
+        # escaped, as the ids stand in each row's % template
+        self.question_ids, self.forecaster_ids = (
+            [text.replace("%", "%%") for text in _csv_fields(ids)]
+            for ids in (table.question_ids, table.forecaster_ids))
+
+    def split(self, child: _forking.Child) -> int:
+        """The row from which ``child`` formats the rest, about half of the
+        probabilities, or no child and the number of rows if `_processes`
+        of the file's estimated size is one.  A probability counts as 19
+        bytes ("0." and 17 digits) there, and as 24 (the most) in the
+        child's memory."""
+        question_bytes, forecaster_bytes = (
+            np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
+            for ids in (self.question_ids, self.forecaster_ids))
+        # each row's ids (their escapes too), commas and line feeds; a
+        # forecaster with no forecast takes one line on the first question
+        widths = (self.answered @ question_bytes + (self.cells == 0) * question_bytes[:1].sum()
+                  + np.maximum(self.cells, 1) * (forecaster_bytes + 3))
+        count = len(self.cells)
+        estimate = len(",".join(FORECASTS_HEADER)) + int((widths + 19 * self.cells).sum())
+        if count < 2 or _processes(estimate) < 2:
+            return count
+        cells = np.cumsum(self.cells)
+        half = int(np.searchsorted(cells, cells[-1] / 2)) + 1
+        if half < count:
+            child.start(8 + int((widths + 24 * self.cells)[half:].sum()),
+                        partial(_format_rows, self, half))
+        return half
+
+    def text(self, start: int, stop: int):
+        """The UTF-8 lines of rows ``start`` to ``stop``, a bytes object
+        per row, each one % operation on its row's template."""
+        question_ids = self.question_ids
+        if not question_ids:  # no question, no line
+            return
+        for i in range(start, stop):
+            columns = np.flatnonzero(self.answered[i]).tolist()
+            separator = f",{self.forecaster_ids[i]},%.17g\n"
+            template = (separator.join(map(question_ids.__getitem__, columns)) + separator
+                        if columns else f"{question_ids[0]},{self.forecaster_ids[i]},\n")
+            yield (template % tuple(self.forecasts[i, columns].tolist())).encode()
+
+
+def _format_rows(rows: _Rows, start: int, shared: mmap.mmap) -> None:
+    """A child's work: rows ``start`` on, written to ``shared`` after the
+    8-byte offset where they end; text that does not fit fails the child."""
+    shared.seek(8)
+    for data in rows.text(start, len(rows.cells)):
+        shared.write(data)
+    shared[:8] = shared.tell().to_bytes(8, "little")
 
 
 def _csv_fields(texts) -> list[str]:

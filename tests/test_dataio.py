@@ -34,6 +34,7 @@ from forecast_ensembles import (
     write_table,
 )
 from forecast_ensembles import dataio
+from forecast_ensembles.cli import main
 from forecast_ensembles.dataio import FORECASTS_HEADER, OUTCOMES_HEADER, load_forecast_matrix
 
 
@@ -188,8 +189,9 @@ class TestLoadForecastMatrix:
         assert matrix.tobytes() == expected[2].tobytes()
 
 
-# Ids with every character csv.writer quotes for, and some it does not.
-WRITER_IDS = st.text(alphabet=' ,"\n\rqé€x', max_size=4)
+# Ids with every character csv.writer quotes for, and some it does not,
+# among them those a % template or a str.format one would read.
+WRITER_IDS = st.text(alphabet=' ,"\n\rqé€x%{}', max_size=4)
 WRITER_VALUES = (st.just(np.nan) | st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2])
                  | st.floats(0.0, 1.0))
 
@@ -243,15 +245,105 @@ class TestTableRoundTrip:
         raw = (tmp_path / "f.csv").read_bytes()
         assert b"\r" not in raw
 
-    @given(table=awkward_tables())
+    @given(table=awkward_tables(), cpus=st.sampled_from([None, 2]))
     @settings(max_examples=200, deadline=None)
-    def test_same_bytes_as_the_row_by_row_writer(self, table):
-        with tempfile.TemporaryDirectory() as directory:
+    def test_same_bytes_as_the_row_by_row_writer(self, table, cpus):
+        """Written by one process, or by two wherever there are two rows."""
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            if cpus is not None:
+                split_into(patch, cpus)
             files = [Path(directory) / name for name in ("f.csv", "o.csv", "rf.csv", "ro.csv")]
             write_table(table, *files[:2])
             csv_reference.write_table(table, *files[2:])
             assert files[0].read_bytes() == files[2].read_bytes()
             assert files[1].read_bytes() == files[3].read_bytes()
+        assert no_child_left()
+
+    @pytest.fixture
+    def split_write(self, tmp_path, monkeypatch):
+        """A table written by two processes.  ``made`` lists the rows this
+        process formats, as (start, stop) pairs, and ``expected`` holds the
+        reference writer's bytes."""
+        table = generate_synthetic(SyntheticSpec(forecasters=9, questions=30,
+                                                 coverage=0.8, seed=6))
+        csv_reference.write_table(table, tmp_path / "rf.csv", tmp_path / "ro.csv")
+        split_into(monkeypatch, 2)
+        here = os.getpid()
+        text = dataio._Rows.text
+        made = []
+
+        def recorded(rows, start, stop):
+            if os.getpid() == here:
+                made.append((start, stop))
+            return text(rows, start, stop)
+
+        monkeypatch.setattr(dataio._Rows, "text", recorded)
+        return table, made, (tmp_path / "rf.csv").read_bytes()
+
+    def test_later_rows_formatted_by_a_child(self, split_write, tmp_path):
+        table, made, expected = split_write
+        write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
+        assert (tmp_path / "f.csv").read_bytes() == expected
+        [(start, half)] = made
+        assert start == 0 and 0 < half < table.n_forecasters
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raise", "exit", "no-fork"])
+    def test_a_failing_child_leaves_its_rows_here(self, split_write, tmp_path, monkeypatch,
+                                                  failure):
+        table, made, expected = split_write
+        here = os.getpid()
+        text = dataio._Rows.text
+
+        def failing(rows, start, stop):
+            if os.getpid() != here:
+                if failure == "exit":
+                    os._exit(1)
+                raise RuntimeError("the child fails")
+            return text(rows, start, stop)
+
+        def failing_fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(dataio._Rows, "text", failing)
+        if failure == "no-fork":
+            monkeypatch.setattr(os, "fork", failing_fork)
+        with sigint_unblocked():
+            write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
+            assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        assert (tmp_path / "f.csv").read_bytes() == expected
+        [(start, half), (rest, stop)] = made
+        assert (start, rest, stop) == (0, half, table.n_forecasters)
+        assert no_child_left()
+
+    def test_interrupt_ends_the_child(self, split_write, tmp_path, monkeypatch):
+        table, _, _ = split_write
+        here = os.getpid()
+
+        def interrupted(rows, start, stop):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still at work
+            yield b""
+
+        monkeypatch.setattr(dataio._Rows, "text", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
+        assert time.monotonic() - started < 30
+        assert no_child_left()
+
+    def test_synth_into_a_missing_directory_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        split_into(monkeypatch, 2)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        prefix = tmp_path / "missing" / "syn"
+        assert main(["synth", "--forecasters", "9", "--questions", "30", "--mode", "type2",
+                     "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert forks == []
+        assert no_child_left()
 
 
 class TestModelRoundTrip:
