@@ -1,12 +1,12 @@
-"""Work done by a forked child process into memory it shares with this one.
+"""Work done by a forked child process, whose return value comes back here.
 
-`Child.start` maps anonymous shared memory and forks; the child calls the
-work given with that memory, then leaves by `os._exit`, so nothing it
-inherits runs twice, neither `finally` blocks, nor atexit handlers, nor
-buffered output.  `Child.wait` gives the memory once the child has ended
-well, and `Child.stop` ends and reaps a child that still runs.  A child
-that fails, or a fork or a mapping that raises OSError, gives None, and
-the caller does the work itself.
+`Child.start` forks a child that calls the work given, pickles what it
+returns into an unlinked temporary file of its own, which grows as needed,
+then leaves by `os._exit`, so nothing it inherits runs twice, neither
+`finally` blocks, nor atexit handlers, nor buffered output.  `Child.wait`
+returns that value once the child has ended well, and `Child.stop` ends and
+reaps a child that still runs.  A child that fails, or a fork or a file
+that raises OSError, gives None, and the caller does the work itself.
 
 The fork runs with SIGINT blocked, and the child keeps it blocked: a
 Ctrl-C reaches the whole process group, but only this process takes it,
@@ -21,13 +21,14 @@ how much work is worth a child; there is no option for it.
 from __future__ import annotations
 
 import contextlib
-import mmap
 import os
+import pickle
 import signal
+import tempfile
 import threading
 import warnings
 from itertools import starmap
-from typing import Callable
+from typing import Any, Callable
 
 
 def allowed() -> bool:
@@ -38,19 +39,20 @@ def allowed() -> bool:
 
 
 class Child:
-    """A child process that writes its work into memory it shares with
-    this process.  It must only read, compute and write that memory: it
-    takes no lock another thread of this process may hold, and writes to no
-    file or stream it inherits."""
+    """A child process whose work returns a value that is not None.  The
+    work must only read and compute: it takes no lock another thread of
+    this process may hold, and the child writes to no file or stream it
+    inherits, only to its own result file."""
 
     def __init__(self) -> None:
         self.pids: list[int] = []  # the child's, once forked
+        self.result = None  # the file the child pickles its value into, until read
 
-    def start(self, size: int, work: Callable[[mmap.mmap], None]) -> None:
-        """Fork a child that calls ``work`` with ``size`` bytes of shared
-        memory, unless memory or processes run short."""
+    def start(self, work: Callable[[], Any]) -> None:
+        """Fork a child that calls ``work``, unless files or processes run
+        short."""
         try:
-            self.shared = mmap.mmap(-1, size)
+            self.result = tempfile.TemporaryFile()
             # the mask to restore, read apart from the change, after which
             # pthread_sigmask may raise a pending KeyboardInterrupt
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
@@ -66,18 +68,20 @@ class Child:
                 if self.pids != [0]:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         except OSError:
+            self.stop()
             return
         if self.pids == [0]:
             code = 1
             try:
-                work(self.shared)
+                pickle.dump(work(), self.result)
+                self.result.flush()
                 code = 0
             finally:
                 os._exit(code)
 
-    def wait(self) -> mmap.mmap | None:
-        """The shared memory once the child has ended, or None if it
-        failed or never started."""
+    def wait(self) -> Any:
+        """What the child's work returned, once the child has ended, or
+        None if it failed or never started."""
         if not self.pids:
             return None
         try:
@@ -85,12 +89,17 @@ class Child:
         except ChildProcessError:  # reaped already: SIGCHLD is ignored
             status = -1
         self.pids.clear()
-        return self.shared if status == 0 else None
+        with self.result:
+            self.result.seek(0)
+            # written by the child alone
+            return pickle.load(self.result) if status == 0 else None
 
     def stop(self) -> None:
-        """End the child if it still runs, and wait for it."""
+        """End the child if it still runs, wait for it, and close its file."""
         if self.pids:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(self.pids[0], signal.SIGKILL)
                 os.waitpid(self.pids[0], 0)
             self.pids.clear()
+        if self.result is not None:
+            self.result.close()

@@ -44,15 +44,16 @@ physical lines; a field over the csv limit (131,072 characters unless
 changed) and a byte that is not UTF-8 are errors too, not crashes.
 
 A large forecasts file is read, or written, by as many processes as
-`_processes` gives for its size; each child is a `_forking.Child`, and one
-that fails leaves its work to this process.  The parse cuts the file into
-byte ranges that end after a line feed (`_range_ends`), merged in file
-order: a range's ids take the numbers a single pass gives them, its lines
-are counted on from the ranges before it, and the records after the first
-error in the file are dropped, so ids, arrays and messages are those of
-one pass.  A range with text for csv.reader or a byte that is not UTF-8
-sends the whole file to csv.reader.  `write_table` has a child format the
-later forecaster rows, and writes the bytes one process writes.
+`_processes` gives for its size; each child is a `_forking.Child` whose
+work returns its share, and one that fails leaves that to this process.
+The parse cuts the file into byte ranges that end after a line feed
+(`_range_ends`), each child's a `_Part`, merged in file order: a range's
+ids take the numbers a single pass gives them, its lines are counted on
+from the ranges before it, and the records after the first error in the
+file are dropped, so ids, arrays and messages are those of one pass.  A
+range with text for csv.reader or a byte that is not UTF-8 sends the whole
+file to csv.reader.  `write_table` has a child format the later forecaster
+rows, and writes the bytes one process writes.
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ import codecs
 import csv
 import io
 import json
-import mmap
 import os
-import pickle
 from collections import defaultdict
 from functools import partial
 from itertools import chain, repeat
@@ -142,16 +141,22 @@ def _read_rows(path, header: list[str]):
     with path.open(newline="", encoding="utf-8") as handle:
         records = _records(path, csv.reader(handle))
         _, first = next(records, (1, None))
-        if first is None:
-            _fail(path, 1, f"missing header; expected {','.join(header)}")
-        if first != header:
-            _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
+        _check_header(path, first, header)
         for line, row in records:
             if not row:
                 continue
             if len(row) != len(header):
                 _fail(path, line, f"expected {len(header)} fields, got {len(row)}")
             yield line, row
+
+
+def _check_header(path, first, header: list[str]) -> None:
+    """Fail unless ``first``, a file's first record split into fields or
+    None if the file is empty, is ``header``."""
+    if first is None:
+        _fail(path, 1, f"missing header; expected {','.join(header)}")
+    if first != header:
+        _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
 
 
 # Bytes read per block of a forecasts file.  A block's lines and fields
@@ -164,7 +169,7 @@ _BLOCK_BYTES = 1 << 16
 
 # The bytes of a forecasts file per process that parses or writes it
 # (`_processes`).  A child costs some milliseconds: the fork, the copy of
-# its work into shared memory, its exit and the parse's merge.  Two
+# its result through a file, its exit and the parse's merge.  Two
 # processes beat one from here on in timed pairs on a 2-core machine, and
 # the write from a little less (CHANGES.md).
 _MIN_RANGE_BYTES = 1 << 18
@@ -184,7 +189,7 @@ _CSV_ONLY = ('"', "\0")
 class _Part(NamedTuple):
     """The records a child kept from a range of a forecasts file that does
     not start it: ids numbered by first appearance in the range, lines
-    counted from its start (`_shared`)."""
+    counted from its start (`_part`)."""
 
     question_ids: tuple[str, ...]
     forecaster_ids: tuple[str, ...]  # empty when the caller gave them
@@ -398,12 +403,8 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int, before: int
         blocks = _plain_blocks(_decoded(handle, start, end))
         if start == 0:
             lines = next(blocks, None)
-            if lines is None:
-                _fail(path, 1, f"missing header; expected {','.join(FORECASTS_HEADER)}")
-            header = lines.pop(0).split(",")
-            if header != FORECASTS_HEADER:
-                _fail(path, 1, f"bad header {','.join(header)!r}; "
-                               f"expected {','.join(FORECASTS_HEADER)}")
+            _check_header(path, None if lines is None else lines.pop(0).split(","),
+                          FORECASTS_HEADER)
             consumed += 1
             blocks = chain([lines], blocks)
         for lines in blocks:
@@ -455,40 +456,16 @@ def _range_ends(path: Path) -> list[int]:
     return ends + [size]
 
 
-# A child's shared memory starts with the number of records it kept and the
-# length of the rest of its part pickled; the record arrays follow, then
-# that pickle.
-_SHARED_HEAD = 16
-
-
-def _share(path: Path, forecaster_ids, start: int, end: int, shared: mmap.mmap) -> None:
+def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part:
     """A child's work: the records of bytes ``start`` to ``end`` of the
-    file, written to ``shared`` as `_shared` reads them."""
+    file."""
     columns = _Columns(path, forecaster_ids)
     consumed = _read_range(path, columns, start, end)
-    kept = sum(map(len, columns.values))
-    for k, parts in enumerate((columns.rows, columns.columns, columns.values, columns.lines)):
-        np.concatenate(parts, out=_shared_array(shared, kept, k))
-    rest = pickle.dumps((tuple(columns.question_index),
-                         () if columns.fixed else tuple(columns.forecaster_index),
-                         columns.error, consumed))
-    at = _SHARED_HEAD + 32 * kept
-    shared[at:at + len(rest)] = rest
-    shared[:_SHARED_HEAD] = np.array([kept, len(rest)], np.intp).tobytes()
-
-
-def _shared(shared: mmap.mmap) -> _Part:
-    """The part `_share` wrote; its arrays are views of ``shared``."""
-    kept, size = np.frombuffer(shared, np.intp, 2)
-    at = _SHARED_HEAD + 32 * kept
-    question_ids, forecaster_ids, error, consumed = pickle.loads(shared[at:at + size])
-    rows, columns, values, lines = (_shared_array(shared, kept, k) for k in range(4))
-    return _Part(question_ids, forecaster_ids, rows, columns, values, lines, error, consumed)
-
-
-def _shared_array(shared: mmap.mmap, kept: int, k: int) -> np.ndarray:
-    """Array k of rows, columns, values and lines in ``shared``."""
-    return np.frombuffer(shared, float if k == 2 else np.intp, kept, _SHARED_HEAD + 8 * kept * k)
+    return _Part(tuple(columns.question_index),
+                 () if columns.fixed else tuple(columns.forecaster_index),
+                 *map(np.concatenate, (columns.rows, columns.columns, columns.values,
+                                       columns.lines)),
+                 columns.error, consumed)
 
 
 def _read_plain(path: Path, forecaster_ids) -> _Columns:
@@ -500,20 +477,15 @@ def _read_plain(path: Path, forecaster_ids) -> _Columns:
     children = [_forking.Child() for _ in ends[2:]]
     try:
         for child, start, end in zip(children, ends[1:], ends[2:]):
-            # a record kept takes 5 bytes of the range at least ("q,f,\n")
-            # and 32 of arrays, and an id pickled at most 6 more than it
-            # takes in the range; a part that does not fit fails the child
-            child.start(_SHARED_HEAD + 16 * (end - start) + 4096,
-                        partial(_share, path, forecaster_ids, start, end))
+            child.start(partial(_part, path, forecaster_ids, start, end))
         offset = _read_range(path, columns, 0, ends[1])
         for child, start, end in zip(children, ends[1:], ends[2:]):
             if columns.error is not None:
                 break
-            shared = child.wait()
-            if shared is None:  # this process reads the range, meeting what failed the child
+            part = child.wait()
+            if part is None:  # this process reads the range, meeting what failed the child
                 offset += _read_range(path, columns, start, end, offset)
             else:
-                part = _shared(shared)
                 columns.merge(part, offset)
                 offset += part.consumed
     finally:
@@ -635,10 +607,10 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
             half = rows.split(child)
             handle.write((",".join(FORECASTS_HEADER) + "\n").encode())
             handle.writelines(rows.text(0, half))
-            if (shared := child.wait()) is None:  # this process formats the child's rows
+            if (text := child.wait()) is None:  # this process formats the child's rows
                 handle.writelines(rows.text(half, len(rows.cells)))
             else:
-                handle.write(memoryview(shared)[8:int.from_bytes(shared[:8], "little")])
+                handle.write(text)
         finally:
             child.stop()
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
@@ -663,8 +635,7 @@ class _Rows:
         """The row from which ``child`` formats the rest, about half of the
         probabilities, or no child and the number of rows if `_processes`
         of the file's estimated size is one.  A probability counts as 19
-        bytes ("0." and 17 digits) there, and as 24 (the most) in the
-        child's memory."""
+        bytes ("0." and 17 digits) there."""
         question_bytes, forecaster_bytes = (
             np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
             for ids in (self.question_ids, self.forecaster_ids))
@@ -679,8 +650,7 @@ class _Rows:
         cells = np.cumsum(self.cells)
         half = int(np.searchsorted(cells, cells[-1] / 2)) + 1
         if half < count:
-            child.start(8 + int((widths + 24 * self.cells)[half:].sum()),
-                        partial(_format_rows, self, half))
+            child.start(lambda: b"".join(self.text(half, count)))
         return half
 
     def text(self, start: int, stop: int):
@@ -695,15 +665,6 @@ class _Rows:
             template = (separator.join(map(question_ids.__getitem__, columns)) + separator
                         if columns else f"{question_ids[0]},{self.forecaster_ids[i]},\n")
             yield (template % tuple(self.forecasts[i, columns].tolist())).encode()
-
-
-def _format_rows(rows: _Rows, start: int, shared: mmap.mmap) -> None:
-    """A child's work: rows ``start`` on, written to ``shared`` after the
-    8-byte offset where they end; text that does not fit fails the child."""
-    shared.seek(8)
-    for data in rows.text(start, len(rows.cells)):
-        shared.write(data)
-    shared[:8] = shared.tell().to_bytes(8, "little")
 
 
 def _csv_fields(texts) -> list[str]:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,10 @@ def predict_column(model, forecasts) -> tuple[float, float]:
     column = np.asarray(forecasts, dtype=float)[:, np.newaxis]
     margins, probabilities = ensemble_predict_table(model, column)
     return float(margins[0]), float(probabilities[0])
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import csv_reference
-from conftest import random_table
+from conftest import no_child_left, random_table
 from forecast_ensembles import (
     DataFormatError,
     ForecastTable,
@@ -747,12 +747,6 @@ def sigint_unblocked():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def no_child_left() -> bool:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
 class TestRanges:
     """A file read in two ranges, the second by a child process, gives the
     reference's ids, matrix bytes or message."""
@@ -763,8 +757,9 @@ class TestRanges:
         ranges that part between them.  ``taken`` counts the parts this
         process takes from a child."""
         taken = []
-        shared = dataio._shared
-        monkeypatch.setattr(dataio, "_shared", lambda memory: taken.append(1) or shared(memory))
+        merge = dataio._Columns.merge
+        monkeypatch.setattr(dataio._Columns, "merge",
+                            lambda columns, *args: taken.append(1) or merge(columns, *args))
 
         def make(first: bytes, second: bytes):
             path = tmp_path / "f.csv"
