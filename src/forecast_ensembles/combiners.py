@@ -31,14 +31,14 @@ accumulated in question order, as a left-to-right scalar loop would, and
 ties go to the lowest index.  The trainers build their per-question
 factors once, question-major (Q, N), and hand them to `_LeastTotal`,
 which finds that argmin at BLAS speed without changing it.  Once per
-training it keeps only the first of each set of identical columns.  Each
-round it screens all columns with one BLAS matrix-vector product, keeps
-the few whose screened total lies within the forward error bound of sums
-of non-negative terms (Higham 2002, sec. 4.2) of the least one, and sums
-only those in question order; when too many are left, it takes the full
-ordered pass (`_ordered_totals`) instead.  The bound holds for any
-summation order, so picks and totals do not depend on how BLAS sums or
-on how many threads it uses.
+training, or once per leave-one-out, it keeps only the first of each set
+of identical columns.  Each round it screens all columns with one BLAS
+matrix-vector product, keeps the few whose screened total lies within
+the forward error bound of sums of non-negative terms (Higham 2002, sec.
+4.2) of the least one, and sums only those in question order; when too
+many are left, it takes the full ordered pass (`_ordered_totals`)
+instead.  The bound holds for any summation order, so picks and totals
+do not depend on how BLAS sums or on how many threads it uses.
 
 A round is a pure function of the question weights, so a round that
 leaves them bit for bit as they were is repeated by every later one.  The
@@ -52,8 +52,12 @@ bit, as those of training every round.
 
 Realboost's factors of a fold are the full table's without the held-out
 question's row, since an absent forecast reads as 0.5 whatever the fold.
-So `train_folds` builds them once (`_loss_factors`, the one builder) and
-hands each fold its rows; adaboost folds each draw their own fill from
+So `train_folds` builds them and their column collapse once
+(`_loss_factors`, the one builder, and `_LeastTotal`) and hands each fold
+the kept columns without its row (`_LeastTotal.without_row`); columns
+identical on the table are identical on every fold, and a tie on one fold
+only is left to the ordered recheck.  Realboost reweights by the products
+its objective summed.  Adaboost folds each draw their own fill from
 ``seed ^ q`` and build their own.
 
 Training is inherently sequential (weights depend on previous rounds), but
@@ -180,11 +184,14 @@ def _ordered_totals(factors: np.ndarray, weights: np.ndarray, out: np.ndarray) -
 
 def _ordered_sum(values: np.ndarray):
     """Sum over axis 0 of 1-D or 2-D input, bit for bit a left-to-right
-    loop from 0.0.  numpy adds the rows of a C-contiguous array with two
-    or more columns one after another; it would sum a lone column or an
-    F-ordered array pairwise, so those take ``np.cumsum``.  Adding 0.0
-    turns a total of -0.0 into the loop's +0.0 and changes no other."""
-    if values.ndim == 2 and values.shape[1] > 1 and values.flags.c_contiguous:
+    loop from 0.0; a 1-D sum comes back as a Python float.  numpy adds
+    the rows of a C-contiguous array with two or more columns one after
+    another; it would sum a vector, a lone column or an F-ordered array
+    pairwise, so those take ``np.cumsum``.  Adding 0.0 turns a total of
+    -0.0 into the loop's +0.0 and changes no other."""
+    if values.ndim == 1:
+        return float(values.cumsum()[-1]) + 0.0
+    if values.shape[1] > 1 and values.flags.c_contiguous:
         total = values.sum(axis=0)
     else:
         total = values.cumsum(axis=0)[-1]
@@ -202,8 +209,9 @@ class _LeastTotal:
     that argmin is cut, in three ways.
 
     * Column collapse.  Byte-identical columns have identical ordered
-      totals, so only the first of each is kept, once per training; the
-      lowest index of a tie stays the one returned.
+      totals, so only the first of each is kept, once per training or,
+      through `without_row`, once per leave-one-out; the lowest index of
+      a tie stays the one returned.
     * Screen.  ``weights @ factors`` goes to BLAS, which may sum in any
       order, in blocks, with or without fused multiply-adds and on any
       number of threads.  All terms are non-negative, so every computed
@@ -226,7 +234,8 @@ class _LeastTotal:
     bound holds for every summation order, so picks and totals do not
     depend on the BLAS build, its kernel or its thread count.  The
     instance counts the candidates it rechecked and the rounds that fell
-    back to the full pass.
+    back to the full pass, and keeps as ``products`` the pick's column of
+    ``factors * weights[:, None]``, the terms its total summed.
     """
 
     def __init__(self, factors: np.ndarray) -> None:
@@ -237,10 +246,27 @@ class _LeastTotal:
         for j, key in enumerate(keys):
             first.setdefault(key, j)
         self.columns = list(first.values())
-        if len(first) < factors.shape[1]:
+        self.n_columns = factors.shape[1]
+        if len(first) < self.n_columns:
             # the gather comes back in F order, which `_ordered_totals`
             # would sum pairwise
             factors = np.ascontiguousarray(factors[:, self.columns])
+        self._bind(factors)
+
+    def without_row(self, row: int) -> _LeastTotal:
+        """The argmin of the same factors without row ``row``, for the
+        leave-one-out fold without that question.  It keeps this
+        instance's columns rather than collapsing again: columns identical
+        on every row stay identical on any subset of the rows, and two
+        kept columns that tie on the fold only both stay candidates, which
+        the ordered recheck resolves to the lower index as a collapse
+        would.  The bound is the fold's own, from its Q - 1 rows."""
+        least = object.__new__(_LeastTotal)
+        least.columns, least.n_columns = self.columns, self.n_columns
+        least._bind(np.delete(self.factors, row, axis=0))
+        return least
+
+    def _bind(self, factors: np.ndarray) -> None:
         self.factors = factors
         self.out = np.empty(factors.shape)
         n_questions = factors.shape[0]
@@ -250,23 +276,32 @@ class _LeastTotal:
         self.candidates = 0
         self.fallbacks = 0
 
-    def __call__(self, weights: np.ndarray) -> tuple[int, np.float64]:
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(Q, N) of the factors, counting the collapsed columns."""
+        return self.factors.shape[0], self.n_columns
+
+    def __call__(self, weights: np.ndarray) -> tuple[int, float]:
         factors = self.factors
         screen = weights @ factors
-        limit = self.slack * (np.minimum.reduce(screen) + self.floor)
+        limit = self.slack * (float(np.minimum.reduce(screen)) + self.floor)
         candidates = (screen <= limit).nonzero()[0]
         k = len(candidates)
         self.candidates += k
         if k == 1:
             j = candidates[0]
-            return self.columns[j], _ordered_sum(factors[:, j] * weights)
+            self.products = factors[:, j] * weights
+            return self.columns[j], _ordered_sum(self.products)
         if k == 0 or _GATHER_COST * k > factors.shape[1]:
             self.fallbacks += 1
             totals = _ordered_totals(factors, weights, self.out)
             j = totals.argmin()
+            self.products = self.out[:, j]
             return self.columns[j], totals[j]
-        totals = _ordered_sum(factors[:, candidates] * weights[:, np.newaxis])
+        products = factors[:, candidates] * weights[:, np.newaxis]
+        totals = _ordered_sum(products)
         j = totals.argmin()
+        self.products = products[:, j]
         return self.columns[candidates[j]], totals[j]
 
 
@@ -367,7 +402,7 @@ def _loss_factors(table: ForecastTable) -> np.ndarray:
 
 
 def realboost_train(table: ForecastTable, iterations: int, *,
-                    loss_factors: np.ndarray | None = None) -> EnsembleModel:
+                    least_objective: _LeastTotal | None = None) -> EnsembleModel:
     """Stagewise boosting of log-odds predictors.
 
     Absent forecasts read as 0.5, i.e. a zero-margin abstention.  Each
@@ -380,17 +415,17 @@ def realboost_train(table: ForecastTable, iterations: int, *,
     factors leave every weight as it was (a constant 0.5 forecaster under
     weights that sum to 1.0) fills every round left.
 
-    ``loss_factors``, when given, must be the table's own (Q, N) factors,
-    as `_loss_factors` builds them; `train_folds` hands each fold the
-    rows of the full table's.  A wrong shape raises ValueError.
+    ``least_objective``, when given, must be the `_LeastTotal` of the
+    table's own (Q, N) factors, as `_loss_factors` builds them;
+    `train_folds` hands each fold the full table's without the held-out
+    row (`_LeastTotal.without_row`).  A wrong shape raises ValueError.
     """
     _check_trainable(table, iterations)
     shape = (table.n_questions, table.n_forecasters)
-    if loss_factors is None:
-        loss_factors = _loss_factors(table)
-    elif np.shape(loss_factors) != shape:
-        raise ValueError(f"loss factors have shape {np.shape(loss_factors)}, expected {shape}")
-    least_objective = _LeastTotal(loss_factors)
+    if least_objective is None:
+        least_objective = _LeastTotal(_loss_factors(table))
+    elif least_objective.shape != shape:
+        raise ValueError(f"loss factors have shape {least_objective.shape}, expected {shape}")
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
     rounds: list[tuple[int, float]] = []
@@ -403,12 +438,11 @@ def realboost_train(table: ForecastTable, iterations: int, *,
                            round_index + 1, objective)
         rounds.append((picked, 1.0))
         # the objective is the ordered sum of these very products
-        reweighted = weights * loss_factors[:, picked]
+        reweighted = least_objective.products
         if objective == 1.0 and np.array_equal(reweighted, weights):
             _repeat_to_the_end("realboost", rounds, iterations)
             break
-        weights = reweighted
-        weights /= objective
+        weights = reweighted / objective
     _log_argmin("realboost", iterations, table.n_forecasters, least_objective)
 
     return EnsembleModel("realboost", tuple(rounds), table.forecaster_ids)
@@ -440,9 +474,9 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
     caller that takes one model at a time holds one at a time.  Each fold
     goes through the module's trainer at that time, so a caller that
     rebinds it sees every fold.  Realboost builds the table's loss factors
-    once and hands fold q those rows but row q, the only one that reads
-    question q's outcome.  One info line reports progress every tenth of
-    the folds, rounded up."""
+    and their column collapse once, and hands fold q those rows but row
+    q, the only one that reads question q's outcome.  One info line
+    reports progress every tenth of the folds, rounded up."""
     if method not in DEFAULT_ITERATIONS:
         raise ValueError(f"unknown boosting method {method!r}; expected one of "
                          f"{tuple(DEFAULT_ITERATIONS)}")
@@ -457,15 +491,15 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
 
 def _trained_folds(table: ForecastTable, method: str, iterations: int,
                    seed: int) -> Iterator[EnsembleModel]:
-    factors = _loss_factors(table) if method == "realboost" else None
+    least = _LeastTotal(_loss_factors(table)) if method == "realboost" else None
     n_questions = table.n_questions
     every = -(-n_questions // 10)
     for q in range(n_questions):
         fold = table.without_question(q)
-        if factors is None:
+        if least is None:
             model = adaboost_train(fold, iterations, seed ^ q)
         else:
-            model = realboost_train(fold, iterations, loss_factors=np.delete(factors, q, axis=0))
+            model = realboost_train(fold, iterations, least_objective=least.without_row(q))
         if (q + 1) % every == 0:
             logger.info("%s: fold %d of %d", method, q + 1, n_questions)
         yield model

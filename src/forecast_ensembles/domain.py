@@ -81,16 +81,29 @@ class ForecastTable:
 
     def without_question(self, index: int) -> ForecastTable:
         """Copy of the table with question ``index`` removed (used for
-        leave-one-out training folds)."""
+        leave-one-out training folds).
+
+        The copy is not validated again: every check of the constructor
+        holds for any column subset of a table that passed it (distinct
+        string ids, forecasts in [0, 1] or NaN, outcomes of +1 or -1, and
+        matching shapes), so it is equal to the table the constructor
+        would build from the same slices.  Its arrays are fresh read-only
+        copies, sharing no memory with this table's."""
         if not 0 <= index < self.n_questions:
             raise IndexError(f"question index {index} out of range")
-        keep = [q for q in range(self.n_questions) if q != index]
-        return ForecastTable(
-            question_ids=tuple(self.question_ids[q] for q in keep),
-            forecaster_ids=self.forecaster_ids,
-            forecasts=self.forecasts[:, keep],
-            outcomes=self.outcomes[keep],
-        )
+        forecasts = np.delete(self.forecasts, index, axis=1)
+        outcomes = np.delete(self.outcomes, index)
+        forecasts.setflags(write=False)
+        outcomes.setflags(write=False)
+        fold = object.__new__(ForecastTable)
+        for name, value in (
+            ("question_ids", self.question_ids[:index] + self.question_ids[index + 1:]),
+            ("forecaster_ids", self.forecaster_ids),
+            ("forecasts", forecasts),
+            ("outcomes", outcomes),
+        ):
+            object.__setattr__(fold, name, value)
+        return fold
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ForecastTable):

@@ -635,6 +635,37 @@ class TestTrainFolds:
                 assert np.delete(factors, fold_index, axis=0).tobytes() == \
                     _loss_factors(fold).tobytes()
 
+    @given(n=st.integers(0, 3), q=st.integers(2, 8), iterations=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_realboost_fold_ties_go_to_the_lower_index(self, n, q, iterations, seed):
+        # The folds share one column collapse, made on the full table.  Next
+        # to random forecasters, the table holds a copy of one of them, an
+        # all-abstain forecaster and a constant 0.5 member (identical loss
+        # factors), and pairs of strong forecasters that differ at one
+        # question only: they tie on that question's fold alone, where the
+        # lower index must win as if the fold were collapsed on its own.
+        rng = np.random.default_rng(seed)
+        outcomes = rng.choice([1, -1], size=q)
+        right = np.where(outcomes == 1, 0.95, 0.05)
+        rows = [*random_table(rng, n, q, missing=0.3).forecasts, np.full(q, np.nan),
+                np.full(q, 0.5)]
+        rows.append(rows[rng.integers(len(rows))].copy())
+        for differs in rng.choice(q, size=2, replace=False):
+            strong = right + rng.uniform(-0.04, 0.04, size=q)
+            twin = strong.copy()
+            twin[differs] = right[differs]
+            rows += [strong, twin]
+        forecasts = np.array(rows)[rng.permutation(len(rows))]
+        table = ForecastTable(tuple(f"q{j}" for j in range(q)),
+                              tuple(f"f{i}" for i in range(len(rows))), forecasts, outcomes)
+        for fold_index, model in enumerate(train_folds(table, "realboost", iterations)):
+            fold = table.without_question(fold_index)
+            assert model == train(fold, "realboost", iterations)
+            picks, _ = realboost_reference(training_fill(fold.forecasts).tolist(),
+                                           fold.outcomes.tolist(), iterations)
+            assert [j for j, _ in model.rounds] == picks
+
     @pytest.mark.parametrize("method", ["adaboost", "realboost"])
     def test_trains_each_fold_when_asked(self, monkeypatch, toy_table, method):
         expected = train(toy_table.without_question(0), method, 3, 0)
@@ -659,11 +690,14 @@ class TestTrainFolds:
         assert [len(m.rounds) for m in models] == [DEFAULT_ITERATIONS["realboost"]] * 4
 
     def test_wrong_factor_shape_rejected(self, toy_table):
-        factors = _loss_factors(toy_table)
+        least = _LeastTotal(_loss_factors(toy_table))
         with pytest.raises(ValueError, match="shape"):
-            realboost_train(toy_table, 3, loss_factors=factors[1:])
+            realboost_train(toy_table, 3, least_objective=least.without_row(0))
         with pytest.raises(ValueError, match="shape"):
-            realboost_train(toy_table, 3, loss_factors=factors.T)
+            realboost_train(toy_table, 3,
+                            least_objective=_LeastTotal(_loss_factors(toy_table).T.copy()))
+        assert realboost_train(toy_table, 3, least_objective=least) == \
+            realboost_train(toy_table, 3)
 
     @pytest.mark.parametrize("method, iterations, n_questions, message", [
         ("bagging", 3, 4, "unknown boosting method"),

@@ -77,6 +77,41 @@ class TestForecastTable:
         assert np.array_equal(trimmed.outcomes, [1, 1, -1])
         np.testing.assert_array_equal(trimmed.forecasts[0], [0.9, 0.8, 0.4])
 
+    @given(n=st.integers(0, 4), q=st.integers(1, 6), missing=st.sampled_from([0.0, 0.5]),
+           int_ids=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_without_question_is_the_constructors_table(self, n, q, missing, int_ids, seed):
+        rng = np.random.default_rng(seed)
+        forecasts = rng.choice([0.0, 0.5, 1.0, 0.3], size=(n, q))
+        forecasts[rng.random((n, q)) < missing] = np.nan
+        table = ForecastTable(range(100, 100 + q) if int_ids else [f"q{j}" for j in range(q)],
+                              range(n) if int_ids else [f"f{i}" for i in range(n)],
+                              forecasts.tolist() if n else forecasts,
+                              rng.choice([1, -1], size=q).tolist())
+        for index in range(q):
+            fold = table.without_question(index)
+            keep = [j for j in range(q) if j != index]
+            built = ForecastTable(tuple(table.question_ids[j] for j in keep),
+                                  table.forecaster_ids, table.forecasts[:, keep],
+                                  table.outcomes[keep])
+            assert fold == built
+            for name in ("question_ids", "forecaster_ids"):
+                ids = getattr(fold, name)
+                assert type(ids) is tuple and all(type(i) is str for i in ids)
+                assert ids == getattr(built, name)
+            for name in ("forecasts", "outcomes"):
+                array, expected = getattr(fold, name), getattr(built, name)
+                assert (array.dtype, array.shape) == (expected.dtype, expected.shape)
+                assert array.tobytes() == expected.tobytes()
+                assert not array.flags.writeable
+                assert not np.shares_memory(array, getattr(table, name))
+            assert table.without_question(index) is not fold
+
+    @pytest.mark.parametrize("index", [-1, 4, 5])
+    def test_without_question_out_of_range(self, toy_table, index):
+        with pytest.raises(IndexError, match="out of range"):
+            toy_table.without_question(index)
+
     def test_equality(self, toy_table):
         clone = ForecastTable(toy_table.question_ids, toy_table.forecaster_ids,
                               toy_table.forecasts, toy_table.outcomes)
