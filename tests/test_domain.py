@@ -105,7 +105,6 @@ class TestForecastTable:
                 assert array.tobytes() == expected.tobytes()
                 assert not array.flags.writeable
                 assert not np.shares_memory(array, getattr(table, name))
-            assert table.without_question(index) is not fold
 
     @pytest.mark.parametrize("index", [-1, 4, 5])
     def test_without_question_out_of_range(self, toy_table, index):
