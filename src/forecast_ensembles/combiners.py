@@ -13,17 +13,18 @@ Three combiners are provided:
   sum_i w_i * exp(-y_i * m_ij) and reweights by the same factors; selected
   predictors enter with unit weight.
 
-The method fixes the loss, the link and how absent forecasts are filled
-(`_METHOD_LINK_AND_IMPUTATION`), so a trained model is its method, its
-rounds, the forecaster ids they index and, for adaboost, the seed of its
-fill; it keeps nothing of the training table.  `train` runs any method,
-with its default rounds when the caller does not choose, and
-`train_folds` trains a boosting method's leave-one-out fold models.  A
-model applies to an (N, Q) forecast table (`ensemble_predict_table`) and
-yields a margin plus a probability per question: boosting sums its
-rounds' terms in selection order and recovers the probability through the
-exponential family's inverse link, bagging sums the forecasts in order
-and divides by N.  No BLAS product or pairwise sum decides a prediction's bits.
+The method fixes the loss, the link (`_METHOD_LINK`), its clip and how
+absent forecasts are filled (`ensemble_predict_table`), so a trained model
+is its method, its rounds, the forecaster ids they index and, for
+adaboost, the seed of its fill; it keeps nothing of the training table.
+`train` runs any method, with its default rounds when the caller does not
+choose, and `train_folds` trains a boosting method's leave-one-out fold
+models.  A model applies to an (N, Q) forecast table
+(`ensemble_predict_table`) and yields a margin plus a probability per
+question: boosting sums its rounds' terms in selection order and recovers
+the probability through the exponential family's inverse link, bagging
+sums the forecasts in order and divides by N.  No BLAS product or
+pairwise sum decides a prediction's bits.
 
 Every boosting round is an argmin over forecasters of a weighted total
 over questions, and the specification is exact: each total is
@@ -35,10 +36,9 @@ training, or once per leave-one-out, it keeps only the first of each set
 of identical columns.  Each round it screens all columns with one BLAS
 matrix-vector product, keeps the few whose screened total lies within
 the forward error bound of sums of non-negative terms (Higham 2002, sec.
-4.2) of the least one, and sums only those in question order; when too
-many are left, it takes the full ordered pass (`_ordered_totals`)
-instead.  The bound holds for any summation order, so picks and totals
-do not depend on how BLAS sums or on how many threads it uses.
+4.2) of the least one, and sums only those in question order.  The
+bound holds for any summation order, so picks and totals do not depend
+on how BLAS sums or on how many threads it uses.
 
 A round is a pure function of the question weights, so a round that
 leaves them bit for bit as they were is repeated by every later one.  The
@@ -70,6 +70,7 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -92,14 +93,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# The link and imputation mode each method trains with, and predicts by.
-_METHOD_LINK_AND_IMPUTATION = {
-    "bagging": (LinkSpec("linear"), "half"),
-    "adaboost": (LinkSpec("exponential"), "random"),
-    "realboost": (LinkSpec("exponential"), "half"),
+# The link each method trains with, and predicts by.
+_METHOD_LINK = {
+    "bagging": LinkSpec("linear"),
+    "adaboost": LinkSpec("exponential"),
+    "realboost": LinkSpec("exponential"),
 }
 
-METHODS = tuple(_METHOD_LINK_AND_IMPUTATION)
+METHODS = tuple(_METHOD_LINK)
 
 # Rounds each boosting method trains for when the caller does not choose.
 DEFAULT_ITERATIONS = {"adaboost": 800, "realboost": 70}
@@ -111,21 +112,17 @@ _ERROR_CLAMP = 1e-8
 _UNIT_ROUNDOFF = 2.0 ** -53
 _TINY = float(np.finfo(float).tiny)
 
-# A round rechecks its candidates by gathering them, which costs about as
-# much per column as four columns of the full ordered pass (measured at
-# 87 x 338 and at 499 x 1000).
-_GATHER_COST = 4
-
 
 @dataclass(frozen=True)
 class EnsembleModel:
     """A trained combiner.
 
     ``rounds`` lists (forecaster index, stage weight) in selection order;
-    bagging uses every forecaster once with weight 1/N.  ``seed`` is the
-    seed of adaboost's fill: `ensemble_predict_table` fills absent
-    forecasts by the method's rule, on training questions and new ones
-    alike.  The link is the method's own.
+    bagging's are every forecaster once, in order, with weight 1/N, and no
+    others.  ``seed`` is the seed of adaboost's fill:
+    `ensemble_predict_table` fills absent forecasts by the method's rule,
+    on training questions and new ones alike.  The link is the method's
+    own.
     """
 
     method: str
@@ -150,10 +147,13 @@ class EnsembleModel:
                 raise ValueError("stage weights must be finite")
             if self.method == "adaboost" and weight < 0:
                 raise ValueError("adaboost stage weights must be non-negative")
+        if self.method == "bagging" and self.rounds != tuple(zip(range(n), repeat(1.0 / n))):
+            raise ValueError("bagging rounds must take every forecaster once, "
+                             "in order, with weight 1/N")
 
     @property
     def link(self) -> LinkSpec:
-        return _METHOD_LINK_AND_IMPUTATION[self.method][0]
+        return _METHOD_LINK[self.method]
 
     @property
     def n_forecasters(self) -> int:
@@ -170,16 +170,6 @@ def stage_weight(error_rate: float) -> float:
     rate clamped to [1e-8, 1 - 1e-8] so the weight stays finite."""
     e = min(max(float(error_rate), _ERROR_CLAMP), 1.0 - _ERROR_CLAMP)
     return 0.5 * math.log((1.0 - e) / e)
-
-
-def _ordered_totals(factors: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Column totals of ``factors * weights[:, None]``, each accumulated
-    strictly in question order: the full ordered pass.  ``factors`` is
-    question-major, (Q, N) and C-contiguous, so the multiply streams;
-    ``out`` is the C-contiguous (Q, N) buffer for the products that
-    `_LeastTotal` allocates once per training."""
-    np.multiply(factors, weights[:, np.newaxis], out=out)
-    return _ordered_sum(out)
 
 
 def _ordered_sum(values: np.ndarray):
@@ -203,10 +193,11 @@ class _LeastTotal:
     """Exact argmin of the ordered column totals of one training's factors.
 
     Called with the round's question weights, it returns (index, total):
-    the lowest column index among the least totals, each total accumulated
-    strictly in question order (`_ordered_totals`), as if every column had
-    been summed by a left-to-right scalar loop.  Only the work of finding
-    that argmin is cut, in three ways.
+    the lowest column index among the least totals of
+    ``factors * weights[:, None]``, each total accumulated strictly in
+    question order (`_ordered_sum`), as if every column had been summed by
+    a left-to-right scalar loop.  Only the work of finding that argmin is
+    cut, in three ways.
 
     * Column collapse.  Byte-identical columns have identical ordered
       totals, so only the first of each is kept, once per training or,
@@ -225,17 +216,16 @@ class _LeastTotal:
       A column can therefore be the ordered minimum only if its screened
       total is at most ((1+gamma)/(1-gamma))**2 * (min + 4 Q tiny); every
       other column is dropped.
-    * Recheck.  The remaining candidates are summed in question order,
-      a lone candidate as one column.  When they cost more than the full
-      ordered pass would (more than 1/_GATHER_COST of the columns), or
-      when no column passes (a NaN total), the round takes the full pass.
+    * Recheck.  The remaining candidates are gathered and summed in
+      question order, a lone candidate as one column.  A NaN screen puts
+      no column under the limit, and then every column is a candidate.
 
     The screen only decides which columns get summed in order, and the
     bound holds for every summation order, so picks and totals do not
     depend on the BLAS build, its kernel or its thread count.  The
-    instance counts the candidates it rechecked and the rounds that fell
-    back to the full pass, and keeps as ``products`` the pick's column of
-    ``factors * weights[:, None]``, the terms its total summed.
+    instance counts the candidates it rechecked, and keeps as ``products``
+    the pick's column of ``factors * weights[:, None]``, the terms its
+    total summed.
     """
 
     def __init__(self, factors: np.ndarray) -> None:
@@ -248,8 +238,8 @@ class _LeastTotal:
         self.columns = list(first.values())
         self.n_columns = factors.shape[1]
         if len(first) < self.n_columns:
-            # the gather comes back in F order, which `_ordered_totals`
-            # would sum pairwise
+            # the gather comes back in F order; keep the question-major
+            # layout the trainers build
             factors = np.ascontiguousarray(factors[:, self.columns])
         self._bind(factors)
 
@@ -268,13 +258,11 @@ class _LeastTotal:
 
     def _bind(self, factors: np.ndarray) -> None:
         self.factors = factors
-        self.out = np.empty(factors.shape)
         n_questions = factors.shape[0]
         gamma = (n_questions + 2) * _UNIT_ROUNDOFF / (1.0 - (n_questions + 2) * _UNIT_ROUNDOFF)
         self.slack = ((1.0 + gamma) / (1.0 - gamma)) ** 2
         self.floor = 4 * n_questions * _TINY
         self.candidates = 0
-        self.fallbacks = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -286,18 +274,14 @@ class _LeastTotal:
         screen = weights @ factors
         limit = self.slack * (float(np.minimum.reduce(screen)) + self.floor)
         candidates = (screen <= limit).nonzero()[0]
-        k = len(candidates)
-        self.candidates += k
-        if k == 1:
+        if not len(candidates):
+            # a NaN screen makes the limit NaN: every column is a candidate
+            candidates = np.arange(len(screen))
+        self.candidates += len(candidates)
+        if len(candidates) == 1:
             j = candidates[0]
             self.products = factors[:, j] * weights
             return self.columns[j], _ordered_sum(self.products)
-        if k == 0 or _GATHER_COST * k > factors.shape[1]:
-            self.fallbacks += 1
-            totals = _ordered_totals(factors, weights, self.out)
-            j = totals.argmin()
-            self.products = self.out[:, j]
-            return self.columns[j], totals[j]
         products = factors[:, candidates] * weights[:, np.newaxis]
         totals = _ordered_sum(products)
         j = totals.argmin()
@@ -307,8 +291,8 @@ class _LeastTotal:
 
 def _log_argmin(method: str, rounds: int, n_forecasters: int, least: _LeastTotal) -> None:
     logger.debug("%s: %d rounds, %d of %d forecasters distinct, %d candidates "
-                 "rechecked, %d full-pass fallbacks", method, rounds,
-                 len(least.columns), n_forecasters, least.candidates, least.fallbacks)
+                 "rechecked", method, rounds, len(least.columns), n_forecasters,
+                 least.candidates)
 
 
 def _repeat_to_the_end(method: str, rounds: list[tuple[int, float]], iterations: int) -> None:

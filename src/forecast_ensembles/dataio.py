@@ -9,13 +9,14 @@ forecasts CSV   header exactly ``question_id,forecaster_id,probability``;
                 forecast.
 outcomes CSV    header exactly ``question_id,outcome``; one row per
                 question; outcome is the literal string ``+1`` or ``-1``.
-model JSON      schema ``ensemble_model.v2``: method, rounds as
-                [index, weight] pairs, link name and clip, imputation mode
-                and seed, and forecaster ids.  The link, clip and mode are
-                the method's own: `save_model` writes them from it and
-                `load_model` rejects any other.  Nothing of the training
-                table is kept, so a model fills absent forecasts by one
-                rule on every question.  A ``v1`` file is rejected.
+model JSON      schema ``ensemble_model.v3``: exactly the schema, the
+                method, ``imputation`` holding only the seed of the fill,
+                the forecaster ids, and the rounds as [index, weight]
+                pairs.  The method fixes the link, its clip and the fill
+                rule, so none is written.  Nothing of the training table
+                is kept, so a model fills absent forecasts by one rule on
+                every question.  A ``v1`` or ``v2`` file, and a record
+                with a field missing or added, are rejected.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
 Every forecasts CSV is read by `_read_forecasts`, which orders questions
@@ -72,10 +73,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _forking
-from .combiners import _METHOD_LINK_AND_IMPUTATION, EnsembleModel
+from .combiners import EnsembleModel
 from .domain import ForecastTable
 from .evaluation import EvalReport, QuestionResult
-from .links import CLIP
 
 __all__ = [
     "DataFormatError",
@@ -92,8 +92,10 @@ __all__ = [
 FORECASTS_HEADER = ["question_id", "forecaster_id", "probability"]
 OUTCOMES_HEADER = ["question_id", "outcome"]
 
-MODEL_SCHEMA = "ensemble_model.v2"
+MODEL_SCHEMA = "ensemble_model.v3"
 REPORT_SCHEMA = "eval_report.v1"
+# The method fixes a model's link, clip and fill, so its file holds no more.
+_MODEL_FIELDS = {"schema", "method", "imputation", "forecaster_ids", "rounds"}
 
 
 class DataFormatError(ValueError):
@@ -683,13 +685,6 @@ def _csv_fields(texts) -> list[str]:
     return fields
 
 
-def _method_policy(method: str) -> tuple[dict, str]:
-    """The link record and the imputation mode a model file holds for
-    ``method``."""
-    link, mode = _METHOD_LINK_AND_IMPUTATION[method]
-    return {"name": link.name, "clip": CLIP}, mode
-
-
 def _read_record(path: Path, schema: str) -> dict:
     """A JSON file's top-level object, which must carry ``schema``."""
     if not path.is_file():
@@ -712,13 +707,11 @@ def _write_record(record: dict, path) -> None:
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    """Serialize a trained model as schema ``ensemble_model.v2`` JSON."""
-    link, mode = _method_policy(model.method)
+    """Serialize a trained model as schema ``ensemble_model.v3`` JSON."""
     record = {
         "schema": MODEL_SCHEMA,
         "method": model.method,
-        "link": link,
-        "imputation": {"mode": mode, "seed": model.seed},
+        "imputation": {"seed": model.seed},
         "forecaster_ids": list(model.forecaster_ids),
         "rounds": [[index, weight] for index, weight in model.rounds],
     }
@@ -729,21 +722,20 @@ def load_model(path) -> EnsembleModel:
     path = Path(path)
     record = _read_record(path, MODEL_SCHEMA)
     try:
-        pairs, ids = record["rounds"], record["forecaster_ids"]
-        seed = record["imputation"]["seed"]
+        imputation = record.get("imputation")
+        if record.keys() != _MODEL_FIELDS or type(imputation) is not dict \
+                or imputation.keys() != {"seed"}:
+            raise ValueError("a model holds exactly schema, method, imputation (its "
+                             "seed alone), forecaster_ids and rounds")
+        pairs, ids, seed = record["rounds"], record["forecaster_ids"], imputation["seed"]
         # exact types, so that true is not read as 1
         if not (all(type(i) is int and type(w) in (int, float) for i, w in pairs)
                 and type(ids) is list and all(type(f) is str for f in ids)
                 and type(seed) is int):
             raise ValueError("round indices and the seed must be JSON integers, "
                              "weights JSON numbers and forecaster_ids a list of strings")
-        model = EnsembleModel(record["method"], tuple((i, float(w)) for i, w in pairs),
-                              tuple(ids), seed)
-        link, mode = _method_policy(model.method)
-        if (record["link"], record["imputation"]["mode"]) != (link, mode):
-            raise ValueError(f"a {model.method} model needs the link {link} and "
-                             f"{mode!r} imputation")
-        return model
+        return EnsembleModel(record["method"], tuple((i, float(w)) for i, w in pairs),
+                             tuple(ids), seed)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model record ({exc})") from exc
 

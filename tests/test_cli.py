@@ -271,6 +271,27 @@ class TestCombinePredict:
         assert f"{model_path}: malformed model record" in capsys.readouterr().err
         assert not report_path.exists()
 
+    def test_predict_rejects_a_v2_model(self, table_files, tmp_path, capsys):
+        _, fpath, opath = table_files
+        model_path = tmp_path / "model.json"
+        report_path = tmp_path / "pred.json"
+        assert main(["combine", "--method", "adaboost", "--forecasts", fpath,
+                     "--outcomes", opath, "--iterations", "5", "--seed", "7",
+                     "--model-out", str(model_path)]) == 0
+        capsys.readouterr()
+        record = json.loads(model_path.read_text())
+        # the record the ensemble_model.v2 writer made of the same model
+        v2 = {"schema": "ensemble_model.v2", "method": "adaboost",
+              "link": {"name": "exponential", "clip": 1e-06},
+              "imputation": {"mode": "random", "seed": 7},
+              "forecaster_ids": record["forecaster_ids"], "rounds": record["rounds"]}
+        model_path.write_text(json.dumps(v2, separators=(",", ":")) + "\n")
+        code = main(["predict", "--model", str(model_path), "--forecasts", fpath,
+                     "--report-out", str(report_path)])
+        assert code == 2
+        assert "expected schema 'ensemble_model.v3'" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_predict_rejects_model_with_duplicate_forecaster_ids(self, table_files, tmp_path,
                                                                  capsys):
         _, fpath, opath = table_files

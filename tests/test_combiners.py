@@ -28,7 +28,6 @@ from forecast_ensembles.combiners import (
     _LeastTotal,
     _loss_factors,
     _ordered_sum,
-    _ordered_totals,
     stage_weight,
 )
 
@@ -164,7 +163,7 @@ class TestOrderedTotals:
         else:
             factors = np.exp(rng.normal(scale=3.0, size=(q, n)))
         weights = rng.random(q) * 10.0 ** rng.integers(-300, 3, size=q)
-        totals = _ordered_totals(factors, weights, np.empty((q, n)))
+        totals = _ordered_sum(factors * weights[:, None])
         assert np.array_equal(totals, left_to_right_totals(factors, weights))
 
 
@@ -222,32 +221,39 @@ class TestLeastTotal:
         assert type(picked) is int
         assert (picked, total) == (index, totals[index])
 
-    def test_many_ties_take_the_full_pass(self):
-        # one column per pair of 4 questions: under equal weights all 6 tie,
-        # and 6 candidates of 6 columns cost more to gather than the full pass
+    def test_many_ties_are_all_gathered(self):
+        # one column per pair of 4 questions: under equal weights all 6 tie
         pairs = list(itertools.combinations(range(4), 2))
         factors = np.zeros((4, len(pairs)))
         for j, pair in enumerate(pairs):
             factors[list(pair), j] = 1.0
         least = _LeastTotal(factors)
         assert least(np.full(4, 0.25)) == (0, 0.5)
-        assert (least.candidates, least.fallbacks) == (6, 1)
+        assert least.candidates == 6
         assert least(np.array([0.4, 0.3, 0.2, 0.1])) == (5, 0.2 + 0.1)
-        assert (least.candidates, least.fallbacks) == (7, 1)
+        assert least.candidates == 7
+
+    def test_nan_screen_makes_every_column_a_candidate(self):
+        # a NaN weight puts no screened total under the limit; every column
+        # is then rechecked, and the first NaN total is the pick
+        factors = np.ones((3, 4)) + np.arange(4) / 4
+        least = _LeastTotal(factors)
+        picked, total = least(np.array([np.nan, 1.0, 1.0]))
+        assert (picked, math.isnan(total), least.candidates) == (0, True, 4)
 
     def test_two_candidates_among_eight_are_gathered(self):
-        # eight distinct columns, and 2 candidates of 8 are cheaper to gather
-        # than the full pass; in order, 0.1 + 0.2 lies one ulp above 0.3
+        # eight distinct columns, 2 of them candidates; in order, 0.1 + 0.2
+        # lies one ulp above 0.3
         factors = np.ones((3, 8)) + np.arange(8) / 8
         factors[:, [3, 6]] = [[0.1, 0.3], [0.2, 0.0], [0.0, 0.0]]
         least = _LeastTotal(factors)
         assert least(np.ones(3)) == (6, 0.3)
-        assert (least.candidates, least.fallbacks) == (2, 0)
+        assert least.candidates == 2
         # an exact tie goes to the lower index
         factors[:, [3, 6]] = [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
         least = _LeastTotal(factors)
         assert least(np.full(3, 0.5)) == (3, 0.5)
-        assert (least.candidates, least.fallbacks) == (2, 0)
+        assert least.candidates == 2
 
     def test_duplicate_columns_collapse_to_the_first(self):
         factors = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
@@ -255,7 +261,7 @@ class TestLeastTotal:
         assert least.columns == [0, 1]
         assert least(np.array([0.5, 0.25])) == (1, 0.25)
         assert least(np.array([0.25, 0.25])) == (0, 0.25)
-        assert (least.candidates, least.fallbacks) == (3, 1)
+        assert least.candidates == 3
 
 
 class TestAdaBoost:
@@ -325,10 +331,8 @@ class TestAdaBoost:
             adaboost_train(table, 3)
             realboost_train(table, 2)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
-            "adaboost: 3 rounds, 2 of 3 forecasters distinct, 1 candidates rechecked, "
-            "0 full-pass fallbacks",
-            "realboost: 2 rounds, 2 of 3 forecasters distinct, 2 candidates rechecked, "
-            "0 full-pass fallbacks",
+            "adaboost: 3 rounds, 2 of 3 forecasters distinct, 1 candidates rechecked",
+            "realboost: 2 rounds, 2 of 3 forecasters distinct, 2 candidates rechecked",
         ]
 
 

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import csv_reference
 from conftest import no_child_left, random_table
 from forecast_ensembles import (
     DataFormatError,
+    EnsembleModel,
     ForecastTable,
     SyntheticSpec,
     adaboost_train,
@@ -346,6 +347,24 @@ class TestTableRoundTrip:
         assert no_child_left()
 
 
+@st.composite
+def saved_models(draw):
+    """A model of any method with a seed of up to 64 bits, forecaster ids
+    of any text, and rounds its method allows."""
+    method = draw(st.sampled_from(["bagging", "adaboost", "realboost"]))
+    ids = draw(st.lists(st.text(), min_size=1, max_size=6, unique=True))
+    n = len(ids)
+    if method == "bagging":
+        rounds = tuple((j, 1.0 / n) for j in range(n))
+    else:
+        low = 0.0 if method == "adaboost" else None
+        weight = st.floats(min_value=low, allow_nan=False, allow_infinity=False)
+        rounds = tuple(draw(st.lists(st.tuples(st.integers(0, n - 1), weight),
+                                     min_size=1, max_size=8)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return EnsembleModel(method, rounds, tuple(ids), seed)
+
+
 class TestModelRoundTrip:
     @pytest.mark.parametrize("train", [
         lambda t: bag(t),
@@ -371,7 +390,7 @@ class TestModelRoundTrip:
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        for schema in ("something_else", "ensemble_model.v1"):
+        for schema in ("something_else", "ensemble_model.v1", "ensemble_model.v2"):
             path.write_text(f'{{"schema": "{schema}"}}', encoding="utf-8")
             with pytest.raises(DataFormatError, match="expected schema"):
                 load_model(path)
@@ -390,9 +409,9 @@ class TestModelRoundTrip:
             load_model(path)
 
     @pytest.mark.parametrize("edit", [
-        ("link", "name", "foreign"),
-        ("link", "clip", 0.4),
-        ("imputation", "mode", "foreign"),
+        lambda record, link, mode: record.update(link={"name": link, "clip": 1e-06}),
+        lambda record, link, mode: record.update(clip=1e-06),
+        lambda record, link, mode: record["imputation"].update(mode=mode),
     ], ids=["link", "clip", "mode"])
     @pytest.mark.parametrize("train", [
         lambda t: bag(t),
@@ -401,16 +420,60 @@ class TestModelRoundTrip:
     ], ids=["bagging", "adaboost", "realboost"])
     def test_link_clip_and_mode_must_be_the_methods_own(self, tmp_path, toy_table,
                                                         train, edit):
+        # the method owns them, so a file that names them is rejected, even
+        # with the method's own values, as the ensemble_model.v2 writer did
         path = tmp_path / "model.json"
         save_model(train(toy_table), path)
         record = json.loads(path.read_text())
-        part, key, value = edit
-        if value == "foreign":
-            value = {"linear": "exponential", "exponential": "linear",
-                     "half": "random", "random": "half"}[record[part][key]]
-        record[part][key] = value
+        link, mode = {"bagging": ("linear", "half"), "adaboost": ("exponential", "random"),
+                      "realboost": ("exponential", "half")}[record["method"]]
+        edit(record, link, mode)
         path.write_text(json.dumps(record))
         with pytest.raises(DataFormatError, match="malformed model record"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.update(frozen_imputations=[]),
+        lambda record: record.pop("imputation"),
+        lambda record: record.pop("rounds"),
+        lambda record: record.update(imputation=3),
+        lambda record: record["imputation"].pop("seed"),
+    ], ids=["frozen_imputations", "no-imputation", "no-rounds", "imputation-not-an-object",
+            "no-seed"])
+    def test_fields_missing_or_added_rejected(self, tmp_path, toy_table, edit):
+        path = tmp_path / "model.json"
+        save_model(adaboost_train(toy_table, 4, seed=3), path)
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed model record"):
+            load_model(path)
+
+    @given(model=saved_models())
+    @example(model=EnsembleModel("adaboost", ((1, 0.5),), ("é", "预测者 🙂"), 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_record_holds_exactly_the_five_fields(self, model):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "model.json"
+            save_model(model, path)
+            record = json.loads(path.read_text(encoding="utf-8"))
+            loaded = load_model(path)
+        assert list(record) == ["schema", "method", "imputation", "forecaster_ids", "rounds"]
+        assert record["schema"] == "ensemble_model.v3"
+        assert record["imputation"] == {"seed": model.seed}
+        assert loaded == model
+
+    @pytest.mark.parametrize("rounds", [[[0, 5.0]], [[0, 0.5], [1, 0.5]],
+                                        [[1, 1 / 3], [0, 1 / 3], [2, 1 / 3]],
+                                        [[0, 1 / 3], [1, 1 / 3], [2, 1 / 3], [0, 1 / 3]]])
+    def test_bagging_rounds_other_than_the_average_rejected(self, tmp_path, toy_table, rounds):
+        path = tmp_path / "model.json"
+        save_model(bag(toy_table), path)
+        record = json.loads(path.read_text())
+        assert record["rounds"] == [[0, 1 / 3], [1, 1 / 3], [2, 1 / 3]]
+        record["rounds"] = rounds
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed model record.*bagging rounds"):
             load_model(path)
 
     @pytest.mark.parametrize("field,value", [
