@@ -1,12 +1,13 @@
 """Work done by a forked child process, whose return value comes back here.
 
-`Child.start` forks a child that calls the work given, pickles what it
-returns into an unlinked temporary file of its own, which grows as needed,
-then leaves by `os._exit`, so nothing it inherits runs twice, neither
-`finally` blocks, nor atexit handlers, nor buffered output.  `Child.wait`
-returns that value once the child has ended well, and `Child.stop` ends and
-reaps a child that still runs.  A child that fails, or a fork or a file
-that raises OSError, gives None, and the caller does the work itself.
+A `Child` holds its work.  `Child.start` forks a child that calls it,
+pickles what it returns into an unlinked temporary file of its own, which
+grows as needed, then leaves by `os._exit`, so nothing it inherits runs
+twice, neither `finally` blocks, nor atexit handlers, nor buffered output.
+`Child.wait` returns that value once the child has ended well, and
+`Child.stop` ends and reaps a child that still runs.  Where the child
+failed, a fork or a file raised OSError, or no child was started, `wait`
+calls the work in this process, so the caller has no second way to do it.
 
 The fork runs with SIGINT blocked, and the child keeps it blocked: a
 Ctrl-C reaches the whole process group, but only this process takes it,
@@ -39,17 +40,19 @@ def allowed() -> bool:
 
 
 class Child:
-    """A child process whose work returns a value that is not None.  The
-    work must only read and compute: it takes no lock another thread of
-    this process may hold, and the child writes to no file or stream it
-    inherits, only to its own result file."""
+    """A child process that calls ``work``, which takes no argument.  The
+    work must only read and compute, since `wait` calls it again here when
+    the child fails: it takes no lock another thread of this process may
+    hold, and the child writes to no file or stream it inherits, only to
+    its own result file."""
 
-    def __init__(self) -> None:
+    def __init__(self, work: Callable[[], Any]) -> None:
+        self.work = work
         self.pids: list[int] = []  # the child's, once forked
         self.result = None  # the file the child pickles its value into, until read
 
-    def start(self, work: Callable[[], Any]) -> None:
-        """Fork a child that calls ``work``, unless files or processes run
+    def start(self) -> None:
+        """Fork a child that calls the work, unless files or processes run
         short."""
         try:
             self.result = tempfile.TemporaryFile()
@@ -73,26 +76,26 @@ class Child:
         if self.pids == [0]:
             code = 1
             try:
-                pickle.dump(work(), self.result)
+                pickle.dump(self.work(), self.result)
                 self.result.flush()
                 code = 0
             finally:
                 os._exit(code)
 
     def wait(self) -> Any:
-        """What the child's work returned, once the child has ended, or
-        None if it failed or never started."""
-        if not self.pids:
-            return None
-        try:
-            _, status = os.waitpid(self.pids[0], 0)
-        except ChildProcessError:  # reaped already: SIGCHLD is ignored
-            status = -1
-        self.pids.clear()
-        with self.result:
-            self.result.seek(0)
-            # written by the child alone
-            return pickle.load(self.result) if status == 0 else None
+        """What the work returned: the child's value once the child has
+        ended well, or else the work called in this process."""
+        if self.pids:
+            try:
+                _, status = os.waitpid(self.pids[0], 0)
+            except ChildProcessError:  # reaped already: SIGCHLD is ignored
+                status = -1
+            self.pids.clear()
+            with self.result:
+                if status == 0:  # the file is written by the child alone
+                    self.result.seek(0)
+                    return pickle.load(self.result)
+        return self.work()
 
     def stop(self) -> None:
         """End the child if it still runs, wait for it, and close its file."""

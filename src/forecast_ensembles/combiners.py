@@ -119,10 +119,10 @@ class EnsembleModel:
 
     ``rounds`` lists (forecaster index, stage weight) in selection order;
     bagging's are every forecaster once, in order, with weight 1/N, and no
-    others.  ``seed`` is the seed of adaboost's fill:
-    `ensemble_predict_table` fills absent forecasts by the method's rule,
-    on training questions and new ones alike.  The link is the method's
-    own.
+    others.  ``seed`` is the seed of adaboost's fill, and 0 for the other
+    methods, which fill by a rule with no seed: `ensemble_predict_table`
+    fills absent forecasts by the method's rule, on training questions and
+    new ones alike.  The link is the method's own.
     """
 
     method: str
@@ -135,6 +135,8 @@ class EnsembleModel:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if self.seed and self.method != "adaboost":
+            raise ValueError(f"a {self.method} model has no seed: its seed must be 0")
         if len(self.rounds) < 1:
             raise ValueError("a model must contain at least one round")
         n = len(self.forecaster_ids)

@@ -44,17 +44,17 @@ An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
 changed) and a byte that is not UTF-8 are errors too, not crashes.
 
-A large forecasts file is read, or written, by as many processes as
-`_processes` gives for its size; each child is a `_forking.Child` whose
-work returns its share, and one that fails leaves that to this process.
-The parse cuts the file into byte ranges that end after a line feed
-(`_range_ends`), each child's a `_Part`, merged in file order: a range's
-ids take the numbers a single pass gives them, its lines are counted on
-from the ranges before it, and the records after the first error in the
-file are dropped, so ids, arrays and messages are those of one pass.  A
-range with text for csv.reader or a byte that is not UTF-8 sends the whole
-file to csv.reader.  `write_table` has a child format the later forecaster
-rows, and writes the bytes one process writes.
+A large forecasts file is read, or written, by two processes where
+`_split` holds for its size: this one and a `_forking.Child` whose work
+returns the later half, and whose `wait` does that work here if the child
+failed.  The parse cuts the file after the first line feed at or after
+its middle (`_second_range`).  The child's `_Part` of the second range is
+merged after the first: its ids take the numbers a single pass gives
+them, its lines are counted on from the first range, and it is dropped if
+the first range holds an error, so ids, arrays and messages are those of
+one pass.  A range with text for csv.reader or a byte that is not UTF-8
+sends the whole file to csv.reader.  `write_table` has the child format
+the later forecaster rows, and writes the bytes one process writes.
 """
 
 from __future__ import annotations
@@ -170,17 +170,14 @@ def _check_header(path, first, header: list[str]) -> None:
 _BLOCK_BYTES = 1 << 16
 
 # The bytes of a forecasts file per process that parses or writes it
-# (`_processes`).  A child costs some milliseconds: the fork, the copy of
-# its result through a file, its exit and the parse's merge.  Two
-# processes beat one from here on in timed pairs on a 2-core machine, and
-# the write from a little less (CHANGES.md).
+# (`_split`).  A child costs some milliseconds: the fork, the copy of its
+# result through a file, its exit and the parse's merge.  Two processes
+# beat one from here on in timed pairs on a 2-core machine, and the write
+# from a little less (CHANGES.md).  Two, this process and one child, is
+# the only count timed to win there; more ranges than the CPUs that run
+# them lose, and a CPU quota does not shrink the affinity mask `_split`
+# counts.
 _MIN_RANGE_BYTES = 1 << 18
-
-# The most processes that share a file.  Two, this process and one child,
-# is what was timed to win on a 2-core machine; more ranges than the CPUs
-# that run them lose there (CHANGES.md), and a CPU quota does not shrink
-# the affinity mask that `_processes` counts.
-_MAX_RANGES = 2
 
 # Text that `str.split` would not tokenize as csv.reader does: a quote, or
 # a NUL (rejected by csv on some Python versions).  A carriage return ends
@@ -189,9 +186,9 @@ _CSV_ONLY = ('"', "\0")
 
 
 class _Part(NamedTuple):
-    """The records a child kept from a range of a forecasts file that does
-    not start it: ids numbered by first appearance in the range, lines
-    counted from its start (`_part`)."""
+    """The records kept from the second range of a forecasts file: ids
+    numbered by first appearance in the range, lines counted from its
+    start (`_part`)."""
 
     question_ids: tuple[str, ...]
     forecaster_ids: tuple[str, ...]  # empty when the caller gave them
@@ -200,7 +197,6 @@ class _Part(NamedTuple):
     values: np.ndarray
     lines: np.ndarray
     error: tuple[int, str] | None
-    consumed: int  # physical lines in the range
 
 
 class _Columns:
@@ -395,23 +391,23 @@ def _decoded(handle, start: int, end: int):
     decoder.decode(b"", final=True)
 
 
-def _read_range(path: Path, columns: _Columns, start: int, end: int, before: int = 0) -> int:
+def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
     """Feed ``columns`` from the lines of bytes ``start`` to ``end`` of the
-    file, split by `str.split` and numbered on from ``before``; the range
-    at 0 starts with the header.  Returns the physical lines read."""
+    file, split by `str.split` and numbered from the range's start; the
+    range at 0 starts with the header.  Returns the physical lines read."""
     width = len(FORECASTS_HEADER)
-    consumed = before  # physical lines before the block
+    counted = 0  # physical lines before the block
     with path.open("rb") as handle:
         blocks = _plain_blocks(_decoded(handle, start, end))
         if start == 0:
             lines = next(blocks, None)
             _check_header(path, None if lines is None else lines.pop(0).split(","),
                           FORECASTS_HEADER)
-            consumed += 1
+            counted += 1
             blocks = chain([lines], blocks)
         for lines in blocks:
-            numbers = np.arange(consumed + 1, consumed + 1 + len(lines))
-            consumed += len(lines)
+            numbers = np.arange(counted + 1, counted + 1 + len(lines))
+            counted += len(lines)
             if "" in lines:  # blank lines hold no record
                 numbers = numbers[np.fromiter(map(bool, lines), bool, len(lines))]
                 lines = list(filter(None, lines))
@@ -426,73 +422,61 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int, before: int
                 columns.error = (int(numbers[wrong[0]]),
                                  f"expected {width} fields, got {commas[wrong[0]] + 1}")
                 break
-    return consumed - before
+    return counted
 
 
-def _processes(size: int) -> int:
-    """How many processes share work on ``size`` bytes of a forecasts
-    file: one per CPU this process may run on, but no more than
-    `_MAX_RANGES` nor than ``size`` holds `_MIN_RANGE_BYTES`; one unless
-    `_forking.allowed` and the platform tells the CPUs."""
-    if not (_forking.allowed() and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(_MAX_RANGES, len(os.sched_getaffinity(0)), size // _MIN_RANGE_BYTES))
+def _split(size: int) -> bool:
+    """Whether a child shares the work on ``size`` bytes of a forecasts
+    file: ``size`` is at least twice `_MIN_RANGE_BYTES`, `_forking.allowed`
+    holds, and the platform tells of two CPUs or more this process may run
+    on."""
+    return (size >= 2 * _MIN_RANGE_BYTES and _forking.allowed()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _range_ends(path: Path) -> list[int]:
-    """0, then the byte offset where each range of the file ends: range k
-    of n at the first line feed at or after byte k * size // n, the last
-    at the end of the file, with n = `_processes` of its size."""
+def _second_range(path: Path) -> tuple[int, int]:
+    """Where the file's second range starts, just after the first line feed
+    at or after its middle, and the file's size.  The start is the size,
+    and there is no second range, if `_split` does not hold for the size,
+    or if that line feed ends the file or there is none."""
     with path.open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
-        count = _processes(size)
-        ends = [0]
-        for k in range(1, count):
-            handle.seek(max(k * size // count, ends[-1]))
+        start = size
+        if _split(size):
+            handle.seek(size // 2)
             while block := handle.read(_BLOCK_BYTES):
                 if (found := block.find(b"\n")) >= 0:
-                    ends.append(handle.tell() - len(block) + found + 1)
+                    start = handle.tell() - len(block) + found + 1
                     break
-        if len(ends) > 1 and ends[-1] == size:  # the file's last line feed
-            ends.pop()
-    return ends + [size]
+    return start, size
 
 
 def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part:
-    """A child's work: the records of bytes ``start`` to ``end`` of the
-    file."""
+    """The records of bytes ``start`` to ``end`` of the file."""
     columns = _Columns(path, forecaster_ids)
-    consumed = _read_range(path, columns, start, end)
+    _read_range(path, columns, start, end)
     return _Part(tuple(columns.question_index),
                  () if columns.fixed else tuple(columns.forecaster_index),
                  *map(np.concatenate, (columns.rows, columns.columns, columns.values,
                                        columns.lines)),
-                 columns.error, consumed)
+                 columns.error)
 
 
 def _read_plain(path: Path, forecaster_ids) -> _Columns:
-    """The file's records split by `str.split`: the first range
-    (`_range_ends`) read in this process and each later one in a child of
-    its own, merged in file order up to the first range with an error."""
-    ends = _range_ends(path)
+    """The file's records split by `str.split`: the first range read in
+    this process and the second (`_second_range`) by a child, merged after
+    it unless the first holds an error."""
+    start, size = _second_range(path)
     columns = _Columns(path, forecaster_ids)
-    children = [_forking.Child() for _ in ends[2:]]
+    later = _forking.Child(partial(_part, path, forecaster_ids, start, size))
     try:
-        for child, start, end in zip(children, ends[1:], ends[2:]):
-            child.start(partial(_part, path, forecaster_ids, start, end))
-        offset = _read_range(path, columns, 0, ends[1])
-        for child, start, end in zip(children, ends[1:], ends[2:]):
-            if columns.error is not None:
-                break
-            part = child.wait()
-            if part is None:  # this process reads the range, meeting what failed the child
-                offset += _read_range(path, columns, start, end, offset)
-            else:
-                columns.merge(part, offset)
-                offset += part.consumed
+        if start < size:
+            later.start()
+        offset = _read_range(path, columns, 0, start)
+        if start < size and columns.error is None:
+            columns.merge(later.wait(), offset)
     finally:
-        for child in children:
-            child.stop()
+        later.stop()
     return columns
 
 
@@ -600,21 +584,20 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
     not lost.  Probabilities carry 17 significant digits.  Each id is
     quoted once by csv.writer, as it would quote it in any row, and each
     forecaster's rows are one ``%`` template applied to its probabilities.
-    A child may format the later rows (`_Rows.split`); the bytes are the same.
+    A child may format the rows from `_Rows.half` on; the bytes are the same.
     """
     rows = _Rows(table)
     with Path(forecasts_path).open("wb") as handle:
-        child = _forking.Child()
+        count, half = len(rows.cells), rows.half()
+        later = _forking.Child(lambda: b"".join(rows.text(half, count)))
         try:
-            half = rows.split(child)
+            if half < count:
+                later.start()
             handle.write((",".join(FORECASTS_HEADER) + "\n").encode())
             handle.writelines(rows.text(0, half))
-            if (text := child.wait()) is None:  # this process formats the child's rows
-                handle.writelines(rows.text(half, len(rows.cells)))
-            else:
-                handle.write(text)
+            handle.write(later.wait())
         finally:
-            child.stop()
+            later.stop()
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(OUTCOMES_HEADER)
@@ -633,11 +616,11 @@ class _Rows:
             [text.replace("%", "%%") for text in _csv_fields(ids)]
             for ids in (table.question_ids, table.forecaster_ids))
 
-    def split(self, child: _forking.Child) -> int:
-        """The row from which ``child`` formats the rest, about half of the
-        probabilities, or no child and the number of rows if `_processes`
-        of the file's estimated size is one.  A probability counts as 19
-        bytes ("0." and 17 digits) there."""
+    def half(self) -> int:
+        """The row from which a child formats the rest, about half of the
+        probabilities, or the number of rows if `_split` does not hold for
+        the file's estimated size.  A probability counts as 19 bytes ("0."
+        and 17 digits) there."""
         question_bytes, forecaster_bytes = (
             np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
             for ids in (self.question_ids, self.forecaster_ids))
@@ -647,13 +630,10 @@ class _Rows:
                   + np.maximum(self.cells, 1) * (forecaster_bytes + 3))
         count = len(self.cells)
         estimate = len(",".join(FORECASTS_HEADER)) + int((widths + 19 * self.cells).sum())
-        if count < 2 or _processes(estimate) < 2:
+        if count < 2 or not _split(estimate):
             return count
         cells = np.cumsum(self.cells)
-        half = int(np.searchsorted(cells, cells[-1] / 2)) + 1
-        if half < count:
-            child.start(lambda: b"".join(self.text(half, count)))
-        return half
+        return int(np.searchsorted(cells, cells[-1] / 2)) + 1
 
     def text(self, start: int, stop: int):
         """The UTF-8 lines of rows ``start`` to ``stop``, a bytes object
@@ -727,15 +707,10 @@ def load_model(path) -> EnsembleModel:
                 or imputation.keys() != {"seed"}:
             raise ValueError("a model holds exactly schema, method, imputation (its "
                              "seed alone), forecaster_ids and rounds")
-        pairs, ids, seed = record["rounds"], record["forecaster_ids"], imputation["seed"]
-        # exact types, so that true is not read as 1
-        if not (all(type(i) is int and type(w) in (int, float) for i, w in pairs)
-                and type(ids) is list and all(type(f) is str for f in ids)
-                and type(seed) is int):
-            raise ValueError("round indices and the seed must be JSON integers, "
-                             "weights JSON numbers and forecaster_ids a list of strings")
-        return EnsembleModel(record["method"], tuple((i, float(w)) for i, w in pairs),
-                             tuple(ids), seed)
+        pairs, ids = _typed(record["rounds"], list), _typed(record["forecaster_ids"], list)
+        return EnsembleModel(record["method"],
+                             tuple((_typed(i, int), _typed(w, float)) for i, w in pairs),
+                             tuple(_typed(f, str) for f in ids), _typed(imputation["seed"], int))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model record ({exc})") from exc
 
@@ -766,10 +741,7 @@ def load_eval_report(path) -> EvalReport:
     record = _read_record(path, REPORT_SCHEMA)
     try:
         baseline = record["baseline"]
-        rows = record["per_question"]
-        # exact types, as in load_model, so that true is not read as 1
-        if type(rows) is not list:
-            raise TypeError("per_question must be a list")
+        rows = _typed(record["per_question"], list)
         per_question = tuple(
             QuestionResult(_typed(r["question_id"], str), _typed(r["predicted"], int),
                            _typed(r["actual"], int), _typed(r["probability"], float))
@@ -788,8 +760,9 @@ def load_eval_report(path) -> EvalReport:
 
 
 def _typed(value, kind: type):
-    """``value`` if JSON gave it as ``kind``: str, int (not a boolean), or
-    float (any JSON number, returned as a float)."""
+    """``value`` if JSON gave it as ``kind``: str, list, int (not a
+    boolean, so that true is not read as 1), or float (any JSON number,
+    returned as a float)."""
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:

@@ -349,8 +349,8 @@ class TestTableRoundTrip:
 
 @st.composite
 def saved_models(draw):
-    """A model of any method with a seed of up to 64 bits, forecaster ids
-    of any text, and rounds its method allows."""
+    """A model of any method, forecaster ids of any text, rounds its method
+    allows, and for adaboost a seed of up to 64 bits."""
     method = draw(st.sampled_from(["bagging", "adaboost", "realboost"]))
     ids = draw(st.lists(st.text(), min_size=1, max_size=6, unique=True))
     n = len(ids)
@@ -361,7 +361,7 @@ def saved_models(draw):
         weight = st.floats(min_value=low, allow_nan=False, allow_infinity=False)
         rounds = tuple(draw(st.lists(st.tuples(st.integers(0, n - 1), weight),
                                      min_size=1, max_size=8)))
-    seed = draw(st.integers(0, 2**64 - 1))
+    seed = draw(st.integers(0, 2**64 - 1)) if method == "adaboost" else 0
     return EnsembleModel(method, rounds, tuple(ids), seed)
 
 
@@ -462,6 +462,19 @@ class TestModelRoundTrip:
         assert record["schema"] == "ensemble_model.v3"
         assert record["imputation"] == {"seed": model.seed}
         assert loaded == model
+
+    @pytest.mark.parametrize("train", [lambda t: bag(t), lambda t: realboost_train(t, 4)],
+                             ids=["bagging", "realboost"])
+    def test_a_seed_only_adaboost_reads_is_rejected(self, tmp_path, toy_table, train):
+        # such a model would predict as the trained one but compare unequal
+        path = tmp_path / "model.json"
+        save_model(train(toy_table), path)
+        record = json.loads(path.read_text())
+        assert record["imputation"] == {"seed": 0}
+        record["imputation"]["seed"] = 5
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed model record.*seed must be 0"):
+            load_model(path)
 
     @pytest.mark.parametrize("rounds", [[[0, 5.0]], [[0, 0.5], [1, 0.5]],
                                         [[1, 1 / 3], [0, 1 / 3], [2, 1 / 3]],
@@ -727,20 +740,19 @@ def loaded(load, path, forecaster_ids=None):
 
 
 def split_into(patch, cpus):
-    """Make the loader cut every file of two bytes or more into ``cpus``
-    ranges where it can, one per CPU, whatever the machine has."""
+    """Make the loader and the writer see ``cpus`` CPUs, whatever the
+    machine has, and a file of two bytes or more worth two ranges."""
     patch.setattr(dataio, "_MIN_RANGE_BYTES", 1)
-    patch.setattr(dataio, "_MAX_RANGES", cpus)
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestBlockLoaderMatchesReference:
     @given(case=forecast_texts(),
            block=st.integers(1, 48) | st.just(dataio._BLOCK_BYTES),
-           cpus=st.sampled_from([None, 2, 3]))
+           cpus=st.sampled_from([None, 2]))
     @settings(max_examples=500, deadline=None)
     def test_same_ids_matrix_bytes_or_message(self, case, block, cpus):
-        """Read in one pass, or in ranges by as many processes."""
+        """Read in one pass, or in two ranges by two processes."""
         text, forecaster_ids = case
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataio, "_BLOCK_BYTES", block)
@@ -817,20 +829,27 @@ class TestRanges:
     @pytest.fixture
     def split_file(self, tmp_path, monkeypatch):
         """Make a file of the header, ``first`` and ``second``, read in two
-        ranges that part between them.  ``taken`` counts the parts this
-        process takes from a child."""
-        taken = []
-        merge = dataio._Columns.merge
+        ranges that part between them.  ``taken`` counts the parts of the
+        second range merged, and ``here`` lists the start of each range
+        this process reads."""
+        taken, here, pid = [], [], os.getpid()
+        merge, read_range = dataio._Columns.merge, dataio._read_range
         monkeypatch.setattr(dataio._Columns, "merge",
                             lambda columns, *args: taken.append(1) or merge(columns, *args))
+
+        def recorded(path, columns, start, end):
+            if os.getpid() == pid:
+                here.append(start)
+            return read_range(path, columns, start, end)
+
+        monkeypatch.setattr(dataio, "_read_range", recorded)
 
         def make(first: bytes, second: bytes):
             path = tmp_path / "f.csv"
             path.write_bytes(",".join(FORECASTS_HEADER).encode() + b"\n" + first + second)
             size = path.stat().st_size
-            monkeypatch.setattr(dataio, "_range_ends",
-                                lambda path: [0, size - len(second), size])
-            return path, taken
+            monkeypatch.setattr(dataio, "_second_range", lambda path: (size - len(second), size))
+            return path, taken, here
 
         return make
 
@@ -850,27 +869,27 @@ class TestRanges:
             "new-ids", "new-ids-fixed", "crlf"])
     def test_second_range_read_by_a_child(self, split_file, first, second, forecaster_ids,
                                           message):
-        path, taken = split_file(first, second)
+        path, taken, here = split_file(first, second)
         expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
         if message is not None:
             assert expected == ("DataFormatError", f"{path}{message}")
         assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
-        assert taken == [1]
+        assert (taken, here) == ([1], [0])
         assert no_child_left()
 
     def test_first_error_in_the_file_wins(self, split_file):
-        path, taken = split_file(b"q1,a,0.5\nq2,b,7\n", b"q3,a,1\nq1,b,maybe\n")
+        path, taken, here = split_file(b"q1,a,0.5\nq2,b,7\n", b"q3,a,1\nq1,b,maybe\n")
         expected = ("DataFormatError", f"{path}:3: probability '7' outside [0, 1]")
         assert loaded(csv_reference.load_forecast_matrix, path) == expected
         assert loaded(load_forecast_matrix, path) == expected
-        assert taken == []  # the child's range was not needed
+        assert (taken, here) == ([], [0])  # the child's range was not needed
         assert no_child_left()
 
     @pytest.mark.parametrize("second", [b'q3,"a",1\n', b"q3,a,1\rq1,b,0.5\n", b"q3,a\r,1\n"],
                              ids=["quote", "lone-cr", "cr-in-field"])
     def test_text_for_csv_in_the_second_range_sends_the_file_to_csv(
             self, split_file, monkeypatch, second):
-        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
+        path, taken, here = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
         quoted = []
         read_quoted = dataio._read_quoted
         monkeypatch.setattr(dataio, "_read_quoted",
@@ -878,11 +897,11 @@ class TestRanges:
         assert loaded(load_forecast_matrix, path) == \
             loaded(csv_reference.load_forecast_matrix, path)
         # the child fails at the text, and this process meets it again
-        assert (taken, quoted) == ([], [1])
+        assert (taken, quoted, here) == ([], [1], [0, path.stat().st_size - len(second)])
         assert no_child_left()
 
     def test_undecodable_byte_in_the_second_range(self, split_file):
-        path, _ = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,\xff,0.5\n")
+        path, _, _ = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,\xff,0.5\n")
         assert loaded(load_forecast_matrix, path) == (
             "DataFormatError", f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)")
         assert no_child_left()
@@ -892,14 +911,14 @@ class TestRanges:
     @pytest.mark.parametrize("failure", ["raise", "exit", "no-fork"])
     def test_a_failing_child_leaves_its_range_here(self, split_file, monkeypatch, failure,
                                                    second):
-        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
+        path, taken, here = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
         expected = loaded(csv_reference.load_forecast_matrix, path)
         assert loaded(load_forecast_matrix, path) == expected
-        here = os.getpid()
+        pid = os.getpid()
         read_range = dataio._read_range
 
         def failing(*args):
-            if os.getpid() != here:
+            if os.getpid() != pid:
                 if failure == "exit":
                     os._exit(1)
                 raise RuntimeError("the child fails")
@@ -912,16 +931,18 @@ class TestRanges:
         if failure == "no-fork":
             monkeypatch.setattr(os, "fork", failing_fork)
         taken.clear()
+        here.clear()
         with sigint_unblocked():
             assert loaded(load_forecast_matrix, path) == expected
             assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-        assert taken == []
+        # the child's work, done here by its wait, and merged
+        assert (taken, here) == ([1], [0, path.stat().st_size - len(second)])
         assert no_child_left()
 
     def test_interrupt_ends_the_children(self, monkeypatch, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(GOOD_FORECASTS, encoding="utf-8")
-        split_into(monkeypatch, 3)
+        split_into(monkeypatch, 2)
         here = os.getpid()
 
         def interrupted(*args):
@@ -930,7 +951,7 @@ class TestRanges:
             time.sleep(60)  # a child still at work
 
         monkeypatch.setattr(dataio, "_read_range", interrupted)
-        assert len(dataio._range_ends(path)) == 4
+        assert dataio._second_range(path)[0] < len(GOOD_FORECASTS)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             load_forecast_matrix(path)
@@ -938,7 +959,7 @@ class TestRanges:
         assert no_child_left()
 
     def test_interrupt_while_waiting_ends_the_child(self, split_file, monkeypatch):
-        path, _ = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
+        path, _, _ = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
         waitpid = os.waitpid
         waited = []
 
@@ -983,12 +1004,12 @@ class TestRanges:
         path = tmp_path / "f.csv"
         path.write_text(GOOD_FORECASTS, encoding="utf-8")
         split_into(monkeypatch, 2)
-        assert len(dataio._range_ends(path)) == 3
+        assert dataio._second_range(path)[0] < len(GOOD_FORECASTS)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert dataio._range_ends(path) == [0, len(GOOD_FORECASTS)]
+            assert dataio._second_range(path) == (len(GOOD_FORECASTS),) * 2
         finally:
             release.set()
             thread.join()
@@ -996,14 +1017,14 @@ class TestRanges:
     def test_child_blocks_sigint_and_the_mask_is_restored(self, split_file, monkeypatch):
         """A Ctrl-C reaches the child too; it must not unwind into the
         caller's code, so only this process takes it."""
-        path, taken = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
-        here = os.getpid()
+        path, taken, here = split_file(b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq1,b,\n")
+        pid = os.getpid()
         read_range = dataio._read_range
 
         def checked(*args):
-            if os.getpid() != here and signal.SIGINT not in signal.pthread_sigmask(
+            if os.getpid() != pid and signal.SIGINT not in signal.pthread_sigmask(
                     signal.SIG_BLOCK, []):
-                os._exit(1)  # this process would read the range instead
+                os._exit(1)  # this process would read the range too
             return read_range(*args)
 
         monkeypatch.setattr(dataio, "_read_range", checked)
@@ -1011,33 +1032,42 @@ class TestRanges:
             assert loaded(load_forecast_matrix, path) == \
                 loaded(csv_reference.load_forecast_matrix, path)
             assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-        assert taken == [1]
+        assert (taken, here) == ([1], [0])
         assert no_child_left()
 
-    @pytest.mark.parametrize("cpus, maximum, minimum, ranges", [
-        (1, 8, 1, 1), (2, 8, 1, 2), (3, 8, 1, 3), (4, 8, 50, 3), (4, 8, 100, 1),
-        (8, 8, 25, 7), (8, 8, 30, 6), (8, 2, 1, 2), (8, 3, 30, 3), (1, 2, 1, 1)])
-    def test_one_range_per_cpu_maximum_and_minimum(self, monkeypatch, tmp_path, cpus,
-                                                   maximum, minimum, ranges):
-        # a 191-byte file of lines of 7 to 38 bytes
+    @pytest.mark.parametrize("size", ["below", "at"])
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_two_ranges_from_two_cpus_and_twice_the_minimum(self, monkeypatch, tmp_path,
+                                                            cpus, size):
+        # a file of 191 or 192 bytes, of lines of 7 to 39 bytes
         path = tmp_path / "f.csv"
-        path.write_text(GOOD_FORECASTS + "q9," + "z" * 30 + ",0.5\n" + "q8,a,1\n" * 10,
-                        encoding="utf-8")
+        path.write_text(GOOD_FORECASTS + "q9," + "z" * (30 + (size == "at")) + ",0.5\n"
+                        + "q8,a,1\n" * 10, encoding="utf-8")
         data = path.read_bytes()
         split_into(monkeypatch, cpus)
-        monkeypatch.setattr(dataio, "_MAX_RANGES", maximum)
-        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", minimum)
-        ends = dataio._range_ends(path)
-        assert ends[0] == 0 and ends[-1] == len(data)
-        assert len(ends) == ranges + 1
-        assert all(data[end - 1:end] == b"\n" for end in ends[1:-1])
-        # each ends at the first line feed at or after its share of the file
-        assert all(b"\n" not in data[k * len(data) // ranges:end - 1]
-                   for k, end in enumerate(ends[1:-1], 1))
+        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", 96)
+        start, end = dataio._second_range(path)
+        assert end == len(data) == 191 + (size == "at")
+        if cpus == 1 or size == "below":
+            assert start == end
+        else:
+            # just after the first line feed at or after the middle
+            assert b"\n" not in data[end // 2:start - 1] and data[start - 1:start] == b"\n"
+            assert start < end
+
+    @pytest.mark.parametrize("ending", ["\n", ""], ids=["line-feed", "none"])
+    def test_one_range_when_no_line_feed_ends_a_line_before_the_last(self, monkeypatch,
+                                                                     tmp_path, ending):
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS + "q9," + "z" * 200 + ",0.5" + ending, encoding="utf-8")
+        split_into(monkeypatch, 2)
+        assert dataio._second_range(path) == (path.stat().st_size,) * 2
+        assert load_forecast_matrix(path)[:2] == (("q1", "q2", "q3", "q9"),
+                                                  ("alice", "bob", "z" * 200))
 
     def test_one_range_without_fork(self, monkeypatch, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text(GOOD_FORECASTS, encoding="utf-8")
         split_into(monkeypatch, 2)
         monkeypatch.delattr(os, "fork")
-        assert dataio._range_ends(path) == [0, len(GOOD_FORECASTS)]
+        assert dataio._second_range(path) == (len(GOOD_FORECASTS),) * 2

@@ -1,6 +1,6 @@
 """`_forking.Child`: a forked child's work returns a value that comes back
-whole, a child that fails gives None, and no case leaves a child or an
-open file behind."""
+whole, the work of a child that fails is done once in this process, and
+no case leaves a child or an open file behind."""
 
 import os
 import time
@@ -33,9 +33,9 @@ def test_value_comes_back_equal():
     arrays = (np.arange(7, dtype=np.intp), np.linspace(0.0, 1.0, 5), np.array([np.nan, -0.0]))
     text = bytes(range(256)) * (8 * 4096 + 1)  # just over 8 MiB
     before = descriptors()
-    child = Child()
+    child = Child(lambda: (arrays, text))
     try:
-        child.start(lambda: (arrays, text))
+        child.start()
         returned, returned_text = child.wait()
         assert descriptors() == before  # wait closed the result file
     finally:
@@ -47,48 +47,56 @@ def test_value_comes_back_equal():
     assert no_child_left()
 
 
-def raises():
-    raise RuntimeError("the child fails")
-
-
-@pytest.mark.parametrize("work", [raises, lambda: os._exit(1)], ids=["raise", "exit"])
-def test_a_failing_child_gives_none(work):
-    before = descriptors()
-    child = Child()
+def test_a_child_that_ends_well_leaves_no_work_here():
+    here = os.getpid()
+    runs = []  # a child's append stays in the child
+    child = Child(lambda: runs.append(os.getpid()) or os.getpid())
     try:
-        child.start(work)
-        assert child.wait() is None
-        assert descriptors() == before
+        child.start()
+        assert child.wait() != here
     finally:
         child.stop()
+    assert runs == []
     assert no_child_left()
 
 
-def test_wait_without_start_gives_none():
-    child = Child()
-    assert child.wait() is None
-    child.stop()
-    assert no_child_left()
+@pytest.mark.parametrize("failure", ["raise", "exit", "no-start", "no-fork"])
+def test_a_failed_child_leaves_its_work_here_once(monkeypatch, failure):
+    here = os.getpid()
+    runs = []
 
+    def work():
+        if os.getpid() != here:
+            if failure == "exit":
+                os._exit(1)
+            raise RuntimeError("the child fails")
+        runs.append(here)
+        return "done here"
 
-def test_a_failing_fork_gives_none(monkeypatch):
     def failing_fork():
         raise OSError("no process to spare")
 
-    monkeypatch.setattr(os, "fork", failing_fork)
-    child = Child()
-    child.start(lambda: 1)
-    assert child.pids == []
-    assert child.wait() is None
-    child.stop()
+    if failure == "no-fork":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    before = descriptors()
+    child = Child(work)
+    try:
+        if failure != "no-start":
+            child.start()
+        assert len(child.pids) == (failure in ("raise", "exit"))
+        assert child.wait() == "done here"
+        assert descriptors() == before
+    finally:
+        child.stop()
+    assert runs == [here]
     assert no_child_left()
 
 
 def test_stop_kills_and_reaps_a_sleeping_child():
-    child = Child()
+    child = Child(lambda: time.sleep(60) or 1)
     started = time.monotonic()
     try:
-        child.start(lambda: time.sleep(60) or 1)
+        child.start()
         assert len(child.pids) == 1
     finally:
         child.stop()
