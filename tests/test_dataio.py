@@ -1035,6 +1035,32 @@ class TestRanges:
         assert (taken, here) == ([1], [0])
         assert no_child_left()
 
+    @pytest.mark.parametrize("cpus, maximum, minimum, ranges", [
+        (1, 8, 1, 1), (2, 8, 1, 2), (3, 8, 1, 3), (4, 8, 50, 3), (4, 8, 100, 1),
+        (8, 8, 25, 7), (8, 8, 30, 6), (8, 2, 1, 2), (8, 3, 30, 3), (1, 2, 1, 1)])
+    def test_one_range_per_cpu_maximum_and_minimum(self, monkeypatch, tmp_path, cpus,
+                                                   maximum, minimum, ranges):
+        """``ranges`` is the fewest of ``cpus``, ``maximum`` and the file's
+        size over ``minimum``.  The file splits in two at most, and every
+        ``maximum`` here allows two, so two ranges are made where ``ranges``
+        is two or more and one where it is one."""
+        # a 191-byte file of lines of 7 to 38 bytes
+        path = tmp_path / "f.csv"
+        path.write_text(GOOD_FORECASTS + "q9," + "z" * 30 + ",0.5\n" + "q8,a,1\n" * 10,
+                        encoding="utf-8")
+        data = path.read_bytes()
+        assert ranges == min(cpus, maximum, len(data) // minimum) and maximum >= 2
+        split_into(monkeypatch, cpus)
+        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", minimum)
+        start, end = dataio._second_range(path)
+        assert end == len(data)
+        if ranges == 1:
+            assert start == end
+        else:
+            # the second starts just after the first line feed at or after the middle
+            assert b"\n" not in data[end // 2:start - 1] and data[start - 1:start] == b"\n"
+            assert start < end
+
     @pytest.mark.parametrize("size", ["below", "at"])
     @pytest.mark.parametrize("cpus", [1, 2, 8])
     def test_two_ranges_from_two_cpus_and_twice_the_minimum(self, monkeypatch, tmp_path,
