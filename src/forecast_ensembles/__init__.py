@@ -39,14 +39,7 @@ from .evaluation import (
     individual_baseline,
     loo_evaluate,
 )
-from .links import (
-    LinkSpec,
-    ScoringRule,
-    conditional_risk,
-    matched_scoring_rule,
-    reconstruct_loss,
-    savage_scores,
-)
+from .links import LinkSpec, ScoringRule, matched_scoring_rule
 from .scoring import (
     BinSummary,
     ScoreReport,
@@ -62,10 +55,7 @@ __all__ = [
     "ForecastTable",
     "LinkSpec",
     "ScoringRule",
-    "savage_scores",
     "matched_scoring_rule",
-    "reconstruct_loss",
-    "conditional_risk",
     "BinSummary",
     "ScoreReport",
     "decompose",

@@ -88,7 +88,6 @@ __all__ = [
     "realboost_train",
     "ensemble_predict_table",
     "classify",
-    "stage_weight",
 ]
 
 logger = logging.getLogger(__name__)

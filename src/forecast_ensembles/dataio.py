@@ -666,17 +666,23 @@ def _csv_fields(texts) -> list[str]:
 
 
 def _read_record(path: Path, schema: str) -> dict:
-    """A JSON file's top-level object, which must carry ``schema``."""
+    """A JSON file's top-level object, which must carry ``schema``.  Like
+    `_write_record`, it takes strict JSON only: NaN, Infinity and
+    -Infinity are not valid."""
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        record = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     found = record.get("schema") if isinstance(record, dict) else None
     if found != schema:
         raise DataFormatError(f"{path}: expected schema {schema!r}, got {found!r}")
     return record
+
+
+def _no_constant(token: str):
+    raise ValueError(f"non-standard constant {token}")
 
 
 def _write_record(record: dict, path) -> None:

@@ -47,10 +47,21 @@ class EvalReport:
     mean_individual_errors: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.prediction_errors <= self.questions:
-            raise ValueError("prediction errors must lie in [0, questions]")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if len(self.per_question) != self.questions:
             raise ValueError("per-question results must cover every question")
+        for result in self.per_question:
+            if result.predicted not in (POSITIVE, NEGATIVE) \
+                    or result.actual not in (POSITIVE, NEGATIVE):
+                raise ValueError("predicted and actual labels must be +1 or -1")
+            if not 0.0 <= result.probability <= 1.0:  # NaN fails too
+                raise ValueError("probabilities must lie in [0, 1]")
+        if self.prediction_errors != sum(r.predicted != r.actual for r in self.per_question):
+            raise ValueError("prediction errors must count the questions predicted wrong")
+        if not (0 <= self.best_individual_errors <= self.questions
+                and 0 <= self.mean_individual_errors <= self.questions):
+            raise ValueError("baseline error counts must lie in [0, questions]")
 
 
 def individual_baseline(table: ForecastTable) -> tuple[np.ndarray, int, float]:

@@ -3,8 +3,6 @@
 A family ties together the pieces that belong to one margin loss, each a
 method of `LinkSpec`:
 
-* ``loss(v)``            the loss of margin v when the outcome is positive
-                         (the negative outcome costs ``loss(-v)``),
 * ``link(p)``            the probability-to-margin map that minimizes the
                          conditional risk at posterior p,
 * ``inverse_link(v)``    its inverse, recovering a probability from a margin,
@@ -22,9 +20,11 @@ log((1 - 1e-6) / 1e-6) / 2, about 6.91, and keeps every exp finite.
 
 Scoring rules are the elicitation view of the same objects: a pair of
 per-outcome score functions whose expected value is maximized by honest
-forecasting.  They are generated from a convex honest-score function via
-the Savage construction, and each loss family induces one whose honest
-score is the negated minimum conditional risk.
+forecasting.  Each loss family induces one: the Savage pair of the negated
+minimum conditional risk.  The paper's theory that the commands do not run
+(the loss itself, the conditional risk, the loss rebuilt from the risk
+side and the general Savage construction) is ``tests/link_reference.py``,
+and the theory tests check this module against it.
 """
 
 from __future__ import annotations
@@ -34,14 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "LinkSpec",
-    "ScoringRule",
-    "savage_scores",
-    "matched_scoring_rule",
-    "reconstruct_loss",
-    "conditional_risk",
-]
+__all__ = ["LinkSpec", "ScoringRule", "matched_scoring_rule"]
 
 CLIP = 1e-6
 
@@ -54,7 +47,7 @@ def _scalarize(x):
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """One matched family: loss, optimal link, inverse link, minimum risk.
+    """One matched family: optimal link, inverse link, minimum risk.
 
     ``name`` is 'exponential' or 'linear'.  The exponential family clips
     probabilities to [CLIP, 1 - CLIP] before its divergent maps (the
@@ -74,12 +67,6 @@ class LinkSpec:
         if self.name == "exponential":
             return np.clip(prob, CLIP, 1.0 - CLIP)
         return prob
-
-    def loss(self, margin):
-        """Loss of margin ``margin`` against a positive outcome:
-        exp(-v) (exponential) or (1 - v)^2 (linear)."""
-        v = np.asarray(margin, dtype=float)
-        return _scalarize(np.exp(-v) if self.name == "exponential" else (1.0 - v) ** 2)
 
     def link(self, prob):
         """Margin-scale prediction for probability ``prob``:
@@ -114,92 +101,43 @@ class LinkSpec:
         return _scalarize((1.0 - 2.0 * p) / np.sqrt(p * (1.0 - p))
                           if self.name == "exponential" else 4.0 - 8.0 * p)
 
-    @property
-    def max_margin(self) -> float:
-        """Largest margin the clipped link can produce."""
-        return float(self.link(1.0))
-
 
 @dataclass(frozen=True)
 class ScoringRule:
-    """A Savage pair of per-outcome score functions.
+    """The per-outcome score functions of one proper rule.
 
     ``event_score(p)`` is earned by forecast p when the event happens,
     ``nonevent_score(p)`` when it does not, and ``honest_score(p)`` is the
-    expected score of an honest forecast at true chance p.  For a proper
-    rule the expected score is maximized exactly at the honest forecast.
+    expected score of forecast p at true chance p, which no other forecast
+    exceeds.  Each takes a scalar, giving a float, or an array.
     """
 
     honest_score: Callable
     event_score: Callable
     nonevent_score: Callable
 
-    def expected_score(self, true_prob, forecast):
-        """Expected score of announcing ``forecast`` at true chance ``true_prob``."""
-        true_prob = np.asarray(true_prob, dtype=float)
-        return _scalarize(true_prob * self.event_score(forecast)
-                          + (1.0 - true_prob) * self.nonevent_score(forecast))
 
-
-def savage_scores(honest_score: Callable, honest_score_deriv: Callable) -> ScoringRule:
-    """Generate the per-outcome score pair from a convex honest-score curve.
-
-    With h the honest score and h' its (caller-supplied, analytic)
-    derivative:
+def matched_scoring_rule(link: LinkSpec) -> ScoringRule:
+    """Scoring rule induced by a loss family, with honest score
+    h = -min_cond_risk and h' = -min_cond_risk_deriv on the clipped p:
 
         event_score(p)    = h(p) + (1 - p) h'(p)
         nonevent_score(p) = h(p) - p h'(p)
 
-    Convexity of h is what makes the resulting rule proper; it is checked
-    by property tests, not at call time.
+    The clip to [CLIP, 1 - CLIP] lets forecasts of exactly 0 or 1 score
+    finitely.  For the exponential family event_score(p) = -exp(-link(p))
+    and nonevent_score(p) = -exp(link(p)).
     """
-
-    def event(prob):
-        prob = np.asarray(prob, dtype=float)
-        return _scalarize(honest_score(prob) + (1.0 - prob) * honest_score_deriv(prob))
-
-    def nonevent(prob):
-        prob = np.asarray(prob, dtype=float)
-        return _scalarize(honest_score(prob) - prob * honest_score_deriv(prob))
 
     def honest(prob):
-        return _scalarize(honest_score(np.asarray(prob, dtype=float)))
+        return -link.min_cond_risk(link._clipped(prob))
+
+    def event(prob):
+        p = link._clipped(prob)
+        return _scalarize(-link.min_cond_risk(p) + (1.0 - p) * -link.min_cond_risk_deriv(p))
+
+    def nonevent(prob):
+        p = link._clipped(prob)
+        return _scalarize(-link.min_cond_risk(p) - p * -link.min_cond_risk_deriv(p))
 
     return ScoringRule(honest_score=honest, event_score=event, nonevent_score=nonevent)
-
-
-def matched_scoring_rule(link: LinkSpec) -> ScoringRule:
-    """Scoring rule induced by a loss family: honest score = -min_cond_risk.
-
-    Probabilities are clipped to the family's [CLIP, 1 - CLIP] window before
-    evaluation, so forecasts of exactly 0 or 1 score finitely.  For the
-    exponential family this produces event_score(p) = -loss(link(p)) and
-    nonevent_score(p) = -loss(-link(p)).
-    """
-    inner = savage_scores(lambda p: -link.min_cond_risk(p),
-                          lambda p: -link.min_cond_risk_deriv(p))
-    return ScoringRule(
-        honest_score=lambda prob: inner.honest_score(link._clipped(prob)),
-        event_score=lambda prob: inner.event_score(link._clipped(prob)),
-        nonevent_score=lambda prob: inner.nonevent_score(link._clipped(prob)),
-    )
-
-
-def reconstruct_loss(link: LinkSpec, margin):
-    """Rebuild the loss at ``margin`` from the risk side of the family alone.
-
-    Evaluates min_cond_risk(q) + (1 - q) * min_cond_risk'(q) at
-    q = inverse_link(margin).  For the exponential family this reproduces
-    exp(-margin) on the clip-limited margin range; for the linear family it
-    reproduces (1 - margin)^2 on (-1, 1).
-    """
-    q = link._clipped(link.inverse_link(margin))
-    return _scalarize(link.min_cond_risk(q) + (1.0 - q) * link.min_cond_risk_deriv(q))
-
-
-def conditional_risk(link: LinkSpec, prob, margin):
-    """Expected loss of predicting ``margin`` at posterior ``prob``:
-    prob * loss(margin) + (1 - prob) * loss(-margin)."""
-    prob = np.asarray(prob, dtype=float)
-    margin = np.asarray(margin, dtype=float)
-    return _scalarize(prob * link.loss(margin) + (1.0 - prob) * link.loss(-margin))

@@ -401,6 +401,23 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="not valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("kind", ["model", "report"])
+    def test_non_standard_constants_rejected(self, tmp_path, toy_table, kind, token):
+        path = tmp_path / f"{kind}.json"
+        if kind == "model":
+            save_model(adaboost_train(toy_table, 4, seed=3), path)
+            record = json.loads(path.read_text())
+            record["rounds"][0][1] = float(token)
+        else:
+            save_eval_report(loo_evaluate(toy_table, "realboost", 3), path)
+            record = json.loads(path.read_text())
+            record["per_question"][0]["probability"] = float(token)
+        path.write_text(json.dumps(record))
+        load = load_model if kind == "model" else load_eval_report
+        with pytest.raises(DataFormatError, match=f"not valid JSON .non-standard constant {token}"):
+            load(path)
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"ensemble_model.v2"', "null"])
     def test_json_other_than_an_object_rejected(self, tmp_path, text):
         path = tmp_path / "model.json"
@@ -509,7 +526,9 @@ class TestModelRoundTrip:
             record["imputation"]["seed"] = value
         else:
             record[field] = value
-        path.write_text(json.dumps(record))
+        # json.dumps writes the float 1e400 as Infinity, which is not JSON;
+        # the file holds the number literal, which overflows when read
+        path.write_text(json.dumps(record).replace("Infinity", "1e400"))
         with pytest.raises(DataFormatError, match="malformed model record"):
             load_model(path)
 
@@ -554,6 +573,29 @@ class TestReportRoundTrip:
         for key in keys[:-1]:
             owner = owner[key]
         owner[keys[-1]] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed report record"):
+            load_eval_report(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda record: record["per_question"][0].update(predicted=7),
+        lambda record: record["per_question"][0].update(actual=0),
+        lambda record: record["per_question"][0].update(probability=1.5),
+        lambda record: record["per_question"][0].update(probability=-0.25),
+        lambda record: record.update(method="nonsense"),
+        lambda record: record["per_question"][0].update(
+            predicted=-record["per_question"][0]["predicted"]),
+        lambda record: record["baseline"].update(best_individual_errors=99),
+        lambda record: record["baseline"].update(best_individual_errors=-1),
+        lambda record: record["baseline"].update(mean_individual_errors=4.5),
+        lambda record: record["baseline"].update(mean_individual_errors=-0.5),
+    ], ids=["predicted=7", "actual=0", "probability=1.5", "probability=-0.25",
+            "method=nonsense", "a-row-flipped", "best=99", "best=-1", "mean=4.5", "mean=-0.5"])
+    def test_values_no_run_could_write_are_rejected(self, tmp_path, toy_table, edit):
+        path = tmp_path / "report.json"
+        save_eval_report(loo_evaluate(toy_table, "realboost", 3), path)
+        record = json.loads(path.read_text())
+        edit(record)
         path.write_text(json.dumps(record))
         with pytest.raises(DataFormatError, match="malformed report record"):
             load_eval_report(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,12 @@ class TestLeaveOneOut:
     def test_report_validation(self):
         with pytest.raises(ValueError):
             EvalReport("bagging", 1, 2, 1.0, (), 0, 0.0)
+
+    def test_report_rejects_a_nan_probability(self, toy_table):
+        report = loo_evaluate(toy_table, "realboost", 3)
+        rows = (report.per_question[0]._replace(probability=math.nan),) + report.per_question[1:]
+        with pytest.raises(ValueError, match="probabilities must lie in"):
+            dataclasses.replace(report, per_question=rows)
 
 
 class TestSyntheticGenerator:

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forecast_ensembles import (
-    LinkSpec,
+from link_reference import (
     conditional_risk,
-    matched_scoring_rule,
+    expected_score,
+    max_margin,
     reconstruct_loss,
     savage_scores,
 )
+from forecast_ensembles import LinkSpec, matched_scoring_rule
+from forecast_ensembles.links import CLIP
 
 DELTA = 1e-6
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 def golden_section_min(fn, lo, hi, iterations=200):
@@ -79,8 +85,8 @@ class TestExponentialFamily:
         assert np.all(self.link.min_cond_risk(mid) >= chord - 1e-12)
 
     def test_clip_bounds_margins(self):
-        assert abs(self.link.link(1.0)) <= self.link.max_margin
-        assert self.link.max_margin == pytest.approx(0.5 * math.log((1 - DELTA) / DELTA))
+        assert abs(self.link.link(1.0)) <= max_margin(self.link)
+        assert max_margin(self.link) == pytest.approx(0.5 * math.log((1 - DELTA) / DELTA))
         assert math.isfinite(self.link.link(0.0))
 
     def test_unknown_family_rejected(self):
@@ -128,12 +134,12 @@ class TestSavageScores:
 
     def test_honest_score_is_expected_score_on_diagonal(self):
         probs = np.arange(1, 100) / 100.0
-        gap = self.rule.expected_score(probs, probs) - self.rule.honest_score(probs)
+        gap = expected_score(self.rule, probs, probs) - self.rule.honest_score(probs)
         assert np.max(np.abs(gap)) < 1e-12
 
     def test_savage_bound_grid(self):
         probs = np.arange(1, 100) / 100.0
-        expected = self.rule.expected_score(probs[:, None], probs[None, :])
+        expected = expected_score(self.rule, probs[:, None], probs[None, :])
         honest = np.asarray(self.rule.honest_score(probs))[:, None]
         gap = honest - expected
         assert np.min(gap) > -1e-12
@@ -146,6 +152,24 @@ class TestSavageScores:
         assert rule.event_score(0.25) == pytest.approx(-(0.75**2))
         assert rule.nonevent_score(0.25) == pytest.approx(-(0.25**2))
         assert rule.honest_score(0.5) == pytest.approx(-0.25)
+
+    @pytest.mark.parametrize("family", ["exponential", "linear"])
+    @given(probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(probs=[0.0, 0.5, 1.0, CLIP, 1.0 - CLIP, CLIP / 2])
+    @settings(max_examples=200, deadline=None)
+    def test_matched_rule_is_the_savage_pair_bit_for_bit(self, family, probs):
+        link = LinkSpec(family)
+        rule = matched_scoring_rule(link)
+        savage = savage_scores(lambda p: -link.min_cond_risk(p),
+                               lambda p: -link.min_cond_risk_deriv(p))
+        for name in ("honest_score", "event_score", "nonevent_score"):
+            score, reference = getattr(rule, name), getattr(savage, name)
+            array = np.array(probs)
+            assert np.array_equal(bits(score(array)), bits(reference(link._clipped(array))))
+            for prob in probs:
+                value = score(prob)
+                assert type(value) is float
+                assert bits(value) == bits(reference(link._clipped(prob)))
 
 
 class TestLossReconstruction:
