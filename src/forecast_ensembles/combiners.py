@@ -178,10 +178,12 @@ def _ordered_sum(values: np.ndarray):
     loop from 0.0; a 1-D sum comes back as a Python float.  numpy adds
     the rows of a C-contiguous array with two or more columns one after
     another; it would sum a vector, a lone column or an F-ordered array
-    pairwise, so those take ``np.cumsum``.  Adding 0.0 turns a total of
-    -0.0 into the loop's +0.0 and changes no other."""
+    pairwise, so those take a running sum: ``np.cumsum``, or for a vector
+    the ufunc it calls, ``np.add.accumulate``, which skips the method's
+    overhead.  Adding 0.0 turns a total of -0.0 into the loop's +0.0 and
+    changes no other."""
     if values.ndim == 1:
-        return float(values.cumsum()[-1]) + 0.0
+        return float(np.add.accumulate(values)[-1]) + 0.0
     if values.shape[1] > 1 and values.flags.c_contiguous:
         total = values.sum(axis=0)
     else:
@@ -217,9 +219,11 @@ class _LeastTotal:
       A column can therefore be the ordered minimum only if its screened
       total is at most ((1+gamma)/(1-gamma))**2 * (min + 4 Q tiny); every
       other column is dropped.
-    * Recheck.  The remaining candidates are gathered and summed in
-      question order, a lone candidate as one column.  A NaN screen puts
-      no column under the limit, and then every column is a candidate.
+    * Recheck.  The columns under the limit are counted, not listed.  A
+      lone one is the least screened column, and only its products are
+      summed in question order; several are gathered and summed in
+      question order.  A NaN screen puts no column under the limit, and
+      then every column is a candidate.
 
     The screen only decides which columns get summed in order, and the
     bound holds for every summation order, so picks and totals do not
@@ -273,16 +277,18 @@ class _LeastTotal:
     def __call__(self, weights: np.ndarray) -> tuple[int, float]:
         factors = self.factors
         screen = weights @ factors
-        limit = self.slack * (float(np.minimum.reduce(screen)) + self.floor)
-        candidates = (screen <= limit).nonzero()[0]
-        if not len(candidates):
-            # a NaN screen makes the limit NaN: every column is a candidate
-            candidates = np.arange(len(screen))
-        self.candidates += len(candidates)
-        if len(candidates) == 1:
-            j = candidates[0]
+        j = screen.argmin()
+        limit = self.slack * (float(screen[j]) + self.floor)
+        under = screen <= limit
+        count = np.count_nonzero(under)
+        if count == 1:
+            # the least screened total is the only column under its limit
+            self.candidates += 1
             self.products = factors[:, j] * weights
             return self.columns[j], _ordered_sum(self.products)
+        # a NaN screen makes the limit NaN: every column is a candidate
+        candidates = under.nonzero()[0] if count else np.arange(len(screen))
+        self.candidates += len(candidates)
         products = factors[:, candidates] * weights[:, np.newaxis]
         totals = _ordered_sum(products)
         j = totals.argmin()
@@ -335,17 +341,21 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     Rounds stop early once no forecaster beats chance under the current
     weights; if that happens on the very first round the best forecaster
     is kept with a zero stage weight so the model still exists (it then
-    always predicts a margin of zero).  A round whose pick errs on no
-    question of nonzero weight, under weights that sum to exactly 1.0,
-    changes no weight, and it fills every round left.
+    always predicts a margin of zero).  Reweighting scales the questions
+    the pick got wrong through their indices, found the first time a
+    forecaster is picked and kept for the training.  A round whose pick
+    errs on no question of nonzero weight, under weights that sum to
+    exactly 1.0, changes no weight, and it fills every round left.
     """
     _check_trainable(table, iterations)
     dense = np.where(table.answered, table.forecasts,
                      np.random.default_rng(seed).random(table.forecasts.shape))
-    base = np.where(dense.T > 0.5, POSITIVE, NEGATIVE)
-    mistaken = base != table.outcomes[:, np.newaxis]  # (Q, N)
-    least_mass = _LeastTotal(mistaken.astype(float, order="C"))
+    # (N, Q): forecaster i's sign is wrong on question q; the bool
+    # transpose copies far faster than the float one
+    mistaken = (dense > 0.5) != (table.outcomes == POSITIVE)
+    least_mass = _LeastTotal(np.ascontiguousarray(mistaken.T).astype(float))
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
+    wrong: dict[int, np.ndarray] = {}  # each pick's mistaken questions
 
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
@@ -370,7 +380,10 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
             break
         # math.exp rounds as the scalar reference does; only the questions
         # the pick got wrong are scaled
-        np.multiply(weights, math.exp(alpha), out=weights, where=mistaken[:, picked])
+        rows = wrong.get(picked)
+        if rows is None:
+            rows = wrong[picked] = np.flatnonzero(mistaken[picked])
+        weights[rows] *= math.exp(alpha)
         weights /= _ordered_sum(weights)
     _log_argmin("adaboost", len(rounds), table.n_forecasters, least_mass)
 

@@ -64,6 +64,7 @@ import csv
 import io
 import json
 import os
+import re
 from collections import defaultdict
 from functools import partial
 from itertools import chain, repeat
@@ -96,6 +97,9 @@ MODEL_SCHEMA = "ensemble_model.v3"
 REPORT_SCHEMA = "eval_report.v1"
 # The method fixes a model's link, clip and fill, so its file holds no more.
 _MODEL_FIELDS = {"schema", "method", "imputation", "forecaster_ids", "rounds"}
+
+# a JSON string, or a non-standard constant (group 1) outside one
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
 
 
 class DataFormatError(ValueError):
@@ -672,7 +676,8 @@ def _read_record(path: Path, schema: str) -> dict:
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
     try:
-        record = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+        text = path.read_text(encoding="utf-8")
+        record = json.loads(text, parse_constant=partial(_no_constant, text))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     found = record.get("schema") if isinstance(record, dict) else None
@@ -681,8 +686,13 @@ def _read_record(path: Path, schema: str) -> dict:
     return record
 
 
-def _no_constant(token: str):
-    raise ValueError(f"non-standard constant {token}")
+def _no_constant(text: str, token: str):
+    """Refuse ``token``, a constant the decoder met in ``text``, with its
+    line and column as the decoder's own errors give them.  The decoder
+    has parsed all of ``text`` before it, so it is the first NaN,
+    Infinity or -Infinity outside a string."""
+    found = (match.start() for match in _STRING_OR_CONSTANT.finditer(text) if match[1])
+    raise json.JSONDecodeError(f"non-standard constant {token}", text, next(found))
 
 
 def _write_record(record: dict, path) -> None:

@@ -9,6 +9,7 @@ baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,6 +60,9 @@ class EvalReport:
                 raise ValueError("probabilities must lie in [0, 1]")
         if self.prediction_errors != sum(r.predicted != r.actual for r in self.per_question):
             raise ValueError("prediction errors must count the questions predicted wrong")
+        # every model a run trains uses at least one forecaster
+        if not 1.0 <= self.avg_unique_forecasters < math.inf:  # NaN fails too
+            raise ValueError("average unique forecasters must be finite and at least 1")
         if not (0 <= self.best_individual_errors <= self.questions
                 and 0 <= self.mean_individual_errors <= self.questions):
             raise ValueError("baseline error counts must lie in [0, questions]")

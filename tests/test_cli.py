@@ -376,6 +376,25 @@ class TestLoo:
         assert "realboost" in out
         assert str(golden.prediction_errors) in out
 
+    def test_golden_adaboost_report(self, tmp_path, capsys):
+        # the realboost test's table; 40 rounds over 12 forecasters make
+        # every fold pick some forecaster again, so a repeated pick's
+        # reweighting is pinned too
+        table = generate_synthetic(SyntheticSpec(forecasters=12, questions=25,
+                                                 noise=1.0, coverage=0.7, seed=123))
+        fpath = tmp_path / "f.csv"
+        opath = tmp_path / "o.csv"
+        write_table(table, fpath, opath)
+        report_path = tmp_path / "loo.json"
+        assert main(["loo", "--method", "adaboost", "--forecasts", str(fpath),
+                     "--outcomes", str(opath), "--iterations", "40",
+                     "--report-out", str(report_path)]) == 0
+        out = capsys.readouterr().out
+        golden = load_eval_report(DATA_DIR / "golden_loo_adaboost.json")
+        assert load_eval_report(report_path) == golden
+        assert "adaboost" in out
+        assert str(golden.prediction_errors) in out
+
     def test_summary_includes_baseline_row(self, table_files, tmp_path, capsys):
         _, fpath, opath = table_files
         assert main(["loo", "--method", "bagging", "--forecasts", fpath,

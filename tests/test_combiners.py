@@ -217,9 +217,13 @@ class TestLeastTotal:
             weights = rng.random(q)
         totals = left_to_right_totals(factors, weights)
         index = int(np.argmin(totals))  # the first of the least
-        picked, total = _LeastTotal(factors)(weights)
+        least = _LeastTotal(factors)
+        picked, total = least(weights)
         assert type(picked) is int
         assert (picked, total) == (index, totals[index])
+        # the products kept for reweighting are the pick's own, bit for bit
+        assert np.array_equal(least.products.view(np.int64),
+                              (factors[:, picked] * weights).view(np.int64))
 
     def test_many_ties_are_all_gathered(self):
         # one column per pair of 4 questions: under equal weights all 6 tie

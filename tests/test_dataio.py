@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import signal
 import tempfile
 import threading
@@ -418,6 +419,23 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match=f"not valid JSON .non-standard constant {token}"):
             load(path)
 
+    def test_non_standard_constant_is_placed(self, tmp_path):
+        # the decoder's own line, column and character; the NaN inside
+        # the strings of line 1 is not the token that failed
+        path = tmp_path / "model.json"
+        path.write_text('{"schema": "ensemble_model.v3", "forecaster_ids": ["NaN", "a\\"NaN"],\n'
+                        ' "rounds": [[0, -Infinity]]}', encoding="utf-8")
+        message = ("not valid JSON (non-standard constant -Infinity: "
+                   "line 2 column 17 (char 85))")
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_model(path)
+
+    def test_constant_names_as_forecaster_ids_load(self, tmp_path):
+        model = EnsembleModel("adaboost", ((0, 0.5), (2, 0.25)), ("NaN", "Infinity", "-Infinity"))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path) == model
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"ensemble_model.v2"', "null"])
     def test_json_other_than_an_object_rejected(self, tmp_path, text):
         path = tmp_path / "model.json"
@@ -589,14 +607,28 @@ class TestReportRoundTrip:
         lambda record: record["baseline"].update(best_individual_errors=-1),
         lambda record: record["baseline"].update(mean_individual_errors=4.5),
         lambda record: record["baseline"].update(mean_individual_errors=-0.5),
+        lambda record: record.update(avg_unique_forecasters=-5.0),
+        lambda record: record.update(avg_unique_forecasters=0.0),
     ], ids=["predicted=7", "actual=0", "probability=1.5", "probability=-0.25",
-            "method=nonsense", "a-row-flipped", "best=99", "best=-1", "mean=4.5", "mean=-0.5"])
+            "method=nonsense", "a-row-flipped", "best=99", "best=-1", "mean=4.5", "mean=-0.5",
+            "unique=-5.0", "unique=0.0"])
     def test_values_no_run_could_write_are_rejected(self, tmp_path, toy_table, edit):
         path = tmp_path / "report.json"
         save_eval_report(loo_evaluate(toy_table, "realboost", 3), path)
         record = json.loads(path.read_text())
         edit(record)
         path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed report record"):
+            load_eval_report(path)
+
+    def test_an_overflowing_unique_count_is_rejected(self, tmp_path, toy_table):
+        # the number literal 1e400 is strict JSON and reads as inf, which no
+        # report could be saved with
+        path = tmp_path / "report.json"
+        save_eval_report(loo_evaluate(toy_table, "realboost", 3), path)
+        record = json.loads(path.read_text())
+        record["avg_unique_forecasters"] = "overflow"
+        path.write_text(json.dumps(record).replace('"overflow"', "1e400"))
         with pytest.raises(DataFormatError, match="malformed report record"):
             load_eval_report(path)
 

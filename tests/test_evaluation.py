@@ -123,6 +123,12 @@ class TestLeaveOneOut:
         with pytest.raises(ValueError):
             EvalReport("bagging", 1, 2, 1.0, (), 0, 0.0)
 
+    @pytest.mark.parametrize("unique", [math.inf, math.nan, -5.0, 0.0, 0.5])
+    def test_report_rejects_an_impossible_unique_count(self, toy_table, unique):
+        report = loo_evaluate(toy_table, "realboost", 3)
+        with pytest.raises(ValueError, match="unique forecasters must be finite and at least 1"):
+            dataclasses.replace(report, avg_unique_forecasters=unique)
+
     def test_report_rejects_a_nan_probability(self, toy_table):
         report = loo_evaluate(toy_table, "realboost", 3)
         rows = (report.per_question[0]._replace(probability=math.nan),) + report.per_question[1:]
