@@ -33,13 +33,20 @@ too, is one line of compact, strict JSON (no NaN or infinity) written by
 `_write_record`; ``python -m json.tool FILE`` pretty-prints one, and the
 readers take any layout.
 
-The forecasts file is read in blocks of whole lines, each turned into
-question, forecaster and probability columns by `str.split` and `float`, then
-checked as arrays, each CRLF read as LF.  Text with a quote, a NUL or a
-carriage return that does not start a CRLF, or a line longer than
-``csv.field_size_limit()`` (looked for only in text longer than that
-limit), is tokenized by csv.reader instead, whose
-records feed the same columns, so both read a file alike.
+The forecasts file is read as bytes, in blocks of whole lines, each CRLF
+read as LF.  One numpy pass over a block's bytes finds its line feeds and
+commas, and so each line's number and field count and the blank lines;
+``bytes.split`` gives the question, forecaster and probability columns,
+`float` reads the probabilities, and the columns are checked as arrays.  A
+block that is not ASCII is decoded once, to meet a byte that is not UTF-8,
+and its probability fields are decoded before `float` reads them: `float`
+takes Unicode digits and spaces in text, but not in bytes.  Ids are
+numbered as bytes and each is decoded once; UTF-8 is one to one, so the
+numbering is that of the text.  Bytes with a quote, a NUL or a carriage
+return that does not start a CRLF, or a line of more characters than
+``csv.field_size_limit()`` (counted only in a line of more bytes than that
+limit), are tokenized by csv.reader instead, whose records, encoded, feed
+the same columns, so both read a file alike.
 An error names the first offending record, ``file:line`` counting
 physical lines; a field over the csv limit (131,072 characters unless
 changed) and a byte that is not UTF-8 are errors too, not crashes.
@@ -59,7 +66,6 @@ the later forecaster rows, and writes the bytes one process writes.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
@@ -183,10 +189,11 @@ _BLOCK_BYTES = 1 << 16
 # counts.
 _MIN_RANGE_BYTES = 1 << 18
 
-# Text that `str.split` would not tokenize as csv.reader does: a quote, or
-# a NUL (rejected by csv on some Python versions).  A carriage return ends
-# a line for csv too; it is split as one only where it starts a CRLF.
-_CSV_ONLY = ('"', "\0")
+# Bytes that ``bytes.split`` would not tokenize as csv.reader does: a
+# quote, or a NUL (rejected by csv on some Python versions).  A carriage
+# return ends a line for csv too; it is split as one only where it starts a
+# CRLF.
+_CSV_ONLY = (b'"', b"\0")
 
 
 class _Part(NamedTuple):
@@ -194,8 +201,8 @@ class _Part(NamedTuple):
     numbered by first appearance in the range, lines counted from its
     start (`_part`)."""
 
-    question_ids: tuple[str, ...]
-    forecaster_ids: tuple[str, ...]  # empty when the caller gave them
+    question_ids: tuple[bytes, ...]
+    forecaster_ids: tuple[bytes, ...]  # empty when the caller gave them
     rows: np.ndarray
     columns: np.ndarray
     values: np.ndarray
@@ -205,7 +212,9 @@ class _Part(NamedTuple):
 
 class _Columns:
     """A forecasts file's records as row, column and probability arrays,
-    fed a block at a time and checked as they come.
+    fed a block of UTF-8 fields at a time and checked as they come.  Ids
+    are numbered as bytes and decoded once, by `validated`; UTF-8 is one to
+    one, so the numbers are those of the text.
 
     Feeding stops at the first record that fails a check of its own: field
     count, empty id, not a number, out of range or unknown forecaster, in
@@ -218,8 +227,11 @@ class _Columns:
     def __init__(self, path: Path, forecaster_ids) -> None:
         self.path = path
         self.fixed = forecaster_ids is not None
-        self.forecaster_index = ({f: i for i, f in enumerate(forecaster_ids)} if self.fixed
-                                 else _numbering())
+        # a lone surrogate, which a model's JSON may hold, encodes to bytes
+        # that no UTF-8 field holds
+        self.forecaster_index = ({f.encode("utf-8", "surrogatepass"): i
+                                  for i, f in enumerate(forecaster_ids)}
+                                 if self.fixed else _numbering())
         self.question_index = _numbering()
         # one entry per block, from an empty one, so that there is always
         # something to concatenate
@@ -229,12 +241,14 @@ class _Columns:
         self.lines = [np.empty(0, np.intp)]  # physical line numbers of the records
         self.error: tuple[int, str] | None = None
 
-    def add(self, question_ids, forecaster_ids, fields, lines) -> bool:
-        """Check and keep one block of records; False once one fails."""
+    def add(self, question_ids, forecaster_ids, fields, lines, ascii_only: bool) -> bool:
+        """Check and keep one block of records; False once one fails.  The
+        probability fields are decoded unless ``ascii_only``: `float` reads
+        Unicode digits and spaces in text, but no byte that is not ASCII."""
         failures = []  # (position, rank within a record, message)
         for ids in (question_ids, forecaster_ids):
-            if "" in ids:
-                failures.append((ids.index(""), 0,
+            if b"" in ids:
+                failures.append((ids.index(b""), 0,
                                  "question_id and forecaster_id must be non-empty"))
         columns = _renumbered(self.question_index, question_ids)
         if self.fixed:
@@ -243,20 +257,23 @@ class _Columns:
             unknown = np.flatnonzero(rows < 0)
             if unknown.size:
                 position = int(unknown[0])
-                failures.append((position, 3, f"forecaster {forecaster_ids[position]!r} "
-                                              "is not part of the model"))
+                failures.append((position, 3, f"forecaster {_text(forecaster_ids[position])!r}"
+                                              " is not part of the model"))
         else:
             rows = _renumbered(self.forecaster_index, forecaster_ids)
-        values, present, parsed = _probabilities(fields)
+        values, present, parsed = _probabilities(fields if ascii_only
+                                                 else list(map(_text, fields)))
         if parsed < len(fields):
-            failures.append((parsed, 1, f"probability {fields[parsed]!r} is not a number"))
+            failures.append((parsed, 1,
+                             f"probability {_text(fields[parsed])!r} is not a number"))
         outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
         if present is not None:
             outside &= present
         outside = np.flatnonzero(outside)
         if outside.size:
             position = int(outside[0])
-            failures.append((position, 2, f"probability {fields[position]!r} outside [0, 1]"))
+            failures.append((position, 2,
+                             f"probability {_text(fields[position])!r} outside [0, 1]"))
 
         kept = min(failures)[0] if failures else len(fields)
         self.rows.append(rows[:kept])
@@ -286,7 +303,9 @@ class _Columns:
         whole file, or the first error in it."""
         rows, columns, values = (np.concatenate(parts)
                                  for parts in (self.rows, self.columns, self.values))
-        width = len(self.question_index)
+        question_ids, forecaster_ids = (
+            tuple(map(_text, index)) for index in (self.question_index, self.forecaster_index))
+        width = len(question_ids)
         cells = rows * width + columns
         seen = np.zeros(len(self.forecaster_index) * width, bool)
         seen[cells] = True
@@ -295,21 +314,19 @@ class _Columns:
             repeated = np.ones(cells.size, bool)
             repeated[first] = False
             position = int(np.flatnonzero(repeated)[0])
-            question_id = tuple(self.question_index)[columns[position]]
-            forecaster_id = tuple(self.forecaster_index)[rows[position]]
             _fail(self.path, np.concatenate(self.lines)[position],
-                  f"duplicate forecast for ({question_id}, {forecaster_id})")
+                  f"duplicate forecast for ({question_ids[columns[position]]}, "
+                  f"{forecaster_ids[rows[position]]})")
         if self.error is not None:
             _fail(self.path, *self.error)
-        return (tuple(self.question_index), tuple(self.forecaster_index),
-                rows, columns, values)
+        return question_ids, forecaster_ids, rows, columns, values
 
 
-def _numbering() -> defaultdict[str, int]:
+def _numbering() -> defaultdict[bytes, int]:
     """An id -> number dict that numbers an id it is indexed with on from
     its size, so that looking ids up numbers them in order of first
     appearance.  Only ids that are to be numbered may index it."""
-    index: defaultdict[str, int] = defaultdict()
+    index: defaultdict[bytes, int] = defaultdict()
     index.default_factory = index.__len__
     return index
 
@@ -319,23 +336,28 @@ def _renumbered(index, ids) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
 
 
+def _text(field: bytes) -> str:
+    """The text a field or an id encodes, a caller's lone surrogate too."""
+    return field.decode("utf-8", "surrogatepass")
+
+
 def _probabilities(fields):
-    """Parse ``fields`` with `float`, NaN for an empty one, up to the first
-    that `float` rejects.  Returns (values, present mask or None if no field
-    is empty, number of fields parsed)."""
+    """Parse ``fields``, bytes or text, with `float`, NaN for an empty one,
+    up to the first that `float` rejects.  Returns (values, present mask or
+    None if no field is empty, number of fields parsed)."""
     try:
         return (*_floats(fields), len(fields))
     except ValueError:
         for parsed, field in enumerate(fields):
             try:
-                float(field or "0")
+                float(field or 0)
             except ValueError:
                 return (*_floats(fields[:parsed]), parsed)
         raise
 
 
 def _floats(fields):
-    if "" not in fields:
+    if all(fields):
         return np.fromiter(map(float, fields), float, len(fields)), None
     present = np.fromiter(map(bool, fields), bool, len(fields))
     values = np.full(len(fields), np.nan)
@@ -347,84 +369,94 @@ class _NotPlain(Exception):
     """The text holds what only csv.reader tokenizes as it should."""
 
 
-def _plain_blocks(chunks):
-    """The lines of the text ``chunks`` make up, a list of whole lines per
-    chunk, each CRLF read as LF.  Raises `_NotPlain` at text that
-    `str.split` would not tokenize as csv.reader does: one of `_CSV_ONLY`,
-    a carriage return that does not start a CRLF, or a line over
-    ``csv.field_size_limit()``, whose fields csv may reject."""
+def _plain_blocks(handle, start: int, end: int):
+    """Bytes ``start`` to ``end`` of the binary file ``handle`` as blocks of
+    whole lines, each line ending in LF and each CRLF read as LF.  A block
+    that is not ASCII is decoded once, to raise UnicodeDecodeError at a
+    byte that is not UTF-8.  Raises `_NotPlain` at bytes that
+    ``bytes.split`` would not tokenize as csv.reader does: one of
+    `_CSV_ONLY`, a carriage return that does not start a CRLF, or a line of
+    more characters than ``csv.field_size_limit()``, whose fields csv may
+    reject."""
     limit = csv.field_size_limit()
-    tail = ""  # the unfinished last line of the text read so far
-    for chunk in chunks:
-        if any(c in chunk for c in _CSV_ONLY):
-            raise _NotPlain
-        text = tail + chunk
-        if "\r" in text:
-            # a last CR may start a CRLF that the next block ends, so it
-            # stays in the tail
-            held = "\r" if text.endswith("\r") else ""
-            text = text[:len(text) - len(held)]
-            if text.count("\r") != text.count("\r\n"):
-                raise _NotPlain
-            text = text.replace("\r\n", "\n") + held
-        lines = text.split("\n")
-        tail = lines.pop()
-        # no line of text within the limit can exceed it
-        if len(text) > limit and (len(tail) > limit
-                                  or max(map(len, lines), default=0) > limit):
-            raise _NotPlain
-        if lines:
-            yield lines
-    if tail.endswith("\r"):
-        raise _NotPlain
-    if tail:
-        yield [tail]
-
-
-def _decoded(handle, start: int, end: int):
-    """Bytes ``start`` to ``end`` of the binary file ``handle``, decoded as
-    UTF-8 a block at a time; a range that ends inside a character raises
-    UnicodeDecodeError."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    tail = b""  # the unfinished last line of the bytes read so far
     handle.seek(start)
     left = end - start
-    while left > 0 and (data := handle.read(min(_BLOCK_BYTES, left))):
-        left -= len(data)
-        if text := decoder.decode(data):
-            yield text
-    decoder.decode(b"", final=True)
+    while left > 0 and (chunk := handle.read(min(_BLOCK_BYTES, left))):
+        left -= len(chunk)
+        if any(c in chunk for c in _CSV_ONLY):
+            raise _NotPlain
+        data = tail + chunk
+        if b"\r" in data:
+            # a last CR may start a CRLF that the next block ends, so it
+            # stays in the tail
+            held = b"\r" if data.endswith(b"\r") else b""
+            data = data[:len(data) - len(held)]
+            if data.count(b"\r") != data.count(b"\r\n"):
+                raise _NotPlain
+            data = data.replace(b"\r\n", b"\n") + held
+        # no line of bytes within the limit can exceed it; the tail's last
+        # character may be cut, and is counted as one
+        if len(data) > limit and any(len(line) > limit
+                                     and len(line.decode("utf-8", "replace")) > limit
+                                     for line in data.split(b"\n")):
+            raise _NotPlain
+        cut = data.rfind(b"\n") + 1
+        block, tail = data[:cut], data[cut:]
+        if block:
+            yield _checked(block)
+    if tail.endswith(b"\r"):
+        raise _NotPlain
+    if tail:
+        yield _checked(tail + b"\n")
+
+
+def _checked(block: bytes) -> bytes:
+    """``block``, once a block that is not ASCII has decoded as UTF-8."""
+    if not block.isascii():
+        block.decode("utf-8")
+    return block
 
 
 def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
     """Feed ``columns`` from the lines of bytes ``start`` to ``end`` of the
-    file, split by `str.split` and numbered from the range's start; the
+    file, split by ``bytes.split`` and numbered from the range's start; the
     range at 0 starts with the header.  Returns the physical lines read."""
     width = len(FORECASTS_HEADER)
     counted = 0  # physical lines before the block
     with path.open("rb") as handle:
-        blocks = _plain_blocks(_decoded(handle, start, end))
+        blocks = _plain_blocks(handle, start, end)
         if start == 0:
-            lines = next(blocks, None)
-            _check_header(path, None if lines is None else lines.pop(0).split(","),
-                          FORECASTS_HEADER)
+            block = next(blocks, None)
+            if block is None:
+                _check_header(path, None, FORECASTS_HEADER)
+            header, _, block = block.partition(b"\n")
+            _check_header(path, header.decode("utf-8").split(","), FORECASTS_HEADER)
             counted += 1
-            blocks = chain([lines], blocks)
-        for lines in blocks:
-            numbers = np.arange(counted + 1, counted + 1 + len(lines))
-            counted += len(lines)
-            if "" in lines:  # blank lines hold no record
-                numbers = numbers[np.fromiter(map(bool, lines), bool, len(lines))]
-                lines = list(filter(None, lines))
-            commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-            wrong = np.flatnonzero(commas != width - 1)
-            if wrong.size:
-                lines = lines[:wrong[0]]
-            fields = ",".join(lines).split(",") if lines else []
-            if not columns.add(fields[0::3], fields[1::3], fields[2::3], numbers):
+            blocks = chain([block], blocks)
+        for block in blocks:
+            # one pass over the bytes finds the end of every field, and of
+            # every line among them
+            data = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
+            feeds = np.flatnonzero(data[ends] == ord("\n"))
+            widths = np.diff(feeds, prepend=-1)  # fields per line
+            numbers = np.arange(counted + 1, counted + 1 + len(feeds))
+            counted += len(feeds)
+            fields = block.replace(b"\n", b",").split(b",")
+            blank = np.diff(ends[feeds], prepend=-1) == 1
+            if blank.any():  # blank lines hold no record
+                numbers, widths = numbers[~blank], widths[~blank]
+                fields = b",".join(filter(None, block.split(b"\n"))).split(b",")
+            wrong = np.flatnonzero(widths != width)
+            kept = int(wrong[0]) if wrong.size else len(numbers)
+            del fields[width * kept:]
+            if not columns.add(fields[0::3], fields[1::3], fields[2::3], numbers,
+                               block.isascii()):
                 break
             if wrong.size:
-                columns.error = (int(numbers[wrong[0]]),
-                                 f"expected {width} fields, got {commas[wrong[0]] + 1}")
+                columns.error = (int(numbers[kept]),
+                                 f"expected {width} fields, got {widths[kept]}")
                 break
     return counted
 
@@ -508,7 +540,9 @@ def _add_records(columns: _Columns, block) -> bool:
     if not block:
         return True
     lines, rows = zip(*block)
-    return columns.add(*zip(*rows), lines)
+    question_ids, forecaster_ids, fields = ([text.encode() for text in column]
+                                            for column in zip(*rows))
+    return columns.add(question_ids, forecaster_ids, fields, lines, False)
 
 
 def _read_forecasts(path, forecaster_ids):

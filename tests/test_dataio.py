@@ -177,6 +177,11 @@ class TestLoadForecastMatrix:
         fpath, _ = write_files(tmp_path, GOOD_FORECASTS.replace("alice", "a" * 13), GOOD_OUTCOMES)
         longer = tmp_path / "longer.csv"
         longer.write_text(GOOD_FORECASTS.replace("bob", "b" * 14), encoding="utf-8")
+        # the limit counts characters: 13 of two bytes each fit, 14 do not
+        wide = tmp_path / "wide.csv"
+        wide.write_text(GOOD_FORECASTS.replace("alice", "é" * 13), encoding="utf-8")
+        wider = tmp_path / "wider.csv"
+        wider.write_text(GOOD_FORECASTS.replace("bob", "é" * 14), encoding="utf-8")
         limit = csv.field_size_limit(13)  # len("forecaster_id")
         try:
             question_ids, forecaster_ids, matrix = load_forecast_matrix(fpath)
@@ -184,11 +189,18 @@ class TestLoadForecastMatrix:
             with pytest.raises(DataFormatError,
                                match=r"longer\.csv:4: field larger than field limit \(13\)"):
                 load_forecast_matrix(longer)
+            wide_loaded = loaded(load_forecast_matrix, wide)
+            wide_expected = loaded(csv_reference.load_forecast_matrix, wide)
+            with pytest.raises(DataFormatError,
+                               match=r"wider\.csv:4: field larger than field limit \(13\)"):
+                load_forecast_matrix(wider)
         finally:
             csv.field_size_limit(limit)
         assert (question_ids, forecaster_ids) == expected[:2] == (("q1", "q2", "q3"),
                                                                   ("a" * 13, "bob"))
         assert matrix.tobytes() == expected[2].tobytes()
+        assert wide_loaded == wide_expected
+        assert wide_expected[:2] == (("q1", "q2", "q3"), ("é" * 13, "bob"))
 
 
 # Ids with every character csv.writer quotes for, and some it does not,
@@ -756,7 +768,8 @@ class TestLoaderProperties:
 TEXT_IDS = st.sampled_from(["q1", "q2", "q3", "a", "b", "c"] * 3 + [
     " a", "b ", "", "x,y", 'say "hi"', "two\nlines", "é"])
 TEXT_FIELDS = st.sampled_from(["0.5", "0.75", "1", "0", "", " 0.25", "0.2_5", "1e-3",
-                               "-0.0"] * 3 + ["nan", "inf", "1.5", "maybe", " "])
+                               "-0.0"] * 3 + ["nan", "inf", "1.5", "maybe", " ", "٠.٥",
+                                              "\xa00.25", "0.5\u3000", "€"])
 HEADERS = st.sampled_from([",".join(FORECASTS_HEADER)] * 12 + [
     '"question_id",forecaster_id,probability', "question_id,forecaster,probability", ""])
 
@@ -801,7 +814,8 @@ def forecast_texts(draw):
         if forecaster_ids and draw(st.booleans()):
             forecaster_ids.pop()
         if draw(st.booleans()):
-            forecaster_ids.append("extra")
+            # a lone surrogate, which a model's JSON may hold, matches no field
+            forecaster_ids.append(draw(st.sampled_from(["extra", "\ud800"])))
     return text, forecaster_ids
 
 
@@ -847,12 +861,19 @@ class TestBlockLoaderMatchesReference:
         ("question_id,forecaster_id,probability\r\nq1,a\r,0.5\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\r\nq2,a,0.25\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,0.25\r", False),
+        ("question_id,forecaster_id,probability\nqé,€,0.5\nq𝟘,é,1\nq1,€𝟘,٠.٥\n"
+         "q2,a,0.25\n", True),
+        ("question_id,forecaster_id,probability\r\nqé,€,٠.٥\r\nq𝟘,a,1\r\nq1,𝟘é\r\n"
+         "q2,a,0.25\r\n", True),
+        ("question_id,forecaster_id,probability\nq1,é,0.5\r\nq𝟘,€,€\nq2,a,1\n", True),
     ], ids=["crlf", "mixed-no-final-newline", "crlf-bad-value", "crlf-duplicate",
-            "lone-cr", "cr-in-field", "cr-before-crlf", "cr-at-end"])
+            "lone-cr", "cr-in-field", "cr-before-crlf", "cr-at-end", "multibyte",
+            "multibyte-crlf-field-count", "multibyte-not-a-number"])
     def test_crlf_split_at_every_block_boundary(self, tmp_path, monkeypatch, text, plain):
         """A CRLF that two blocks share is still one line ending: every
         block size gives the reference's ids, matrix and error line, and
-        only a carriage return outside a CRLF sends the file to csv.reader."""
+        only a carriage return outside a CRLF sends the file to csv.reader.
+        A block may end inside a character of two, three or four bytes."""
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = loaded(csv_reference.load_forecast_matrix, path)
@@ -860,7 +881,7 @@ class TestBlockLoaderMatchesReference:
         read_quoted = dataio._read_quoted
         monkeypatch.setattr(dataio, "_read_quoted",
                             lambda *args: quoted.append(1) or read_quoted(*args))
-        for block in range(1, len(text) + 2):
+        for block in range(1, path.stat().st_size + 2):
             monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
             quoted.clear()
             assert loaded(load_forecast_matrix, path) == expected, block
