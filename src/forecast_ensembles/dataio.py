@@ -35,15 +35,29 @@ readers take any layout.
 
 The forecasts file is read as bytes, in blocks of whole lines, each CRLF
 read as LF.  One numpy pass over a block's bytes finds its line feeds and
-commas, and so each line's number and field count and the blank lines;
-``bytes.split`` gives the question, forecaster and probability columns,
-`float` reads the probabilities, and the columns are checked as arrays.  A
-block that is not ASCII is decoded once, to meet a byte that is not UTF-8,
-and its probability fields are decoded before `float` reads them: `float`
-takes Unicode digits and spaces in text, but not in bytes.  Ids are
-numbered as bytes and each is decoded once; UTF-8 is one to one, so the
-numbering is that of the text.  Bytes with a quote, a NUL or a carriage
-return that does not start a CRLF, or a line of more characters than
+commas, and so each line's number and field count and the blank lines.  A
+block of ASCII lines of three fields each is read by a fixed set of numpy
+passes over its bytes (`_Columns.add_plain`).  An id of one to eight bytes
+is a uint64 key, its bytes zero-padded, looked up in a sorted table of the
+keys met so far (`_Keys`); only a key met for the first time is numbered,
+by the same dict as the split path's.  A probability of one digit, a
+point and 1 to 19 digits, all that `write_table` writes for a value of
+0.001 or more, is read without `float` (`_decimals`): its digits are an
+integer M, a float64 estimate of M / 10**19 is corrected by a residue that
+64-bit integers hold exactly, and the result is the double nearest the
+decimal, as `float` gives it.  Any other form goes to `float`.  A block
+with an id that is empty or longer than 8 bytes, a probability that
+`float` rejects or that lies outside [0, 1], or a forecaster not in the
+caller's list is declined before any of its ids is numbered, as is any
+other block: ``bytes.split`` then gives its question, forecaster and
+probability columns, `float` reads the probabilities, and `_Columns.add`
+checks them and finds the record that fails and its message.  A block that
+is not ASCII is decoded once, to meet a byte that is not UTF-8, and its
+probability fields are decoded before `float` reads them: `float` takes
+Unicode digits and spaces in text, but not in bytes.  Ids are numbered as
+bytes and each is decoded once; UTF-8 is one to one, so the numbering is
+that of the text.  Bytes with a quote, a NUL or a carriage return that
+does not start a CRLF, or a line of more characters than
 ``csv.field_size_limit()`` (counted only in a line of more bytes than that
 limit), are tokenized by csv.reader instead, whose records, encoded, feed
 the same columns, so both read a file alike.
@@ -171,23 +185,28 @@ def _check_header(path, first, header: list[str]) -> None:
         _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
 
 
-# Bytes read per block of a forecasts file.  A block's lines and fields
-# take many times its size in memory while they are parsed, and each block
-# adds a fixed cost of some microseconds: 64 KiB keep both small.  The
-# unfinished last line goes on to the next block.  Records that csv.reader
-# tokenizes go on in blocks of a 32nd as many, about as many as a block of
-# plain lines holds.
+# Bytes read per block of a forecasts file.  A block's index and uint64
+# arrays, or its split fields, take several times its size in memory while
+# it is parsed, and each block adds a fixed cost of some tens of numpy
+# calls.  In timed pairs 256 KiB blocks read the 12.8 MB panel table faster
+# than 64 KiB ones, but the 475 KB paper table and the 309 KB side table
+# slower (CHANGES.md), so 64 KiB stays.  The unfinished last line goes on to
+# the next block.  Records that csv.reader tokenizes go on in blocks of a
+# 32nd as many, about as many as a block of plain lines holds.
 _BLOCK_BYTES = 1 << 16
 
 # The bytes of a forecasts file per process that parses or writes it
 # (`_split`).  A child costs some milliseconds: the fork, the copy of its
-# result through a file, its exit and the parse's merge.  Two processes
-# beat one from here on in timed pairs on a 2-core machine, and the write
-# from a little less (CHANGES.md).  Two, this process and one child, is
-# the only count timed to win there; more ranges than the CPUs that run
-# them lose, and a CPU quota does not shrink the affinity mask `_split`
-# counts.
-_MIN_RANGE_BYTES = 1 << 18
+# result through a file, its exit and the parse's merge.  In timed pairs
+# on a 2-vCPU machine, with the plain block reader, two processes parsed
+# tables of 2 MB and more faster than one (by 15 % at 2 MB, 21 % at 4 MB
+# and 32 % at 12.8 MB) and tables of 0.5 to 1 MB slower, while the second
+# CPU was free; while it was busy, two lost at every size, and so did the
+# write at 0.5 to 2 MB (CHANGES.md).
+# Two, this process and one child, is the only count timed to win there;
+# more ranges than the CPUs that run them lose, and a CPU quota does not
+# shrink the affinity mask `_split` counts.
+_MIN_RANGE_BYTES = 1 << 20
 
 # Bytes that ``bytes.split`` would not tokenize as csv.reader does: a
 # quote, or a NUL (rejected by csv on some Python versions).  A carriage
@@ -212,9 +231,10 @@ class _Part(NamedTuple):
 
 class _Columns:
     """A forecasts file's records as row, column and probability arrays,
-    fed a block of UTF-8 fields at a time and checked as they come.  Ids
-    are numbered as bytes and decoded once, by `validated`; UTF-8 is one to
-    one, so the numbers are those of the text.
+    fed a block at a time and checked as they come: a plain block's bytes
+    (`add_plain`), or else its UTF-8 fields (`add`).  Ids are numbered as
+    bytes and decoded once, by `validated`; UTF-8 is one to one, so the
+    numbers are those of the text.
 
     Feeding stops at the first record that fails a check of its own: field
     count, empty id, not a number, out of range or unknown forecaster, in
@@ -233,6 +253,8 @@ class _Columns:
                                   for i, f in enumerate(forecaster_ids)}
                                  if self.fixed else _numbering())
         self.question_index = _numbering()
+        self.question_keys = _Keys(self.question_index)
+        self.forecaster_keys = _Keys(self.forecaster_index)
         # one entry per block, from an empty one, so that there is always
         # something to concatenate
         self.rows = [np.empty(0, np.intp)]
@@ -285,6 +307,38 @@ class _Columns:
             self.error = (int(lines[position]), message)
         return not failures
 
+    def add_plain(self, block: bytes, ends, lines) -> bool:
+        """Keep a block of ASCII lines of three fields each, ``ends`` the
+        positions of its commas and line feeds, by numpy passes alone.
+        False, with nothing kept and no id numbered, if an id is empty or
+        longer than 8 bytes, a forecaster is not part of the model, or a
+        probability is one that `float` rejects or outside [0, 1]: `add`
+        then finds the record and its message."""
+        octets, words = _views(block)
+        bounds = ends.reshape(-1, 3).T  # each line's two commas and line feed
+        starts = np.empty(bounds.shape, np.intp)
+        starts[0, 0] = 0
+        starts[0, 1:] = bounds[2, :-1] + 1
+        starts[1:] = bounds[:2] + 1
+        lengths = bounds - starts
+        if lengths[:2].min() < 1 or lengths[:2].max() > 8:
+            return False
+        question_keys, forecaster_keys = words[starts[:2]] & _BYTE_MASKS.take(lengths[:2])
+        found = self.forecaster_keys.find(forecaster_keys)
+        if self.fixed and not found[1].all():
+            return False
+        try:
+            values, slow = _decimals(block, octets, words, starts[2], lengths[2])
+        except ValueError:
+            return False
+        if slow.size and not ((values[slow] >= 0.0) & (values[slow] <= 1.0)).all():
+            return False
+        self.columns.append(self.question_keys.numbered(question_keys))
+        self.rows.append(self.forecaster_keys.numbered(forecaster_keys, *found))
+        self.values.append(values)
+        self.lines.append(lines)
+        return True
+
     def merge(self, part: _Part, offset: int) -> None:
         """Keep the records of a later range of the file, ``offset``
         physical lines in, as if fed here: its ids take this file's
@@ -320,6 +374,43 @@ class _Columns:
         if self.error is not None:
             _fail(self.path, *self.error)
         return question_ids, forecaster_ids, rows, columns, values
+
+
+class _Keys:
+    """The numbers an id -> number dict holds for ids of one to eight
+    ASCII bytes, looked up by key: the id's bytes, zero-padded, read as a
+    little-endian uint64.  No such id of a plain block holds a NUL, so the
+    key is one to one.  The keys are kept sorted, after them one above
+    every id's."""
+
+    def __init__(self, index) -> None:
+        self.index = index
+        known = sorted((int.from_bytes(i, "little"), n) for i, n in index.items()
+                       if 0 < len(i) <= 8 and i.isascii() and b"\0" not in i)
+        self.keys = np.array([k for k, _ in known] + [_NO_KEY], np.uint64)
+        self.numbers = np.array([n for _, n in known] + [-1], np.intp)
+
+    def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Where each key is or would be in the table, and whether it is."""
+        at = np.searchsorted(self.keys, keys)
+        return at, self.keys[at] == keys
+
+    def numbered(self, keys, at=None, found=None) -> np.ndarray:
+        """The number of each key's id.  Ids not in the table are looked up
+        in the dict, which numbers the ones it lacks in order of first
+        appearance, and join the table."""
+        if at is None:
+            at, found = self.find(keys)
+        if not found.all():
+            new, first = np.unique(keys[~found], return_index=True)
+            numbers = np.empty(len(new), np.intp)
+            for j in np.argsort(first).tolist():
+                numbers[j] = self.index[int(new[j]).to_bytes(8, "little").rstrip(b"\0")]
+            order = np.argsort(np.concatenate((self.keys, new)))
+            self.keys = np.concatenate((self.keys, new))[order]
+            self.numbers = np.concatenate((self.numbers, numbers))[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.numbers[at]
 
 
 def _numbering() -> defaultdict[bytes, int]:
@@ -365,6 +456,83 @@ def _floats(fields):
     return values, present
 
 
+# 8-byte masks that keep the first 0 to 8 bytes of a little-endian uint64
+_BYTE_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+_NO_KEY = np.uint64(2**64 - 1)  # above the key of every ASCII id
+# the fraction digits of a probability are read as three words: digits 1-8,
+# 9-16 and 12-19, of which the last three count
+_CHUNKS = np.array([[0], [8], [11]])
+_FIVE_19 = 5**19
+_EIGHT_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+# eight digits, the first in the low byte, to a number: each step joins
+# neighbouring numbers of 1, 2 and then 4 digits, the earlier times 10**k
+_JOINS = tuple(tuple(map(np.uint64, step)) for step in (
+    (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
+    (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+    (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32)))
+
+
+def _views(block: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``block`` and 24 NUL bytes after it, as bytes and as the
+    little-endian uint64 that starts at each of its bytes."""
+    padded = block + bytes(24)
+    return (np.frombuffer(padded, np.uint8),
+            np.ndarray((len(padded) - 7,), np.dtype("<u8"), padded, 0, (1,)))
+
+
+def _decimals(block: bytes, octets, words, starts, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The probability fields of ``block`` at ``starts`` of ``lengths``
+    bytes (`_views` gives ``octets`` and ``words``), each as `float` reads
+    it, NaN when empty.  Returns the values and the positions of those that
+    `float` read; raises ValueError at a field that `float` rejects.
+
+    A field of one digit, a point and 1 to 19 digits, the first digit 0 or
+    the value 1, is read without `float`.  Its fraction digits, padded with
+    zeros to 19, are an integer M < 10**19, read eight digits at a time,
+    and the value is M / 10**19.  A float64 estimate gives the shift s and
+    a 53-bit integer m near M * 2**s / 10**19 = M * 2**(s-19) / 5**19.  The
+    residue D = M * 2**(s-19) - m * 5**19 is off by under 5**19 times the
+    few units the estimate may miss by, so under 2**63, and wrapping uint64
+    arithmetic gives it exactly.  Then m + D // 5**19 is the quotient
+    rounded down, and the remainder of D rounds it to nearest: 5**19 is
+    odd, so no remainder is half of it.  That rounded m times 2**-s is the
+    exact value when the quotient lies in [2**52, 2**53); any other
+    field goes to `float`."""
+    lead = octets[starts] - np.uint8(ord("0"))  # wraps below "0"
+    digits = lengths - 2
+    chunks = words[starts + 2 + _CHUNKS]
+    # the bytes past the field's last digit read as "0"
+    chunks = _EIGHT_ZEROS ^ ((chunks ^ _EIGHT_ZEROS)
+                             & _BYTE_MASKS.take(digits - _CHUNKS, mode="clip"))
+    # every byte an ASCII digit (Lemire 2021)
+    high = np.uint64(0xF0F0F0F0F0F0F0F0)
+    numeric = ((chunks & high) | (((chunks + np.uint64(0x0606060606060606)) & high) >> 4)
+               == np.uint64(0x3333333333333333)).all(axis=0)
+    for keep, scale, width in _JOINS:
+        chunks = ((chunks & keep) * scale) >> width
+    whole = (chunks[0] * np.uint64(10**11) + chunks[1] * np.uint64(1000)
+             + chunks[2] % np.uint64(1000))
+
+    fraction, exponent = np.frexp(whole.astype(np.float64) * 1e-19)
+    shift = 53 - exponent
+    rounded = (fraction * 2.0**53).astype(np.int64)
+    residue = ((whole << (shift - 19).astype(np.uint64))
+               - rounded.view(np.uint64) * np.uint64(_FIVE_19)).view(np.int64)
+    carry, remainder = np.divmod(residue, _FIVE_19)
+    rounded += carry
+    fast = (((lead == 0) & ((rounded >= 2**52) & (rounded < 2**53) | (whole == 0)))
+            | ((lead == 1) & (whole == 0)))
+    fast &= numeric & (octets[starts + 1] == ord(".")) & (digits >= 1) & (digits <= 19)
+    rounded += 2 * remainder > _FIVE_19
+    values = np.ldexp(rounded.astype(np.float64), -shift) + lead
+    values[~fast] = np.nan
+    slow = np.flatnonzero(~fast & (lengths > 0))
+    if slow.size:
+        values[slow] = [float(block[a:a + n])
+                        for a, n in zip(starts[slow].tolist(), lengths[slow].tolist())]
+    return values, slow
+
+
 class _NotPlain(Exception):
     """The text holds what only csv.reader tokenizes as it should."""
 
@@ -395,12 +563,15 @@ def _plain_blocks(handle, start: int, end: int):
             if data.count(b"\r") != data.count(b"\r\n"):
                 raise _NotPlain
             data = data.replace(b"\r\n", b"\n") + held
-        # no line of bytes within the limit can exceed it; the tail's last
-        # character may be cut, and is counted as one
-        if len(data) > limit and any(len(line) > limit
-                                     and len(line.decode("utf-8", "replace")) > limit
-                                     for line in data.split(b"\n")):
-            raise _NotPlain
+        # no line of bytes within the limit can exceed it, so only longer
+        # ones are decoded; the tail's last character may be cut, and is
+        # counted as one
+        if len(data) > limit:
+            bounds = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+            bounds = np.concatenate(([-1], bounds, [len(data)]))
+            for line in np.flatnonzero(np.diff(bounds) > limit + 1).tolist():
+                if len(data[bounds[line] + 1:bounds[line + 1]].decode("utf-8", "replace")) > limit:
+                    raise _NotPlain
         cut = data.rfind(b"\n") + 1
         block, tail = data[:cut], data[cut:]
         if block:
@@ -420,8 +591,9 @@ def _checked(block: bytes) -> bytes:
 
 def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
     """Feed ``columns`` from the lines of bytes ``start`` to ``end`` of the
-    file, split by ``bytes.split`` and numbered from the range's start; the
-    range at 0 starts with the header.  Returns the physical lines read."""
+    file, numbered from the range's start: each block by `add_plain`, or,
+    where it declines, split by ``bytes.split``.  The range at 0 starts with
+    the header.  Returns the physical lines read."""
     width = len(FORECASTS_HEADER)
     counted = 0  # physical lines before the block
     with path.open("rb") as handle:
@@ -433,16 +605,22 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
             header, _, block = block.partition(b"\n")
             _check_header(path, header.decode("utf-8").split(","), FORECASTS_HEADER)
             counted += 1
-            blocks = chain([block], blocks)
+            blocks = chain([block] if block else [], blocks)
         for block in blocks:
             # one pass over the bytes finds the end of every field, and of
             # every line among them
             data = np.frombuffer(block, np.uint8)
             ends = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
-            feeds = np.flatnonzero(data[ends] == ord("\n"))
+            marks = data[ends]
+            count = np.count_nonzero(marks == ord("\n"))
+            numbers = np.arange(counted + 1, counted + 1 + count)
+            counted += count
+            # lines of three fields each: every third end is a line feed
+            if (len(ends) == width * count and (marks[width - 1::width] == ord("\n")).all()
+                    and block.isascii() and columns.add_plain(block, ends, numbers)):
+                continue
+            feeds = np.flatnonzero(marks == ord("\n"))
             widths = np.diff(feeds, prepend=-1)  # fields per line
-            numbers = np.arange(counted + 1, counted + 1 + len(feeds))
-            counted += len(feeds)
             fields = block.replace(b"\n", b",").split(b",")
             blank = np.diff(ends[feeds], prepend=-1) == 1
             if blank.any():  # blank lines hold no record
@@ -499,7 +677,7 @@ def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part:
 
 
 def _read_plain(path: Path, forecaster_ids) -> _Columns:
-    """The file's records split by `str.split`: the first range read in
+    """The file's records read by `_read_range`: the first range read in
     this process and the second (`_second_range`) by a child, merged after
     it unless the first holds an error."""
     start, size = _second_range(path)

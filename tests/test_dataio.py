@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -766,10 +768,13 @@ class TestLoaderProperties:
 # empties and the numbers `float` reads unusually; plain ones repeated so
 # that many texts load.
 TEXT_IDS = st.sampled_from(["q1", "q2", "q3", "a", "b", "c"] * 3 + [
-    " a", "b ", "", "x,y", 'say "hi"', "two\nlines", "é"])
+    " a", "b ", "", "x,y", 'say "hi"', "two\nlines", "é", "q2345678", "q23456789"])
 TEXT_FIELDS = st.sampled_from(["0.5", "0.75", "1", "0", "", " 0.25", "0.2_5", "1e-3",
-                               "-0.0"] * 3 + ["nan", "inf", "1.5", "maybe", " ", "٠.٥",
-                                              "\xa00.25", "0.5\u3000", "€"])
+                               "-0.0", "0.1000000000000000055"] * 3
+                              + ["nan", "inf", "1.5", "maybe", " ", "٠.٥", "\xa00.25",
+                                 "0.5\u3000", "€", "0.9999999999999999999",
+                                 "1.0000000000000000000", "1.9999999999999999999",
+                                 "0.00012345678901234567", "0.0012345678901234567"])
 HEADERS = st.sampled_from([",".join(FORECASTS_HEADER)] * 12 + [
     '"question_id",forecaster_id,probability', "question_id,forecaster,probability", ""])
 
@@ -832,6 +837,79 @@ def split_into(patch, cpus):
     machine has, and a file of two bytes or more worth two ranges."""
     patch.setattr(dataio, "_MIN_RANGE_BYTES", 1)
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def kernel_values(fields: list[str]) -> np.ndarray:
+    """``fields`` as the probability kernel reads them, one to a line."""
+    block = "".join(field + "\n" for field in fields).encode()
+    lengths = np.array([len(field) for field in fields])
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    values, _ = dataio._decimals(block, *dataio._views(block), starts, lengths)
+    return values
+
+
+def next_to_midpoint(x: float, above: bool) -> str:
+    """The decimal of 19 fraction digits just below or just above the
+    midpoint between ``x`` and the next double up."""
+    with decimal.localcontext() as context:
+        context.prec = 200
+        middle = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, 2.0))) / 2
+        near = middle.quantize(decimal.Decimal("1e-19"),
+                               decimal.ROUND_CEILING if above else decimal.ROUND_FLOOR)
+    return f"{near:.19f}"
+
+
+# a probability's double, or the one below a power of two in [0.001, 1]
+DOUBLES = st.floats(0.001, 1.0) | st.builds(
+    lambda e, below: math.nextafter(2.0**-e, 0.0) if below else 2.0**-e,
+    st.integers(0, 9), st.booleans())
+KERNEL_FIELDS = (DOUBLES.map("%.17g".__mod__)
+                 | st.text("0123456789", min_size=1, max_size=19).map("0.".__add__)
+                 | st.builds(next_to_midpoint, DOUBLES, st.booleans())
+                 | st.sampled_from(["0.0", "1.0", "0.5", "1.0000000000000000000",
+                                    "0.9999999999999999999", "1.9999999999999999999"]))
+
+
+class TestDecimalKernel:
+    @given(fields=st.lists(KERNEL_FIELDS, min_size=1, max_size=40))
+    @example(fields=["1.9999999999999999999", "0.9999999999999999999", "1.0000000000000000000"])
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_float(self, fields):
+        expected = np.array([float(field) for field in fields])
+        assert kernel_values(fields).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_other_forms_and_empty_fields(self):
+        fields = ["", "1", "0.", ".5", "-0.0", " 0.25", "0.2_5", "1e-3", "0.00012345678901234567",
+                  "2.5", "0.5 ", "0:5", "0.5/"]
+        expected = [math.nan] + [float(field) for field in fields[1:11]]
+        values = kernel_values(fields[:11])
+        assert values.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+        for field in fields[11:]:
+            with pytest.raises(ValueError):
+                kernel_values(["0.5", field])
+
+    @pytest.mark.parametrize("line,kernel", [
+        ("q1,a,0.25", True), ("q12345678,a,0.25", False), ("q1,a12345678,0.25", False),
+        ("q1,,0.25", False), ("q1,a,maybe", False), ("q1,a,1.5", False), ("q1,a,nan", False),
+        ("q1,a,", True), ("q1,a,1e-3", True)])
+    def test_a_block_the_kernel_declines_is_split(self, tmp_path, monkeypatch, line, kernel):
+        """Only a block with an id of more than 8 bytes or none, or a
+        probability that is no number in [0, 1], reaches the split path; its
+        ids, matrix and message are the reference's either way."""
+        path = tmp_path / "f.csv"
+        path.write_text(",".join(FORECASTS_HEADER) + "\nq2,b,0.5\n" + line + "\nq1,b,0\n")
+        added = []
+        add = dataio._Columns.add
+        monkeypatch.setattr(dataio._Columns, "add",
+                            lambda *args: added.append(1) or add(*args))
+        assert loaded(load_forecast_matrix, path) == loaded(csv_reference.load_forecast_matrix,
+                                                            path)
+        assert added == ([] if kernel else [1])
+        for forecaster_ids in (["b", "a"], ["b"]):
+            added.clear()
+            assert (loaded(load_forecast_matrix, path, forecaster_ids)
+                    == loaded(csv_reference.load_forecast_matrix, path, forecaster_ids))
+            assert added == ([] if kernel and "a" in forecaster_ids else [1])
 
 
 class TestBlockLoaderMatchesReference:
