@@ -199,10 +199,9 @@ _BLOCK_BYTES = 1 << 16
 # (`_split`).  A child costs some milliseconds: the fork, the copy of its
 # result through a file, its exit and the parse's merge.  In timed pairs
 # on a 2-vCPU machine, with the plain block reader, two processes parsed
-# tables of 2 MB and more faster than one (by 15 % at 2 MB, 21 % at 4 MB
-# and 32 % at 12.8 MB) and tables of 0.5 to 1 MB slower, while the second
-# CPU was free; while it was busy, two lost at every size, and so did the
-# write at 0.5 to 2 MB (CHANGES.md).
+# tables of 2 MB and more some 15 to 30 % faster than one, and tables of
+# 0.5 to 1 MB slower, while the second CPU was free; while it was busy,
+# two lost at every size, and so did the write at 0.5 to 2 MB (CHANGES.md).
 # Two, this process and one child, is the only count timed to win there;
 # more ranges than the CPUs that run them lose, and a CPU quota does not
 # shrink the affinity mask `_split` counts.
