@@ -859,7 +859,7 @@ def next_to_midpoint(x: float, above: bool) -> str:
     return f"{near:.19f}"
 
 
-# a probability's double, or the one below a power of two in [0.001, 1]
+# a double in [0.001, 1]: any, or a power of two or the double just below one
 DOUBLES = st.floats(0.001, 1.0) | st.builds(
     lambda e, below: math.nextafter(2.0**-e, 0.0) if below else 2.0**-e,
     st.integers(0, 9), st.booleans())
