@@ -35,35 +35,36 @@ readers take any layout.
 
 The forecasts file is read as bytes, in blocks of whole lines, each CRLF
 read as LF.  One numpy pass over a block's bytes finds its line feeds and
-commas, and so each line's number and field count and the blank lines.  A
-block of ASCII lines of three fields each is read by a fixed set of numpy
-passes over its bytes (`_Columns.add_plain`).  An id of one to eight bytes
-is a uint64 key, its bytes zero-padded, looked up in a sorted table of the
-keys met so far (`_Keys`); only a key met for the first time is numbered,
-by the same dict as the split path's.  A probability of one digit, a
-point and 1 to 19 digits, all that `write_table` writes for a value of
-0.001 or more, is read without `float` (`_decimals`): its digits are an
-integer M, a float64 estimate of M / 10**19 is corrected by a residue that
-64-bit integers hold exactly, and the result is the double nearest the
-decimal, as `float` gives it.  Any other form goes to `float`.  A block
-with an id that is empty or longer than 8 bytes, a probability that
-`float` rejects or that lies outside [0, 1], or a forecaster not in the
-caller's list is declined before any of its ids is numbered, as is any
-other block: ``bytes.split`` then gives its question, forecaster and
-probability columns, `float` reads the probabilities, and `_Columns.add`
-checks them and finds the record that fails and its message.  A block that
-is not ASCII is decoded once, to meet a byte that is not UTF-8, and its
-probability fields are decoded before `float` reads them: `float` takes
-Unicode digits and spaces in text, but not in bytes.  Ids are numbered as
-bytes and each is decoded once; UTF-8 is one to one, so the numbering is
-that of the text.  Bytes with a quote, a NUL or a carriage return that
-does not start a CRLF, or a line of more characters than
-``csv.field_size_limit()`` (counted only in a line of more bytes than that
-limit), are tokenized by csv.reader instead, whose records, encoded, feed
-the same columns, so both read a file alike.
-An error names the first offending record, ``file:line`` counting
-physical lines; a field over the csv limit (131,072 characters unless
-changed) and a byte that is not UTF-8 are errors too, not crashes.
+commas, and so each line's number; when every third of them is a line
+feed, every line holds three fields.  A blank line fails that check, so
+only a block that fails it is looked at again, its blank lines dropped.
+A block of lines of three fields is read by a fixed set of numpy passes
+over its bytes (`_Columns.add_plain`).  An id of one to eight bytes is a
+uint64 key, its bytes zero-padded, looked up in a sorted table of the
+keys met so far (`_Keys`); only a key met for the first time is
+numbered, by the dict.  A probability of one digit, a point and 1 to 19
+digits, all that `write_table` writes for a value of 0.001 or more, is
+read without `float` (`_decimals`): its digits are an integer M, a
+float64 estimate of M / 10**19 is corrected by a residue that 64-bit
+integers hold exactly, and the result is the double nearest the decimal,
+as `float` gives it.  Any other form goes to `float`.
+
+Any other file is read by csv.reader, whole and in one process
+(`_read_quoted`), whose records feed the same columns (`_Columns.add`):
+a file with a header other than the exact line, a quote, a NUL, a
+carriage return that does not start a CRLF, a byte that is not ASCII or
+a line of more bytes than ``csv.field_size_limit()``, and a file with a
+block that `add_plain` declines: a line of other than three fields, an
+id that is empty or longer than 8 bytes, a probability that `float`
+rejects or that lies outside [0, 1], or a forecaster not in the
+caller's list.  So csv.reader's records meet every error but a
+duplicate forecast, which `_Columns.validated` finds in either reader's
+arrays.  An error names the first offending record, ``file:line``
+counting physical lines; a field over the csv limit (131,072 characters
+unless changed) and a byte that is not UTF-8 are errors too, not
+crashes.  Ids are numbered as UTF-8 bytes and
+each is decoded once; UTF-8 is one to one, so the numbering is that of
+the text.
 
 A large forecasts file is read, or written, by two processes where
 `_split` holds for its size: this one and a `_forking.Child` whose work
@@ -71,9 +72,8 @@ returns the later half, and whose `wait` does that work here if the child
 failed.  The parse cuts the file after the first line feed at or after
 its middle (`_second_range`).  The child's `_Part` of the second range is
 merged after the first: its ids take the numbers a single pass gives
-them, its lines are counted on from the first range, and it is dropped if
-the first range holds an error, so ids, arrays and messages are those of
-one pass.  A range with text for csv.reader or a byte that is not UTF-8
+them and its lines are counted on from the first range, so ids and
+arrays are those of one pass.  A range that the plain reader declines
 sends the whole file to csv.reader.  `write_table` has the child format
 the later forecaster rows, and writes the bytes one process writes.
 """
@@ -167,7 +167,10 @@ def _read_rows(path, header: list[str]):
     with path.open(newline="", encoding="utf-8") as handle:
         records = _records(path, csv.reader(handle))
         _, first = next(records, (1, None))
-        _check_header(path, first, header)
+        if first is None:
+            _fail(path, 1, f"missing header; expected {','.join(header)}")
+        if first != header:
+            _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
         for line, row in records:
             if not row:
                 continue
@@ -176,23 +179,14 @@ def _read_rows(path, header: list[str]):
             yield line, row
 
 
-def _check_header(path, first, header: list[str]) -> None:
-    """Fail unless ``first``, a file's first record split into fields or
-    None if the file is empty, is ``header``."""
-    if first is None:
-        _fail(path, 1, f"missing header; expected {','.join(header)}")
-    if first != header:
-        _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
-
-
 # Bytes read per block of a forecasts file.  A block's index and uint64
-# arrays, or its split fields, take several times its size in memory while
-# it is parsed, and each block adds a fixed cost of some tens of numpy
-# calls.  In timed pairs 256 KiB blocks read the 12.8 MB panel table faster
-# than 64 KiB ones, but the 475 KB paper table and the 309 KB side table
-# slower (CHANGES.md), so 64 KiB stays.  The unfinished last line goes on to
-# the next block.  Records that csv.reader tokenizes go on in blocks of a
-# 32nd as many, about as many as a block of plain lines holds.
+# arrays take several times its size in memory while it is parsed, and each
+# block adds a fixed cost of some tens of numpy calls.  In timed pairs
+# 256 KiB blocks read the 12.8 MB panel table faster than 64 KiB ones, but
+# the 475 KB paper table and the 309 KB side table slower (CHANGES.md), so
+# 64 KiB stays.  The unfinished last line goes on to the next block.
+# Records that csv.reader tokenizes go on in blocks of a 32nd as many, about
+# as many as a block of plain lines holds.
 _BLOCK_BYTES = 1 << 16
 
 # The bytes of a forecasts file per process that parses or writes it
@@ -207,11 +201,11 @@ _BLOCK_BYTES = 1 << 16
 # shrink the affinity mask `_split` counts.
 _MIN_RANGE_BYTES = 1 << 20
 
-# Bytes that ``bytes.split`` would not tokenize as csv.reader does: a
-# quote, or a NUL (rejected by csv on some Python versions).  A carriage
-# return ends a line for csv too; it is split as one only where it starts a
-# CRLF.
+# Bytes that only csv.reader tokenizes as it should: a quote, or a NUL
+# (rejected by csv on some Python versions).  A carriage return ends a line
+# for csv too; the plain reader takes one only where it starts a CRLF.
 _CSV_ONLY = (b'"', b"\0")
+_HEADER_LINE = ",".join(FORECASTS_HEADER).encode()
 
 
 class _Part(NamedTuple):
@@ -225,22 +219,20 @@ class _Part(NamedTuple):
     columns: np.ndarray
     values: np.ndarray
     lines: np.ndarray
-    error: tuple[int, str] | None
 
 
 class _Columns:
     """A forecasts file's records as row, column and probability arrays,
-    fed a block at a time and checked as they come: a plain block's bytes
-    (`add_plain`), or else its UTF-8 fields (`add`).  Ids are numbered as
-    bytes and decoded once, by `validated`; UTF-8 is one to one, so the
-    numbers are those of the text.
+    fed a block at a time: a block of plain lines by `add_plain`, which
+    keeps all of it or none, or csv.reader's records by `add`, which
+    checks each.  Ids are numbered as bytes and decoded once, by
+    `validated`; UTF-8 is one to one, so the numbers are those of the text.
 
-    Feeding stops at the first record that fails a check of its own: field
-    count, empty id, not a number, out of range or unknown forecaster, in
-    that order within a record.  A reader that stops on an error of its
-    own, after the records fed so far, sets `error` to its line and
-    message.  `validated` then looks for a duplicate cell among the records
-    kept and raises what comes first in the file.
+    `add` stops at the first record that fails a check of its own: empty
+    id, not a number, out of range or unknown forecaster, in that order
+    within a record, and sets `error` to its line and message; csv.reader
+    meets a wrong field count.  `validated` then looks for a duplicate cell
+    among the records kept and raises what comes first in the file.
     """
 
     def __init__(self, path: Path, forecaster_ids) -> None:
@@ -262,10 +254,9 @@ class _Columns:
         self.lines = [np.empty(0, np.intp)]  # physical line numbers of the records
         self.error: tuple[int, str] | None = None
 
-    def add(self, question_ids, forecaster_ids, fields, lines, ascii_only: bool) -> bool:
-        """Check and keep one block of records; False once one fails.  The
-        probability fields are decoded unless ``ascii_only``: `float` reads
-        Unicode digits and spaces in text, but no byte that is not ASCII."""
+    def add(self, question_ids, forecaster_ids, fields, lines) -> bool:
+        """Check and keep one block of records, the ids as UTF-8 bytes and
+        the probability fields as text; False once one fails."""
         failures = []  # (position, rank within a record, message)
         for ids in (question_ids, forecaster_ids):
             if b"" in ids:
@@ -282,19 +273,16 @@ class _Columns:
                                               " is not part of the model"))
         else:
             rows = _renumbered(self.forecaster_index, forecaster_ids)
-        values, present, parsed = _probabilities(fields if ascii_only
-                                                 else list(map(_text, fields)))
+        values, present, parsed = _probabilities(fields)
         if parsed < len(fields):
-            failures.append((parsed, 1,
-                             f"probability {_text(fields[parsed])!r} is not a number"))
+            failures.append((parsed, 1, f"probability {fields[parsed]!r} is not a number"))
         outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
         if present is not None:
             outside &= present
         outside = np.flatnonzero(outside)
         if outside.size:
             position = int(outside[0])
-            failures.append((position, 2,
-                             f"probability {_text(fields[position])!r} outside [0, 1]"))
+            failures.append((position, 2, f"probability {fields[position]!r} outside [0, 1]"))
 
         kept = min(failures)[0] if failures else len(fields)
         self.rows.append(rows[:kept])
@@ -306,13 +294,14 @@ class _Columns:
             self.error = (int(lines[position]), message)
         return not failures
 
-    def add_plain(self, block: bytes, ends, lines) -> bool:
+    def add_plain(self, block: bytes, ends, lines) -> None:
         """Keep a block of ASCII lines of three fields each, ``ends`` the
         positions of its commas and line feeds, by numpy passes alone.
-        False, with nothing kept and no id numbered, if an id is empty or
-        longer than 8 bytes, a forecaster is not part of the model, or a
-        probability is one that `float` rejects or outside [0, 1]: `add`
-        then finds the record and its message."""
+        Raises `_NotPlain`, with nothing kept and no id numbered, if an id
+        is empty or longer than 8 bytes, a forecaster is not part of the
+        model, or a probability is one that `float` rejects or outside
+        [0, 1]: csv.reader's records then find the record and its
+        message."""
         octets, words = _views(block)
         bounds = ends.reshape(-1, 3).T  # each line's two commas and line feed
         starts = np.empty(bounds.shape, np.intp)
@@ -321,22 +310,21 @@ class _Columns:
         starts[1:] = bounds[:2] + 1
         lengths = bounds - starts
         if lengths[:2].min() < 1 or lengths[:2].max() > 8:
-            return False
+            raise _NotPlain
         question_keys, forecaster_keys = words[starts[:2]] & _BYTE_MASKS.take(lengths[:2])
         found = self.forecaster_keys.find(forecaster_keys)
         if self.fixed and not found[1].all():
-            return False
+            raise _NotPlain
         try:
             values, slow = _decimals(block, octets, words, starts[2], lengths[2])
         except ValueError:
-            return False
+            raise _NotPlain from None
         if slow.size and not ((values[slow] >= 0.0) & (values[slow] <= 1.0)).all():
-            return False
+            raise _NotPlain
         self.columns.append(self.question_keys.numbered(question_keys))
         self.rows.append(self.forecaster_keys.numbered(forecaster_keys, *found))
         self.values.append(values)
         self.lines.append(lines)
-        return True
 
     def merge(self, part: _Part, offset: int) -> None:
         """Keep the records of a later range of the file, ``offset``
@@ -347,9 +335,6 @@ class _Columns:
                          _renumbered(self.forecaster_index, part.forecaster_ids)[part.rows])
         self.values.append(part.values)
         self.lines.append(part.lines + offset)
-        if part.error is not None:
-            line, message = part.error
-            self.error = (line + offset, message)
 
     def validated(self):
         """``(question_ids, forecaster_ids, rows, columns, values)`` of the
@@ -432,7 +417,7 @@ def _text(field: bytes) -> str:
 
 
 def _probabilities(fields):
-    """Parse ``fields``, bytes or text, with `float`, NaN for an empty one,
+    """Parse the text ``fields`` with `float`, NaN for an empty one,
     up to the first that `float` rejects.  Returns (values, present mask or
     None if no field is empty, number of fields parsed)."""
     try:
@@ -533,25 +518,22 @@ def _decimals(block: bytes, octets, words, starts, lengths) -> tuple[np.ndarray,
 
 
 class _NotPlain(Exception):
-    """The text holds what only csv.reader tokenizes as it should."""
+    """The text holds what only csv.reader reads as it should."""
 
 
 def _plain_blocks(handle, start: int, end: int):
     """Bytes ``start`` to ``end`` of the binary file ``handle`` as blocks of
-    whole lines, each line ending in LF and each CRLF read as LF.  A block
-    that is not ASCII is decoded once, to raise UnicodeDecodeError at a
-    byte that is not UTF-8.  Raises `_NotPlain` at bytes that
-    ``bytes.split`` would not tokenize as csv.reader does: one of
-    `_CSV_ONLY`, a carriage return that does not start a CRLF, or a line of
-    more characters than ``csv.field_size_limit()``, whose fields csv may
-    reject."""
+    whole lines, each line ending in LF and each CRLF read as LF.  Raises
+    `_NotPlain` at a byte that is not ASCII, one of `_CSV_ONLY`, a carriage
+    return that does not start a CRLF, or a line of more bytes than
+    ``csv.field_size_limit()``, whose fields csv may reject."""
     limit = csv.field_size_limit()
     tail = b""  # the unfinished last line of the bytes read so far
     handle.seek(start)
     left = end - start
     while left > 0 and (chunk := handle.read(min(_BLOCK_BYTES, left))):
         left -= len(chunk)
-        if any(c in chunk for c in _CSV_ONLY):
+        if not chunk.isascii() or any(c in chunk for c in _CSV_ONLY):
             raise _NotPlain
         data = tail + chunk
         if b"\r" in data:
@@ -562,79 +544,68 @@ def _plain_blocks(handle, start: int, end: int):
             if data.count(b"\r") != data.count(b"\r\n"):
                 raise _NotPlain
             data = data.replace(b"\r\n", b"\n") + held
-        # no line of bytes within the limit can exceed it, so only longer
-        # ones are decoded; the tail's last character may be cut, and is
-        # counted as one
+        # no line of a block within the limit can exceed it, so only a
+        # longer block is measured; an ASCII line's bytes are its characters
         if len(data) > limit:
-            bounds = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-            bounds = np.concatenate(([-1], bounds, [len(data)]))
-            for line in np.flatnonzero(np.diff(bounds) > limit + 1).tolist():
-                if len(data[bounds[line] + 1:bounds[line + 1]].decode("utf-8", "replace")) > limit:
-                    raise _NotPlain
+            feeds = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+            if np.diff(feeds, prepend=-1, append=len(data)).max() > limit + 1:
+                raise _NotPlain
         cut = data.rfind(b"\n") + 1
         block, tail = data[:cut], data[cut:]
         if block:
-            yield _checked(block)
+            yield block
     if tail.endswith(b"\r"):
         raise _NotPlain
     if tail:
-        yield _checked(tail + b"\n")
+        yield tail + b"\n"
 
 
-def _checked(block: bytes) -> bytes:
-    """``block``, once a block that is not ASCII has decoded as UTF-8."""
-    if not block.isascii():
-        block.decode("utf-8")
-    return block
+def _field_ends(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the commas and line feeds among the bytes
+    ``data``, and those bytes."""
+    ends = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
+    return ends, data[ends]
+
+
+def _three_fields(marks: np.ndarray, count: int) -> bool:
+    """Whether ``count`` lines, whose commas and line feeds are ``marks``,
+    hold three fields each: every third mark is a line feed."""
+    return len(marks) == 3 * count and bool((marks[2::3] == ord("\n")).all())
 
 
 def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
     """Feed ``columns`` from the lines of bytes ``start`` to ``end`` of the
-    file, numbered from the range's start: each block by `add_plain`, or,
-    where it declines, split by ``bytes.split``.  The range at 0 starts with
-    the header.  Returns the physical lines read."""
-    width = len(FORECASTS_HEADER)
+    file, numbered from the range's start, each block by `add_plain`.  The
+    range at 0 starts with the header.  Returns the physical lines read;
+    raises `_NotPlain` at the first block that the plain reader declines."""
     counted = 0  # physical lines before the block
     with path.open("rb") as handle:
         blocks = _plain_blocks(handle, start, end)
         if start == 0:
-            block = next(blocks, None)
-            if block is None:
-                _check_header(path, None, FORECASTS_HEADER)
-            header, _, block = block.partition(b"\n")
-            _check_header(path, header.decode("utf-8").split(","), FORECASTS_HEADER)
+            # csv.reader names what is wrong with any other header
+            header, _, block = next(blocks, b"").partition(b"\n")
+            if header != _HEADER_LINE:
+                raise _NotPlain
             counted += 1
             blocks = chain([block] if block else [], blocks)
         for block in blocks:
-            # one pass over the bytes finds the end of every field, and of
-            # every line among them
             data = np.frombuffer(block, np.uint8)
-            ends = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
-            marks = data[ends]
+            ends, marks = _field_ends(data)
             count = np.count_nonzero(marks == ord("\n"))
             numbers = np.arange(counted + 1, counted + 1 + count)
             counted += count
-            # lines of three fields each: every third end is a line feed
-            if (len(ends) == width * count and (marks[width - 1::width] == ord("\n")).all()
-                    and block.isascii() and columns.add_plain(block, ends, numbers)):
-                continue
-            feeds = np.flatnonzero(marks == ord("\n"))
-            widths = np.diff(feeds, prepend=-1)  # fields per line
-            fields = block.replace(b"\n", b",").split(b",")
-            blank = np.diff(ends[feeds], prepend=-1) == 1
-            if blank.any():  # blank lines hold no record
-                numbers, widths = numbers[~blank], widths[~blank]
-                fields = b",".join(filter(None, block.split(b"\n"))).split(b",")
-            wrong = np.flatnonzero(widths != width)
-            kept = int(wrong[0]) if wrong.size else len(numbers)
-            del fields[width * kept:]
-            if not columns.add(fields[0::3], fields[1::3], fields[2::3], numbers,
-                               block.isascii()):
-                break
-            if wrong.size:
-                columns.error = (int(numbers[kept]),
-                                 f"expected {width} fields, got {widths[kept]}")
-                break
+            if not _three_fields(marks, count):
+                # each blank line fails the check, so only a block that
+                # fails it is checked again with its blank lines dropped
+                feeds = ends[marks == ord("\n")]
+                blank = np.diff(feeds, prepend=-1) == 1
+                data, numbers = np.delete(data, feeds[blank]), numbers[~blank]
+                ends, marks = _field_ends(data)
+                if not _three_fields(marks, len(numbers)):
+                    raise _NotPlain
+                block = data.tobytes()
+            if len(numbers):
+                columns.add_plain(block, ends, numbers)
     return counted
 
 
@@ -671,14 +642,13 @@ def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part:
     return _Part(tuple(columns.question_index),
                  () if columns.fixed else tuple(columns.forecaster_index),
                  *map(np.concatenate, (columns.rows, columns.columns, columns.values,
-                                       columns.lines)),
-                 columns.error)
+                                       columns.lines)))
 
 
 def _read_plain(path: Path, forecaster_ids) -> _Columns:
     """The file's records read by `_read_range`: the first range read in
     this process and the second (`_second_range`) by a child, merged after
-    it unless the first holds an error."""
+    it."""
     start, size = _second_range(path)
     columns = _Columns(path, forecaster_ids)
     later = _forking.Child(partial(_part, path, forecaster_ids, start, size))
@@ -686,7 +656,7 @@ def _read_plain(path: Path, forecaster_ids) -> _Columns:
         if start < size:
             later.start()
         offset = _read_range(path, columns, 0, start)
-        if start < size and columns.error is None:
+        if start < size:
             columns.merge(later.wait(), offset)
     finally:
         later.stop()
@@ -694,8 +664,8 @@ def _read_plain(path: Path, forecaster_ids) -> _Columns:
 
 
 def _read_quoted(path: Path, columns: _Columns) -> None:
-    """Feed ``columns`` from csv.reader's records, for text that
-    `_plain_blocks` declines."""
+    """Feed ``columns`` from csv.reader's records, for a file that
+    `_read_plain` declines."""
     size = max(1, _BLOCK_BYTES // 32)
     block = []
     try:
@@ -717,21 +687,20 @@ def _add_records(columns: _Columns, block) -> bool:
     if not block:
         return True
     lines, rows = zip(*block)
-    question_ids, forecaster_ids, fields = ([text.encode() for text in column]
-                                            for column in zip(*rows))
-    return columns.add(question_ids, forecaster_ids, fields, lines, False)
+    question_ids, forecaster_ids, fields = zip(*rows)
+    return columns.add([text.encode() for text in question_ids],
+                       [text.encode() for text in forecaster_ids], fields, lines)
 
 
 def _read_forecasts(path, forecaster_ids):
-    """A forecasts file as `_Columns.validated` gives it."""
+    """A forecasts file as `_Columns.validated` gives it: read by
+    `_read_plain`, or else by `_read_quoted`, from the start."""
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
     try:
         columns = _read_plain(path, forecaster_ids)
-    except (_NotPlain, UnicodeDecodeError):
-        # csv.reader tokenizes the file instead, and meets a byte that is
-        # not UTF-8 after the records before it, as a bad record would be
+    except _NotPlain:
         columns = _Columns(path, forecaster_ids)
         _read_quoted(path, columns)
     return columns.validated()

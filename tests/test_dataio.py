@@ -891,25 +891,28 @@ class TestDecimalKernel:
     @pytest.mark.parametrize("line,kernel", [
         ("q1,a,0.25", True), ("q12345678,a,0.25", False), ("q1,a12345678,0.25", False),
         ("q1,,0.25", False), ("q1,a,maybe", False), ("q1,a,1.5", False), ("q1,a,nan", False),
-        ("q1,a,", True), ("q1,a,1e-3", True)])
+        ("q1,a,", True), ("q1,a,1e-3", True), ("\nq1,a,0.25", True),
+        ("q2345678,a,0.25", True), ("qé,a,0.25", False)])
     def test_a_block_the_kernel_declines_is_split(self, tmp_path, monkeypatch, line, kernel):
-        """Only a block with an id of more than 8 bytes or none, or a
-        probability that is no number in [0, 1], reaches the split path; its
-        ids, matrix and message are the reference's either way."""
+        """Only a block with an id of more than 8 bytes or none, a byte that
+        is not ASCII, or a probability that is no number in [0, 1], sends
+        the file to csv.reader; a blank line does not.  Its ids, matrix and
+        message are the reference's either way."""
         path = tmp_path / "f.csv"
-        path.write_text(",".join(FORECASTS_HEADER) + "\nq2,b,0.5\n" + line + "\nq1,b,0\n")
-        added = []
-        add = dataio._Columns.add
-        monkeypatch.setattr(dataio._Columns, "add",
-                            lambda *args: added.append(1) or add(*args))
+        path.write_text(",".join(FORECASTS_HEADER) + "\nq2,b,0.5\n" + line + "\nq1,b,0\n",
+                        encoding="utf-8")
+        quoted = []
+        read_quoted = dataio._read_quoted
+        monkeypatch.setattr(dataio, "_read_quoted",
+                            lambda *args: quoted.append(1) or read_quoted(*args))
         assert loaded(load_forecast_matrix, path) == loaded(csv_reference.load_forecast_matrix,
                                                             path)
-        assert added == ([] if kernel else [1])
+        assert quoted == ([] if kernel else [1])
         for forecaster_ids in (["b", "a"], ["b"]):
-            added.clear()
+            quoted.clear()
             assert (loaded(load_forecast_matrix, path, forecaster_ids)
                     == loaded(csv_reference.load_forecast_matrix, path, forecaster_ids))
-            assert added == ([] if kernel and "a" in forecaster_ids else [1])
+            assert quoted == ([] if kernel and "a" in forecaster_ids else [1])
 
 
 class TestBlockLoaderMatchesReference:
@@ -933,25 +936,27 @@ class TestBlockLoaderMatchesReference:
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,\r\n\r\n"
          "q1,b,0.25\r\nq2,b,1\r\n", True),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\nq2,a,0.125\r\nq1,b,0", True),
-        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,7\r\nq1,b,0\r\n", True),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,7\r\nq1,b,0\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq1,a,0.5\r\n", True),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\rq2,a,0.25\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a\r,0.5\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\r\nq2,a,0.25\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,0.25\r", False),
         ("question_id,forecaster_id,probability\nqé,€,0.5\nq𝟘,é,1\nq1,€𝟘,٠.٥\n"
-         "q2,a,0.25\n", True),
+         "q2,a,0.25\n", False),
         ("question_id,forecaster_id,probability\r\nqé,€,٠.٥\r\nq𝟘,a,1\r\nq1,𝟘é\r\n"
-         "q2,a,0.25\r\n", True),
-        ("question_id,forecaster_id,probability\nq1,é,0.5\r\nq𝟘,€,€\nq2,a,1\n", True),
+         "q2,a,0.25\r\n", False),
+        ("question_id,forecaster_id,probability\nq1,é,0.5\r\nq𝟘,€,€\nq2,a,1\n", False),
     ], ids=["crlf", "mixed-no-final-newline", "crlf-bad-value", "crlf-duplicate",
             "lone-cr", "cr-in-field", "cr-before-crlf", "cr-at-end", "multibyte",
             "multibyte-crlf-field-count", "multibyte-not-a-number"])
     def test_crlf_split_at_every_block_boundary(self, tmp_path, monkeypatch, text, plain):
         """A CRLF that two blocks share is still one line ending: every
-        block size gives the reference's ids, matrix and error line, and
-        only a carriage return outside a CRLF sends the file to csv.reader.
-        A block may end inside a character of two, three or four bytes."""
+        block size gives the reference's ids, matrix and error line.  A
+        carriage return outside a CRLF, a byte that is not ASCII and a
+        record the kernel declines send the file to csv.reader, a blank
+        line does not.  A block may end inside a character of two, three or
+        four bytes."""
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = loaded(csv_reference.load_forecast_matrix, path)
@@ -983,6 +988,58 @@ class TestBlockLoaderMatchesReference:
             expected = ("DataFormatError",
                         f"{path}:{line}: byte 0xff is not UTF-8 (invalid start byte)")
         assert loaded(load_forecast_matrix, path) == expected
+
+
+# Ids of one to eight bytes that csv.writer writes bare, as `synth`'s are.
+KERNEL_IDS = st.text("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_-",
+                     min_size=1, max_size=8)
+
+
+@st.composite
+def kernel_tables(draw):
+    """A table with such ids, each cell a double in [0, 1] or NaN."""
+    question_ids = draw(st.lists(KERNEL_IDS, min_size=1, max_size=6, unique=True))
+    forecaster_ids = draw(st.lists(KERNEL_IDS, min_size=1, max_size=6, unique=True))
+    cells = len(forecaster_ids) * len(question_ids)
+    values = draw(st.lists(st.just(np.nan) | st.floats(0.0, 1.0), min_size=cells,
+                           max_size=cells))
+    outcomes = draw(st.lists(st.sampled_from([1, -1]), min_size=len(question_ids),
+                             max_size=len(question_ids)))
+    forecasts = np.array(values, dtype=float).reshape(len(forecaster_ids), -1)
+    return ForecastTable(question_ids, forecaster_ids, forecasts, outcomes)
+
+
+class TestKernelTraffic:
+    @given(table=kernel_tables(), crlf=st.booleans(),
+           blanks=st.lists(st.integers(0, 100), max_size=3),
+           block=st.integers(1, 48) | st.just(dataio._BLOCK_BYTES))
+    @settings(max_examples=200, deadline=None)
+    def test_written_tables_never_reach_csv_reader(self, table, crlf, blanks, block):
+        """What `write_table` writes of such a table, in LF or CRLF and with
+        blank lines or none, is read by the kernel alone, in one range and
+        in two, and round-trips bit for bit."""
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            fpath, opath = Path(directory) / "f.csv", Path(directory) / "o.csv"
+            write_table(table, fpath, opath)
+            lines = fpath.read_bytes().split(b"\n")  # the last one empty
+            for at in blanks:  # after the header, and maybe after the last line
+                lines.insert(1 + at % (len(lines) - 1), b"")
+            text = b"\n".join(lines)
+            fpath.write_bytes(text.replace(b"\n", b"\r\n") if crlf else text)
+            quoted = []
+            read_quoted = dataio._read_quoted
+            patch.setattr(dataio, "_read_quoted",
+                          lambda *args: quoted.append(1) or read_quoted(*args))
+            patch.setattr(dataio, "_BLOCK_BYTES", block)
+            tables = [load_table(fpath, opath)]
+            split_into(patch, 2)
+            tables.append(load_table(fpath, opath))
+        assert quoted == []
+        for loaded_table in tables:
+            assert loaded_table.question_ids == table.question_ids
+            assert loaded_table.forecaster_ids == table.forecaster_ids
+            assert loaded_table.forecasts.tobytes() == table.forecasts.tobytes()
+            assert loaded_table.outcomes.tolist() == table.outcomes.tolist()
 
 
 @contextlib.contextmanager
@@ -1026,28 +1083,33 @@ class TestRanges:
 
         return make
 
-    @pytest.mark.parametrize("first,second,forecaster_ids,message", [
+    @pytest.mark.parametrize("first,second,forecaster_ids,message,plain", [
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,a,0.75\n", None,
-         ":5: duplicate forecast for (q1, a)"),
+         ":5: duplicate forecast for (q1, a)", True),
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,b,7\nq3,b,maybe\n", None,
-         ":5: probability '7' outside [0, 1]"),
+         ":5: probability '7' outside [0, 1]", False),
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,c,0.5\n", ["b", "a"],
-         ":5: forecaster 'c' is not part of the model"),
+         ":5: forecaster 'c' is not part of the model", False),
         (b"q1,a,0.5\n\nq2,b,0.25\n", b"q3,a,1\n\nq1,b,0.5,x\n", None,
-         ":7: expected 3 fields, got 4"),
-        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\nq3,a,0.5\n", None, None),
-        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\n", ["d", "c", "b", "a"], None),
-        (b"q1,a,0.5\r\nq2,b,0.25\r\n\r\n", b"q3,c,1\r\nq1,b,\r\nq2,a,0.125", None, None),
+         ":7: expected 3 fields, got 4", False),
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\nq3,a,0.5\n", None, None, True),
+        (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\n", ["d", "c", "b", "a"], None,
+         True),
+        (b"q1,a,0.5\r\nq2,b,0.25\r\n\r\n", b"q3,c,1\r\nq1,b,\r\nq2,a,0.125", None, None,
+         True),
     ], ids=["duplicate-across", "bad-probability", "unknown-forecaster", "field-count",
             "new-ids", "new-ids-fixed", "crlf"])
     def test_second_range_read_by_a_child(self, split_file, first, second, forecaster_ids,
-                                          message):
+                                          message, plain):
+        """A second range that the kernel declines fails the child, whose
+        wait meets it again here, and sends the file to csv.reader."""
         path, taken, here = split_file(first, second)
         expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
         if message is not None:
             assert expected == ("DataFormatError", f"{path}{message}")
         assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
-        assert (taken, here) == ([1], [0])
+        assert (taken, here) == (([1], [0]) if plain
+                                 else ([], [0, path.stat().st_size - len(second)]))
         assert no_child_left()
 
     def test_first_error_in_the_file_wins(self, split_file):
@@ -1079,11 +1141,12 @@ class TestRanges:
             "DataFormatError", f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)")
         assert no_child_left()
 
-    @pytest.mark.parametrize("second", [b"q3,c,1\nq1,b,\n", b"q3,c,1\nq1,b,7\n"],
+    @pytest.mark.parametrize("second,plain", [(b"q3,c,1\nq1,b,\n", True),
+                                              (b"q3,c,1\nq1,b,7\n", False)],
                              ids=["records", "error"])
     @pytest.mark.parametrize("failure", ["raise", "exit", "no-fork"])
     def test_a_failing_child_leaves_its_range_here(self, split_file, monkeypatch, failure,
-                                                   second):
+                                                   second, plain):
         path, taken, here = split_file(b"q1,a,0.5\nq2,b,0.25\n", second)
         expected = loaded(csv_reference.load_forecast_matrix, path)
         assert loaded(load_forecast_matrix, path) == expected
@@ -1108,8 +1171,9 @@ class TestRanges:
         with sigint_unblocked():
             assert loaded(load_forecast_matrix, path) == expected
             assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-        # the child's work, done here by its wait, and merged
-        assert (taken, here) == ([1], [0, path.stat().st_size - len(second)])
+        # the child's work, done here by its wait, and merged, unless the
+        # kernel declines the range and csv.reader reads the file
+        assert (taken, here) == ([1] if plain else [], [0, path.stat().st_size - len(second)])
         assert no_child_left()
 
     def test_interrupt_ends_the_children(self, monkeypatch, tmp_path):
