@@ -35,8 +35,8 @@ readers take any layout.
 
 The forecasts file is read as bytes, in blocks of whole lines, each CRLF
 read as LF.  One numpy pass over a block's bytes finds its line feeds and
-commas, and so each line's number; when every third of them is a line
-feed, every line holds three fields.  A blank line fails that check, so
+commas; when every third of them is a line feed, every line holds three
+fields.  A blank line fails that check, so
 only a block that fails it is looked at again, its blank lines dropped.
 A block of lines of three fields is read by a fixed set of numpy passes
 over its bytes (`_Columns.add_plain`).  An id of one to eight bytes is a
@@ -49,22 +49,22 @@ float64 estimate of M / 10**19 is corrected by a residue that 64-bit
 integers hold exactly, and the result is the double nearest the decimal,
 as `float` gives it.  Any other form goes to `float`.
 
-Any other file is read by csv.reader, whole and in one process
-(`_read_quoted`), whose records feed the same columns (`_Columns.add`):
-a file with a header other than the exact line, a quote, a NUL, a
-carriage return that does not start a CRLF, a byte that is not ASCII or
-a line of more bytes than ``csv.field_size_limit()``, and a file with a
-block that `add_plain` declines: a line of other than three fields, an
-id that is empty or longer than 8 bytes, a probability that `float`
-rejects or that lies outside [0, 1], or a forecaster not in the
-caller's list.  So csv.reader's records meet every error but a
-duplicate forecast, which `_Columns.validated` finds in either reader's
-arrays.  An error names the first offending record, ``file:line``
+Any other file is read by csv.reader, whole, in one process and one
+record at a time (`_read_quoted`): a file with a header other than the
+exact line, a quote, a NUL, a carriage return that does not start a CRLF,
+a byte that is not ASCII or a line of more bytes than
+``csv.field_size_limit()``, and a file in which the plain reader finds a
+fault: a line of other than three fields, an id that is empty or longer
+than 8 bytes, a probability that `float` rejects or that lies outside
+[0, 1], a forecaster not in the caller's list, or a duplicate forecast.
+So the plain reader keeps no line numbers, and every error is named by
+csv.reader's records, as the first offending record, ``file:line``
 counting physical lines; a field over the csv limit (131,072 characters
 unless changed) and a byte that is not UTF-8 are errors too, not
-crashes.  Ids are numbered as UTF-8 bytes and
-each is decoded once; UTF-8 is one to one, so the numbering is that of
-the text.
+crashes.  One check, `_first_duplicate`, finds a duplicate forecast in
+either reader's arrays.  The plain reader numbers ids as UTF-8 bytes and
+decodes each once; UTF-8 is one to one, so the numbering is that of the
+text.
 
 A large forecasts file is read, or written, by two processes where
 `_split` holds for its size: this one and a `_forking.Child` whose work
@@ -72,10 +72,11 @@ returns the later half, and whose `wait` does that work here if the child
 failed.  The parse cuts the file after the first line feed at or after
 its middle (`_second_range`).  The child's `_Part` of the second range is
 merged after the first: its ids take the numbers a single pass gives
-them and its lines are counted on from the first range, so ids and
-arrays are those of one pass.  A range that the plain reader declines
-sends the whole file to csv.reader.  `write_table` has the child format
-the later forecaster rows, and writes the bytes one process writes.
+them, so ids and arrays are those of one pass.  A range that the plain
+reader declines, in either process, sends the whole file to csv.reader;
+the child returns no part for it, and it is not read again here.
+`write_table` has the child format the later forecaster rows, and writes
+the bytes one process writes.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ import io
 import json
 import os
 import re
+from array import array
 from collections import defaultdict
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -185,8 +187,6 @@ def _read_rows(path, header: list[str]):
 # 256 KiB blocks read the 12.8 MB panel table faster than 64 KiB ones, but
 # the 475 KB paper table and the 309 KB side table slower (CHANGES.md), so
 # 64 KiB stays.  The unfinished last line goes on to the next block.
-# Records that csv.reader tokenizes go on in blocks of a 32nd as many, about
-# as many as a block of plain lines holds.
 _BLOCK_BYTES = 1 << 16
 
 # The bytes of a forecasts file per process that parses or writes it
@@ -209,34 +209,27 @@ _HEADER_LINE = ",".join(FORECASTS_HEADER).encode()
 
 
 class _Part(NamedTuple):
-    """The records kept from the second range of a forecasts file: ids
-    numbered by first appearance in the range, lines counted from its
-    start (`_part`)."""
+    """The records kept from the second range of a forecasts file, ids
+    numbered by first appearance in the range (`_part`)."""
 
     question_ids: tuple[bytes, ...]
     forecaster_ids: tuple[bytes, ...]  # empty when the caller gave them
     rows: np.ndarray
     columns: np.ndarray
     values: np.ndarray
-    lines: np.ndarray
 
 
 class _Columns:
     """A forecasts file's records as row, column and probability arrays,
-    fed a block at a time: a block of plain lines by `add_plain`, which
-    keeps all of it or none, or csv.reader's records by `add`, which
-    checks each.  Ids are numbered as bytes and decoded once, by
-    `validated`; UTF-8 is one to one, so the numbers are those of the text.
-
-    `add` stops at the first record that fails a check of its own: empty
-    id, not a number, out of range or unknown forecaster, in that order
-    within a record, and sets `error` to its line and message; csv.reader
-    meets a wrong field count.  `validated` then looks for a duplicate cell
-    among the records kept and raises what comes first in the file.
+    fed a block of plain lines at a time by `add_plain`, which keeps all of
+    it or none, and a later range of the file by `merge`.  Ids are numbered
+    as bytes and decoded once, by `validated`; UTF-8 is one to one, so the
+    numbers are those of the text.  Every fault found here raises
+    `_NotPlain`, a duplicate forecast too, and csv.reader's records then
+    name it (`_read_quoted`), so no line is counted here.
     """
 
-    def __init__(self, path: Path, forecaster_ids) -> None:
-        self.path = path
+    def __init__(self, forecaster_ids) -> None:
         self.fixed = forecaster_ids is not None
         # a lone surrogate, which a model's JSON may hold, encodes to bytes
         # that no UTF-8 field holds
@@ -251,57 +244,14 @@ class _Columns:
         self.rows = [np.empty(0, np.intp)]
         self.columns = [np.empty(0, np.intp)]
         self.values = [np.empty(0)]
-        self.lines = [np.empty(0, np.intp)]  # physical line numbers of the records
-        self.error: tuple[int, str] | None = None
 
-    def add(self, question_ids, forecaster_ids, fields, lines) -> bool:
-        """Check and keep one block of records, the ids as UTF-8 bytes and
-        the probability fields as text; False once one fails."""
-        failures = []  # (position, rank within a record, message)
-        for ids in (question_ids, forecaster_ids):
-            if b"" in ids:
-                failures.append((ids.index(b""), 0,
-                                 "question_id and forecaster_id must be non-empty"))
-        columns = _renumbered(self.question_index, question_ids)
-        if self.fixed:
-            rows = np.fromiter(map(self.forecaster_index.get, forecaster_ids, repeat(-1)),
-                               np.intp, len(forecaster_ids))
-            unknown = np.flatnonzero(rows < 0)
-            if unknown.size:
-                position = int(unknown[0])
-                failures.append((position, 3, f"forecaster {_text(forecaster_ids[position])!r}"
-                                              " is not part of the model"))
-        else:
-            rows = _renumbered(self.forecaster_index, forecaster_ids)
-        values, present, parsed = _probabilities(fields)
-        if parsed < len(fields):
-            failures.append((parsed, 1, f"probability {fields[parsed]!r} is not a number"))
-        outside = ~((values >= 0.0) & (values <= 1.0))  # NaN too
-        if present is not None:
-            outside &= present
-        outside = np.flatnonzero(outside)
-        if outside.size:
-            position = int(outside[0])
-            failures.append((position, 2, f"probability {fields[position]!r} outside [0, 1]"))
-
-        kept = min(failures)[0] if failures else len(fields)
-        self.rows.append(rows[:kept])
-        self.columns.append(columns[:kept])
-        self.values.append(values[:kept])
-        self.lines.append(np.asarray(lines[:kept], np.intp))
-        if failures:
-            position, _, message = min(failures)
-            self.error = (int(lines[position]), message)
-        return not failures
-
-    def add_plain(self, block: bytes, ends, lines) -> None:
+    def add_plain(self, block: bytes, ends) -> None:
         """Keep a block of ASCII lines of three fields each, ``ends`` the
         positions of its commas and line feeds, by numpy passes alone.
         Raises `_NotPlain`, with nothing kept and no id numbered, if an id
         is empty or longer than 8 bytes, a forecaster is not part of the
         model, or a probability is one that `float` rejects or outside
-        [0, 1]: csv.reader's records then find the record and its
-        message."""
+        [0, 1]."""
         octets, words = _views(block)
         bounds = ends.reshape(-1, 3).T  # each line's two commas and line feed
         starts = np.empty(bounds.shape, np.intp)
@@ -324,40 +274,41 @@ class _Columns:
         self.columns.append(self.question_keys.numbered(question_keys))
         self.rows.append(self.forecaster_keys.numbered(forecaster_keys, *found))
         self.values.append(values)
-        self.lines.append(lines)
 
-    def merge(self, part: _Part, offset: int) -> None:
-        """Keep the records of a later range of the file, ``offset``
-        physical lines in, as if fed here: its ids take this file's
-        numbers, new ones next in the range's order of first appearance."""
+    def merge(self, part: _Part) -> None:
+        """Keep the records of a later range of the file as if fed here:
+        its ids take this file's numbers, new ones next in the range's
+        order of first appearance."""
         self.columns.append(_renumbered(self.question_index, part.question_ids)[part.columns])
         self.rows.append(part.rows if self.fixed else
                          _renumbered(self.forecaster_index, part.forecaster_ids)[part.rows])
         self.values.append(part.values)
-        self.lines.append(part.lines + offset)
 
     def validated(self):
         """``(question_ids, forecaster_ids, rows, columns, values)`` of the
-        whole file, or the first error in it."""
+        whole file; raises `_NotPlain` if a cell is given twice."""
         rows, columns, values = (np.concatenate(parts)
                                  for parts in (self.rows, self.columns, self.values))
+        shape = len(self.forecaster_index), len(self.question_index)
+        if _first_duplicate(rows, columns, shape) is not None:
+            raise _NotPlain
         question_ids, forecaster_ids = (
             tuple(map(_text, index)) for index in (self.question_index, self.forecaster_index))
-        width = len(question_ids)
-        cells = rows * width + columns
-        seen = np.zeros(len(self.forecaster_index) * width, bool)
-        seen[cells] = True
-        if np.count_nonzero(seen) < cells.size:
-            _, first = np.unique(cells, return_index=True)
-            repeated = np.ones(cells.size, bool)
-            repeated[first] = False
-            position = int(np.flatnonzero(repeated)[0])
-            _fail(self.path, np.concatenate(self.lines)[position],
-                  f"duplicate forecast for ({question_ids[columns[position]]}, "
-                  f"{forecaster_ids[rows[position]]})")
-        if self.error is not None:
-            _fail(self.path, *self.error)
         return question_ids, forecaster_ids, rows, columns, values
+
+
+def _first_duplicate(rows, columns, shape) -> int | None:
+    """The position of the first record whose (row, column) cell of a
+    matrix of ``shape`` an earlier record holds, or None."""
+    cells = rows * shape[1] + columns
+    seen = np.zeros(shape[0] * shape[1], bool)
+    seen[cells] = True
+    if np.count_nonzero(seen) == cells.size:
+        return None
+    _, first = np.unique(cells, return_index=True)
+    repeated = np.ones(cells.size, bool)
+    repeated[first] = False
+    return int(np.flatnonzero(repeated)[0])
 
 
 class _Keys:
@@ -412,32 +363,8 @@ def _renumbered(index, ids) -> np.ndarray:
 
 
 def _text(field: bytes) -> str:
-    """The text a field or an id encodes, a caller's lone surrogate too."""
+    """The text an id encodes, a caller's lone surrogate too."""
     return field.decode("utf-8", "surrogatepass")
-
-
-def _probabilities(fields):
-    """Parse the text ``fields`` with `float`, NaN for an empty one,
-    up to the first that `float` rejects.  Returns (values, present mask or
-    None if no field is empty, number of fields parsed)."""
-    try:
-        return (*_floats(fields), len(fields))
-    except ValueError:
-        for parsed, field in enumerate(fields):
-            try:
-                float(field or 0)
-            except ValueError:
-                return (*_floats(fields[:parsed]), parsed)
-        raise
-
-
-def _floats(fields):
-    if all(fields):
-        return np.fromiter(map(float, fields), float, len(fields)), None
-    present = np.fromiter(map(bool, fields), bool, len(fields))
-    values = np.full(len(fields), np.nan)
-    values[present] = np.fromiter(map(float, filter(None, fields)), float)
-    return values, present
 
 
 # 8-byte masks that keep the first 0 to 8 bytes of a little-endian uint64
@@ -573,12 +500,11 @@ def _three_fields(marks: np.ndarray, count: int) -> bool:
     return len(marks) == 3 * count and bool((marks[2::3] == ord("\n")).all())
 
 
-def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
+def _read_range(path: Path, columns: _Columns, start: int, end: int) -> None:
     """Feed ``columns`` from the lines of bytes ``start`` to ``end`` of the
-    file, numbered from the range's start, each block by `add_plain`.  The
-    range at 0 starts with the header.  Returns the physical lines read;
-    raises `_NotPlain` at the first block that the plain reader declines."""
-    counted = 0  # physical lines before the block
+    file, each block by `add_plain`.  The range at 0 starts with the
+    header.  Raises `_NotPlain` at the first block that the plain reader
+    declines."""
     with path.open("rb") as handle:
         blocks = _plain_blocks(handle, start, end)
         if start == 0:
@@ -586,27 +512,24 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int) -> int:
             header, _, block = next(blocks, b"").partition(b"\n")
             if header != _HEADER_LINE:
                 raise _NotPlain
-            counted += 1
             blocks = chain([block] if block else [], blocks)
         for block in blocks:
             data = np.frombuffer(block, np.uint8)
             ends, marks = _field_ends(data)
             count = np.count_nonzero(marks == ord("\n"))
-            numbers = np.arange(counted + 1, counted + 1 + count)
-            counted += count
             if not _three_fields(marks, count):
                 # each blank line fails the check, so only a block that
                 # fails it is checked again with its blank lines dropped
                 feeds = ends[marks == ord("\n")]
                 blank = np.diff(feeds, prepend=-1) == 1
-                data, numbers = np.delete(data, feeds[blank]), numbers[~blank]
+                data = np.delete(data, feeds[blank])
+                count -= np.count_nonzero(blank)
                 ends, marks = _field_ends(data)
-                if not _three_fields(marks, len(numbers)):
+                if not _three_fields(marks, count):
                     raise _NotPlain
                 block = data.tobytes()
-            if len(numbers):
-                columns.add_plain(block, ends, numbers)
-    return counted
+            if count:
+                columns.add_plain(block, ends)
 
 
 def _split(size: int) -> bool:
@@ -635,61 +558,87 @@ def _second_range(path: Path) -> tuple[int, int]:
     return start, size
 
 
-def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part:
-    """The records of bytes ``start`` to ``end`` of the file."""
-    columns = _Columns(path, forecaster_ids)
-    _read_range(path, columns, start, end)
+def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part | None:
+    """The records of bytes ``start`` to ``end`` of the file, or None if the
+    plain reader declines them."""
+    columns = _Columns(forecaster_ids)
+    try:
+        _read_range(path, columns, start, end)
+    except _NotPlain:
+        return None
     return _Part(tuple(columns.question_index),
                  () if columns.fixed else tuple(columns.forecaster_index),
-                 *map(np.concatenate, (columns.rows, columns.columns, columns.values,
-                                       columns.lines)))
+                 *map(np.concatenate, (columns.rows, columns.columns, columns.values)))
 
 
 def _read_plain(path: Path, forecaster_ids) -> _Columns:
     """The file's records read by `_read_range`: the first range read in
     this process and the second (`_second_range`) by a child, merged after
-    it."""
+    it.  Raises `_NotPlain` if the plain reader declines either range; a
+    range the child declines is not read again here."""
     start, size = _second_range(path)
-    columns = _Columns(path, forecaster_ids)
+    columns = _Columns(forecaster_ids)
     later = _forking.Child(partial(_part, path, forecaster_ids, start, size))
     try:
         if start < size:
             later.start()
-        offset = _read_range(path, columns, 0, start)
+        _read_range(path, columns, 0, start)
         if start < size:
-            columns.merge(later.wait(), offset)
+            part = later.wait()
+            if part is None:
+                raise _NotPlain
+            columns.merge(part)
     finally:
         later.stop()
     return columns
 
 
-def _read_quoted(path: Path, columns: _Columns) -> None:
-    """Feed ``columns`` from csv.reader's records, for a file that
-    `_read_plain` declines."""
-    size = max(1, _BLOCK_BYTES // 32)
-    block = []
+def _read_quoted(path: Path, forecaster_ids):
+    """``(question_ids, forecaster_ids, rows, columns, values)`` of a file
+    that `_read_plain` declines, from csv.reader's records one at a time,
+    or the first error in the file.  A record is checked for an empty id,
+    a probability that is not a number, one outside [0, 1] and a
+    forecaster not in the caller's list, in that order, and the first that
+    fails, or csv.reader's own error, stops the read; a duplicate forecast
+    among the records before it comes first."""
+    fixed = forecaster_ids is not None
+    forecaster_index = ({f: i for i, f in enumerate(forecaster_ids)} if fixed
+                        else _numbering())
+    question_index = _numbering()
+    rows, columns, lines, values = array("q"), array("q"), array("q"), array("d")
+    failure = None
     try:
-        for record in _read_rows(path, FORECASTS_HEADER):
-            block.append(record)
-            if len(block) == size:
-                if not _add_records(columns, block):
-                    return
-                block = []
-    except DataFormatError:
-        if _add_records(columns, block):
-            columns.validated()  # a duplicate before the record comes first
-            raise
-        return
-    _add_records(columns, block)
-
-
-def _add_records(columns: _Columns, block) -> bool:
-    if not block:
-        return True
-    lines, rows = zip(*block)
-    question_ids, forecaster_ids, fields = zip(*rows)
-    return columns.add([text.encode() for text in question_ids],
-                       [text.encode() for text in forecaster_ids], fields, lines)
+        for line, (question_id, forecaster_id, field) in _read_rows(path, FORECASTS_HEADER):
+            if not question_id or not forecaster_id:
+                _fail(path, line, "question_id and forecaster_id must be non-empty")
+            value = np.nan
+            if field:
+                try:
+                    value = float(field)
+                except ValueError:
+                    _fail(path, line, f"probability {field!r} is not a number")
+                if not 0.0 <= value <= 1.0:
+                    _fail(path, line, f"probability {field!r} outside [0, 1]")
+            row = (forecaster_index.get(forecaster_id, -1) if fixed
+                   else forecaster_index[forecaster_id])
+            if row < 0:
+                _fail(path, line, f"forecaster {forecaster_id!r} is not part of the model")
+            rows.append(row)
+            columns.append(question_index[question_id])
+            lines.append(line)
+            values.append(value)
+    except DataFormatError as error:
+        failure = error
+    question_ids, forecaster_ids = tuple(question_index), tuple(forecaster_index)
+    rows, columns = (np.frombuffer(numbers, np.int64) for numbers in (rows, columns))
+    position = _first_duplicate(rows, columns, (len(forecaster_ids), len(question_ids)))
+    if position is not None:
+        _fail(path, lines[position], f"duplicate forecast for "
+                                     f"({question_ids[columns[position]]}, "
+                                     f"{forecaster_ids[rows[position]]})")
+    if failure is not None:
+        raise failure
+    return question_ids, forecaster_ids, rows, columns, np.frombuffer(values)
 
 
 def _read_forecasts(path, forecaster_ids):
@@ -699,11 +648,9 @@ def _read_forecasts(path, forecaster_ids):
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
     try:
-        columns = _read_plain(path, forecaster_ids)
+        return _read_plain(path, forecaster_ids).validated()
     except _NotPlain:
-        columns = _Columns(path, forecaster_ids)
-        _read_quoted(path, columns)
-    return columns.validated()
+        return _read_quoted(path, forecaster_ids)
 
 
 def load_forecast_matrix(path, forecaster_ids=None

@@ -937,7 +937,7 @@ class TestBlockLoaderMatchesReference:
          "q1,b,0.25\r\nq2,b,1\r\n", True),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\nq2,a,0.125\r\nq1,b,0", True),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq2,a,7\r\nq1,b,0\r\n", False),
-        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq1,a,0.5\r\n", True),
+        ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\nq1,a,0.5\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\rq2,a,0.25\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a\r,0.5\r\n", False),
         ("question_id,forecaster_id,probability\r\nq1,a,0.5\r\r\nq2,a,0.25\r\n", False),
@@ -954,9 +954,9 @@ class TestBlockLoaderMatchesReference:
         """A CRLF that two blocks share is still one line ending: every
         block size gives the reference's ids, matrix and error line.  A
         carriage return outside a CRLF, a byte that is not ASCII and a
-        record the kernel declines send the file to csv.reader, a blank
-        line does not.  A block may end inside a character of two, three or
-        four bytes."""
+        record the kernel declines, a duplicate forecast too, send the file
+        to csv.reader, a blank line does not.  A block may end inside a
+        character of two, three or four bytes."""
         path = tmp_path / "f.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = loaded(csv_reference.load_forecast_matrix, path)
@@ -969,6 +969,35 @@ class TestBlockLoaderMatchesReference:
             quoted.clear()
             assert loaded(load_forecast_matrix, path) == expected, block
             assert quoted == ([] if plain else [1]), block
+
+    @pytest.mark.parametrize("records,forecaster_ids,message", [
+        ([["q1", "a", "0.5"], ["q2", "a", "0.5"], ["q1", "a", "0.25"], ["q2", "b", "7"]],
+         None, ":4: duplicate forecast for (q1, a)"),
+        ([["q1", "a", "0.5"], ["q2", "b", "7"], ["q1", "a", "0.25"]],
+         None, ":3: probability '7' outside [0, 1]"),
+        ([["q1", "b", "0.5"], ["q1", "c", "0.25"]],
+         ["a", "b"], ":3: forecaster 'c' is not part of the model"),
+        ([["q1", "a", "0.5"], ["q1", "a", "0.5"], ["q2", "a"]],
+         None, ":3: duplicate forecast for (q1, a)"),
+    ], ids=["duplicate-then-probability", "probability-then-duplicate",
+            "unknown-forecaster-on-a-taken-cell", "duplicate-then-field-count"])
+    def test_first_error_of_a_quoted_file(self, tmp_path, monkeypatch, records,
+                                          forecaster_ids, message):
+        """csv.reader's records meet a duplicate forecast and every other
+        error in the order the reference does.  The unknown forecaster
+        would take row -1, which indexes the cell (q1, b) that the record
+        before holds."""
+        path = write_csv(tmp_path / "f.csv", FORECASTS_HEADER, [])
+        with path.open("a", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(records)
+        quoted = []
+        read_quoted = dataio._read_quoted
+        monkeypatch.setattr(dataio, "_read_quoted",
+                            lambda *args: quoted.append(1) or read_quoted(*args))
+        expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
+        assert expected == ("DataFormatError", f"{path}{message}")
+        assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
+        assert quoted == [1]
 
     @pytest.mark.parametrize("body,line", [
         (b"q1,a,0.5\nq2,a,0.\xff\n", 3),
@@ -1083,7 +1112,7 @@ class TestRanges:
 
         return make
 
-    @pytest.mark.parametrize("first,second,forecaster_ids,message,plain", [
+    @pytest.mark.parametrize("first,second,forecaster_ids,message,merged", [
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,a,0.75\n", None,
          ":5: duplicate forecast for (q1, a)", True),
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,b,7\nq3,b,maybe\n", None,
@@ -1100,16 +1129,17 @@ class TestRanges:
     ], ids=["duplicate-across", "bad-probability", "unknown-forecaster", "field-count",
             "new-ids", "new-ids-fixed", "crlf"])
     def test_second_range_read_by_a_child(self, split_file, first, second, forecaster_ids,
-                                          message, plain):
-        """A second range that the kernel declines fails the child, whose
-        wait meets it again here, and sends the file to csv.reader."""
+                                          message, merged):
+        """A second range that the kernel declines comes back from the child
+        as declined, is not read again here, and sends the file to
+        csv.reader; a duplicate across the ranges is met once the child's
+        range is merged, and sends it there too."""
         path, taken, here = split_file(first, second)
         expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
         if message is not None:
             assert expected == ("DataFormatError", f"{path}{message}")
         assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
-        assert (taken, here) == (([1], [0]) if plain
-                                 else ([], [0, path.stat().st_size - len(second)]))
+        assert (taken, here) == ([1] if merged else [], [0])
         assert no_child_left()
 
     def test_first_error_in_the_file_wins(self, split_file):
@@ -1131,8 +1161,8 @@ class TestRanges:
                             lambda *args: quoted.append(1) or read_quoted(*args))
         assert loaded(load_forecast_matrix, path) == \
             loaded(csv_reference.load_forecast_matrix, path)
-        # the child fails at the text, and this process meets it again
-        assert (taken, quoted, here) == ([], [1], [0, path.stat().st_size - len(second)])
+        # the child declines the text, and this process does not read it again
+        assert (taken, quoted, here) == ([], [1], [0])
         assert no_child_left()
 
     def test_undecodable_byte_in_the_second_range(self, split_file):
