@@ -22,7 +22,6 @@ import sys
 from . import __version__
 from .combiners import METHODS, classify, ensemble_predict_table, train
 from .dataio import (
-    DataFormatError,
     _write_record,
     load_forecast_matrix,
     load_model,
@@ -227,10 +226,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a DataFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -15,8 +15,9 @@ Three combiners are provided:
 
 The method fixes the loss, the link (`_METHOD_LINK`), its clip and how
 absent forecasts are filled (`ensemble_predict_table`), so a trained model
-is its method, its rounds, the forecaster ids they index and, for
-adaboost, the seed of its fill; it keeps nothing of the training table.
+is its method, the forecaster ids, a boosting method's rounds, which
+index them, and, for adaboost, the seed of its fill; it keeps nothing of
+the training table.
 `train` runs any method, with its default rounds when the caller does not
 choose, and `train_folds` trains a boosting method's leave-one-out fold
 models.  A model applies to an (N, Q) forecast table
@@ -70,7 +71,6 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -116,12 +116,13 @@ _TINY = float(np.finfo(float).tiny)
 class EnsembleModel:
     """A trained combiner.
 
-    ``rounds`` lists (forecaster index, stage weight) in selection order;
-    bagging's are every forecaster once, in order, with weight 1/N, and no
-    others.  ``seed`` is the seed of adaboost's fill, and 0 for the other
-    methods, which fill by a rule with no seed: `ensemble_predict_table`
-    fills absent forecasts by the method's rule, on training questions and
-    new ones alike.  The link is the method's own.
+    ``rounds`` lists a boosting model's (forecaster index, stage weight)
+    pairs in selection order, at least one; bagging averages every
+    forecaster, so it learns nothing and has none.  ``seed`` is the seed
+    of adaboost's fill, and 0 for the other methods, which fill by a rule
+    with no seed: `ensemble_predict_table` fills absent forecasts by the
+    method's rule, on training questions and new ones alike.  The link is
+    the method's own.
     """
 
     method: str
@@ -136,11 +137,11 @@ class EnsembleModel:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.seed and self.method != "adaboost":
             raise ValueError(f"a {self.method} model has no seed: its seed must be 0")
-        if len(self.rounds) < 1:
-            raise ValueError("a model must contain at least one round")
         n = len(self.forecaster_ids)
-        if len(set(self.forecaster_ids)) != n:
-            raise ValueError("forecaster ids must be duplicate-free")
+        if n < 1 or len(set(self.forecaster_ids)) != n:
+            raise ValueError("forecaster ids must be one or more, duplicate-free")
+        if (self.method == "bagging") != (not self.rounds):
+            raise ValueError("a boosting model has at least one round, a bagging model none")
         for index, weight in self.rounds:
             if not 0 <= index < n:
                 raise ValueError(f"round references forecaster {index}, table has {n}")
@@ -148,9 +149,6 @@ class EnsembleModel:
                 raise ValueError("stage weights must be finite")
             if self.method == "adaboost" and weight < 0:
                 raise ValueError("adaboost stage weights must be non-negative")
-        if self.method == "bagging" and self.rounds != tuple(zip(range(n), repeat(1.0 / n))):
-            raise ValueError("bagging rounds must take every forecaster once, "
-                             "in order, with weight 1/N")
 
     @property
     def link(self) -> LinkSpec:
@@ -162,8 +160,9 @@ class EnsembleModel:
 
     @property
     def unique_forecasters(self) -> int:
-        """Number of distinct forecasters the model actually uses."""
-        return len({index for index, _ in self.rounds})
+        """Number of distinct forecasters the model actually uses: all of
+        them under bagging, which alone has no rounds."""
+        return len({index for index, _ in self.rounds}) or self.n_forecasters
 
 
 def stage_weight(error_rate: float) -> float:
@@ -323,9 +322,7 @@ def bag(table: ForecastTable) -> EnsembleModel:
     """Equal-weight average of all forecasters (absent cells read as 0.5)."""
     if table.n_forecasters < 1 or table.n_questions < 1:
         raise ValueError("cannot bag an empty table")
-    n = table.n_forecasters
-    return EnsembleModel("bagging", tuple((j, 1.0 / n) for j in range(n)),
-                         table.forecaster_ids)
+    return EnsembleModel("bagging", (), table.forecaster_ids)
 
 
 def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> EnsembleModel:

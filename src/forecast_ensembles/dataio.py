@@ -9,29 +9,26 @@ forecasts CSV   header exactly ``question_id,forecaster_id,probability``;
                 forecast.
 outcomes CSV    header exactly ``question_id,outcome``; one row per
                 question; outcome is the literal string ``+1`` or ``-1``.
-model JSON      schema ``ensemble_model.v3``: exactly the schema, the
-                method, ``imputation`` holding only the seed of the fill,
-                the forecaster ids, and the rounds as [index, weight]
-                pairs.  The method fixes the link, its clip and the fill
-                rule, so none is written.  Nothing of the training table
-                is kept, so a model fills absent forecasts by one rule on
-                every question.  A ``v1`` or ``v2`` file, and a record
-                with a field missing or added, are rejected.
+model JSON      schema ``ensemble_model.v4``: exactly the fields of its
+                method (`_MODEL_FIELDS`), what training chose.  Nothing
+                of the training table is kept, so a model fills absent
+                forecasts by one rule on every question.  A ``v1``,
+                ``v2`` or ``v3`` file, and a record with a field missing
+                or added, are rejected.
 report JSON     schema ``eval_report.v1`` mirroring EvalReport.
 
-Every forecasts CSV is read by `_read_forecasts`, which orders questions
-by first appearance and forecasters by first appearance or as the caller
-gives (a model's).  The one lookup that maps a block's
-ids to row and column numbers also numbers each id it meets for the
-first time (`_numbering`); a caller's forecasters are looked up with a
-default of -1 for one it did not give.  `load_forecast_matrix` lays its
-cells out in that order; `load_table` adds the outcomes file and puts
-the questions in its order.  Probabilities are written with 17
-significant digits and JSON floats use shortest-round-trip repr, so every
-file round-trips bit-exactly.  Each JSON file, the CLI's prediction report
-too, is one line of compact, strict JSON (no NaN or infinity) written by
-`_write_record`; ``python -m json.tool FILE`` pretty-prints one, and the
-readers take any layout.
+Every forecasts CSV is read by `_read_forecasts`, which orders ids by
+first appearance, forecasters after the caller's (a model's) when it
+gives them.  The one lookup that maps a block's ids to row and column
+numbers also numbers each id it meets for the first time (`_numbering`);
+csv.reader names a forecaster the caller did not give.
+`load_forecast_matrix` lays its cells out in that order; `load_table`
+adds the outcomes file and puts the questions in its order.
+Probabilities are written with 17 significant digits and JSON floats use
+shortest-round-trip repr, so every file round-trips bit-exactly.  Each
+JSON file, the CLI's prediction report too, is one line of compact,
+strict JSON (no NaN or infinity) written by `_write_record`; ``python -m
+json.tool FILE`` pretty-prints one, and the readers take any layout.
 
 The forecasts file is read as bytes, in blocks of whole lines, each CRLF
 read as LF.  One numpy pass over a block's bytes finds its line feeds and
@@ -51,20 +48,21 @@ as `float` gives it.  Any other form goes to `float`.
 
 Any other file is read by csv.reader, whole, in one process and one
 record at a time (`_read_quoted`): a file with a header other than the
-exact line, a quote, a NUL, a carriage return that does not start a CRLF,
-a byte that is not ASCII or a line of more bytes than
+exact line, a quote, a NUL, a carriage return that does not start a
+CRLF, a byte that is not ASCII or a line of more bytes than
 ``csv.field_size_limit()``, and a file in which the plain reader finds a
 fault: a line of other than three fields, an id that is empty or longer
 than 8 bytes, a probability that `float` rejects or that lies outside
-[0, 1], a forecaster not in the caller's list, or a duplicate forecast.
+[0, 1], a forecaster the caller did not give, or a duplicate forecast.
 So the plain reader keeps no line numbers, and every error is named by
 csv.reader's records, as the first offending record, ``file:line``
 counting physical lines; a field over the csv limit (131,072 characters
 unless changed) and a byte that is not UTF-8 are errors too, not
-crashes.  One check, `_first_duplicate`, finds a duplicate forecast in
-either reader's arrays.  The plain reader numbers ids as UTF-8 bytes and
-decodes each once; UTF-8 is one to one, so the numbering is that of the
-text.
+crashes, and the records before the byte are checked first
+(`_before_undecodable`).  One check, `_first_duplicate`, finds a
+duplicate forecast in either reader's arrays.  The plain reader numbers
+ids as UTF-8 bytes and decodes each once; UTF-8 is one to one, so the
+numbering is that of the text.
 
 A large forecasts file is read, or written, by two processes where
 `_split` holds for its size: this one and a `_forking.Child` whose work
@@ -115,10 +113,14 @@ __all__ = [
 FORECASTS_HEADER = ["question_id", "forecaster_id", "probability"]
 OUTCOMES_HEADER = ["question_id", "outcome"]
 
-MODEL_SCHEMA = "ensemble_model.v3"
+MODEL_SCHEMA = "ensemble_model.v4"
 REPORT_SCHEMA = "eval_report.v1"
-# The method fixes a model's link, clip and fill, so its file holds no more.
-_MODEL_FIELDS = {"schema", "method", "imputation", "forecaster_ids", "rounds"}
+# The fields of a model file of each method, in the order written.  The
+# method fixes the link, its clip and the fill rule; bagging learns no
+# rounds, and only adaboost's fill has a seed.
+_MODEL_FIELDS = {"bagging": ("schema", "method", "forecaster_ids"),
+                 "realboost": ("schema", "method", "forecaster_ids", "rounds"),
+                 "adaboost": ("schema", "method", "imputation", "forecaster_ids", "rounds")}
 
 # a JSON string, or a non-standard constant (group 1) outside one
 _STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
@@ -144,21 +146,29 @@ def _records(path, reader):
         except csv.Error as exc:
             _fail(path, reader.line_num, exc)
         except UnicodeDecodeError:
-            _fail_undecodable(path)
+            yield from _before_undecodable(path, reader.line_num)
             raise
         yield reader.line_num, row
 
 
-def _fail_undecodable(path) -> None:
-    """Name the physical line of the file's first byte that is not UTF-8.
-    The decoder's own error counts from the start of the chunk it was
-    decoding, so the file is decoded again whole."""
+def _before_undecodable(path, done: int):
+    """The records after line ``done`` that end before the line of the
+    file's first byte that is not UTF-8, which the decoder's failure on
+    the whole chunk kept from the reader, then a DataFormatError naming
+    that line.  Returns if the file decodes."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # bytes.splitlines ends lines at \r, \n and \r\n, as csv.reader does
         line = len((data[:exc.start] + b"-").splitlines())
+        # a character for the byte, so that a record reaching it ends on its line
+        text = data[:exc.start].decode("utf-8") + "\ufffd"
+        for end, row in _records(path, csv.reader(io.StringIO(text, newline=""))):
+            if end >= line:
+                break
+            if end > done:
+                yield end, row
         _fail(path, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
 
 
@@ -210,10 +220,11 @@ _HEADER_LINE = ",".join(FORECASTS_HEADER).encode()
 
 class _Part(NamedTuple):
     """The records kept from the second range of a forecasts file, ids
-    numbered by first appearance in the range (`_part`)."""
+    numbered by first appearance in the range, after the caller's
+    forecasters (`_part`)."""
 
     question_ids: tuple[bytes, ...]
-    forecaster_ids: tuple[bytes, ...]  # empty when the caller gave them
+    forecaster_ids: tuple[bytes, ...]
     rows: np.ndarray
     columns: np.ndarray
     values: np.ndarray
@@ -223,19 +234,18 @@ class _Columns:
     """A forecasts file's records as row, column and probability arrays,
     fed a block of plain lines at a time by `add_plain`, which keeps all of
     it or none, and a later range of the file by `merge`.  Ids are numbered
-    as bytes and decoded once, by `validated`; UTF-8 is one to one, so the
-    numbers are those of the text.  Every fault found here raises
-    `_NotPlain`, a duplicate forecast too, and csv.reader's records then
-    name it (`_read_quoted`), so no line is counted here.
+    as bytes, a caller's forecasters first, and decoded once, by
+    `validated`; UTF-8 is one to one, so the numbers are those of the
+    text.  Every fault found here raises `_NotPlain`, a duplicate forecast
+    too, and csv.reader's records then name it (`_read_quoted`), so no
+    line is counted here.
     """
 
     def __init__(self, forecaster_ids) -> None:
-        self.fixed = forecaster_ids is not None
         # a lone surrogate, which a model's JSON may hold, encodes to bytes
         # that no UTF-8 field holds
-        self.forecaster_index = ({f.encode("utf-8", "surrogatepass"): i
-                                  for i, f in enumerate(forecaster_ids)}
-                                 if self.fixed else _numbering())
+        self.forecaster_index = _numbering(f.encode("utf-8", "surrogatepass")
+                                           for f in forecaster_ids or ())
         self.question_index = _numbering()
         self.question_keys = _Keys(self.question_index)
         self.forecaster_keys = _Keys(self.forecaster_index)
@@ -249,9 +259,8 @@ class _Columns:
         """Keep a block of ASCII lines of three fields each, ``ends`` the
         positions of its commas and line feeds, by numpy passes alone.
         Raises `_NotPlain`, with nothing kept and no id numbered, if an id
-        is empty or longer than 8 bytes, a forecaster is not part of the
-        model, or a probability is one that `float` rejects or outside
-        [0, 1]."""
+        is empty or longer than 8 bytes, or a probability is one that
+        `float` rejects or outside [0, 1]."""
         octets, words = _views(block)
         bounds = ends.reshape(-1, 3).T  # each line's two commas and line feed
         starts = np.empty(bounds.shape, np.intp)
@@ -262,9 +271,6 @@ class _Columns:
         if lengths[:2].min() < 1 or lengths[:2].max() > 8:
             raise _NotPlain
         question_keys, forecaster_keys = words[starts[:2]] & _BYTE_MASKS.take(lengths[:2])
-        found = self.forecaster_keys.find(forecaster_keys)
-        if self.fixed and not found[1].all():
-            raise _NotPlain
         try:
             values, slow = _decimals(block, octets, words, starts[2], lengths[2])
         except ValueError:
@@ -272,7 +278,7 @@ class _Columns:
         if slow.size and not ((values[slow] >= 0.0) & (values[slow] <= 1.0)).all():
             raise _NotPlain
         self.columns.append(self.question_keys.numbered(question_keys))
-        self.rows.append(self.forecaster_keys.numbered(forecaster_keys, *found))
+        self.rows.append(self.forecaster_keys.numbered(forecaster_keys))
         self.values.append(values)
 
     def merge(self, part: _Part) -> None:
@@ -280,8 +286,7 @@ class _Columns:
         its ids take this file's numbers, new ones next in the range's
         order of first appearance."""
         self.columns.append(_renumbered(self.question_index, part.question_ids)[part.columns])
-        self.rows.append(part.rows if self.fixed else
-                         _renumbered(self.forecaster_index, part.forecaster_ids)[part.rows])
+        self.rows.append(_renumbered(self.forecaster_index, part.forecaster_ids)[part.rows])
         self.values.append(part.values)
 
     def validated(self):
@@ -325,17 +330,12 @@ class _Keys:
         self.keys = np.array([k for k, _ in known] + [_NO_KEY], np.uint64)
         self.numbers = np.array([n for _, n in known] + [-1], np.intp)
 
-    def find(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Where each key is or would be in the table, and whether it is."""
-        at = np.searchsorted(self.keys, keys)
-        return at, self.keys[at] == keys
-
-    def numbered(self, keys, at=None, found=None) -> np.ndarray:
+    def numbered(self, keys) -> np.ndarray:
         """The number of each key's id.  Ids not in the table are looked up
         in the dict, which numbers the ones it lacks in order of first
         appearance, and join the table."""
-        if at is None:
-            at, found = self.find(keys)
+        at = np.searchsorted(self.keys, keys)
+        found = self.keys[at] == keys
         if not found.all():
             new, first = np.unique(keys[~found], return_index=True)
             numbers = np.empty(len(new), np.intp)
@@ -348,12 +348,15 @@ class _Keys:
         return self.numbers[at]
 
 
-def _numbering() -> defaultdict[bytes, int]:
-    """An id -> number dict that numbers an id it is indexed with on from
-    its size, so that looking ids up numbers them in order of first
-    appearance.  Only ids that are to be numbered may index it."""
-    index: defaultdict[bytes, int] = defaultdict()
+def _numbering(ids=()) -> defaultdict:
+    """An id -> number dict that numbers ``ids``, then each id it is
+    indexed with, on from its size, so that looking ids up numbers them in
+    order of first appearance.  Only ids that are to be numbered may index
+    it."""
+    index: defaultdict = defaultdict()
     index.default_factory = index.__len__
+    for i in ids:
+        index[i]  # numbers it
     return index
 
 
@@ -566,8 +569,7 @@ def _part(path: Path, forecaster_ids, start: int, end: int) -> _Part | None:
         _read_range(path, columns, start, end)
     except _NotPlain:
         return None
-    return _Part(tuple(columns.question_index),
-                 () if columns.fixed else tuple(columns.forecaster_index),
+    return _Part(tuple(columns.question_index), tuple(columns.forecaster_index),
                  *map(np.concatenate, (columns.rows, columns.columns, columns.values)))
 
 
@@ -601,9 +603,8 @@ def _read_quoted(path: Path, forecaster_ids):
     forecaster not in the caller's list, in that order, and the first that
     fails, or csv.reader's own error, stops the read; a duplicate forecast
     among the records before it comes first."""
-    fixed = forecaster_ids is not None
-    forecaster_index = ({f: i for i, f in enumerate(forecaster_ids)} if fixed
-                        else _numbering())
+    forecaster_index = _numbering(forecaster_ids or ())
+    known = len(forecaster_index) if forecaster_ids is not None else None
     question_index = _numbering()
     rows, columns, lines, values = array("q"), array("q"), array("q"), array("d")
     failure = None
@@ -619,9 +620,8 @@ def _read_quoted(path: Path, forecaster_ids):
                     _fail(path, line, f"probability {field!r} is not a number")
                 if not 0.0 <= value <= 1.0:
                     _fail(path, line, f"probability {field!r} outside [0, 1]")
-            row = (forecaster_index.get(forecaster_id, -1) if fixed
-                   else forecaster_index[forecaster_id])
-            if row < 0:
+            row = forecaster_index[forecaster_id]
+            if row == known:  # the first forecaster the caller did not give
                 _fail(path, line, f"forecaster {forecaster_id!r} is not part of the model")
             rows.append(row)
             columns.append(question_index[question_id])
@@ -643,14 +643,18 @@ def _read_quoted(path: Path, forecaster_ids):
 
 def _read_forecasts(path, forecaster_ids):
     """A forecasts file as `_Columns.validated` gives it: read by
-    `_read_plain`, or else by `_read_quoted`, from the start."""
+    `_read_plain`, or else, and when it names a forecaster the caller did
+    not give, by `_read_quoted`, from the start."""
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
     try:
-        return _read_plain(path, forecaster_ids).validated()
+        read = _read_plain(path, forecaster_ids).validated()
+        if forecaster_ids is None or len(read[1]) == len(set(forecaster_ids)):
+            return read
     except _NotPlain:
-        return _read_quoted(path, forecaster_ids)
+        pass
+    return _read_quoted(path, forecaster_ids)
 
 
 def load_forecast_matrix(path, forecaster_ids=None
@@ -830,30 +834,30 @@ def _write_record(record: dict, path) -> None:
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    """Serialize a trained model as schema ``ensemble_model.v3`` JSON."""
-    record = {
-        "schema": MODEL_SCHEMA,
-        "method": model.method,
-        "imputation": {"seed": model.seed},
-        "forecaster_ids": list(model.forecaster_ids),
-        "rounds": [[index, weight] for index, weight in model.rounds],
-    }
-    _write_record(record, path)
+    """Serialize a trained model as ``ensemble_model.v4`` JSON, its method's fields alone."""
+    values = {"schema": MODEL_SCHEMA, "method": model.method, "imputation": {"seed": model.seed},
+              "forecaster_ids": list(model.forecaster_ids),
+              "rounds": [[index, weight] for index, weight in model.rounds]}
+    _write_record({field: values[field] for field in _MODEL_FIELDS[model.method]}, path)
 
 
 def load_model(path) -> EnsembleModel:
     path = Path(path)
     record = _read_record(path, MODEL_SCHEMA)
     try:
-        imputation = record.get("imputation")
-        if record.keys() != _MODEL_FIELDS or type(imputation) is not dict \
-                or imputation.keys() != {"seed"}:
-            raise ValueError("a model holds exactly schema, method, imputation (its "
-                             "seed alone), forecaster_ids and rounds")
-        pairs, ids = _typed(record["rounds"], list), _typed(record["forecaster_ids"], list)
-        return EnsembleModel(record["method"],
+        method = _typed(record.get("method"), str)
+        fields = _MODEL_FIELDS.get(method)
+        if fields is None or record.keys() != set(fields):
+            raise ValueError(f"a {method} model holds exactly {', '.join(fields)}" if fields
+                             else f"unknown method {method!r}")
+        imputation = record.get("imputation", {"seed": 0})
+        if type(imputation) is not dict or imputation.keys() != {"seed"}:
+            raise ValueError("imputation holds the seed alone")
+        pairs = _typed(record.get("rounds", []), list)
+        return EnsembleModel(method,
                              tuple((_typed(i, int), _typed(w, float)) for i, w in pairs),
-                             tuple(_typed(f, str) for f in ids), _typed(imputation["seed"], int))
+                             tuple(_typed(f, str) for f in _typed(record["forecaster_ids"], list)),
+                             _typed(imputation["seed"], int))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model record ({exc})") from exc
 
@@ -889,15 +893,18 @@ def load_eval_report(path) -> EvalReport:
             QuestionResult(_typed(r["question_id"], str), _typed(r["predicted"], int),
                            _typed(r["actual"], int), _typed(r["probability"], float))
             for r in rows)
-        return EvalReport(
+        report = EvalReport(
             method=_typed(record["method"], str),
-            questions=_typed(record["questions"], int),
-            prediction_errors=_typed(record["prediction_errors"], int),
             avg_unique_forecasters=_typed(record["avg_unique_forecasters"], float),
             per_question=per_question,
             best_individual_errors=_typed(baseline["best_individual_errors"], int),
             mean_individual_errors=_typed(baseline["mean_individual_errors"], float),
         )
+        # the file keeps the counts the report derives from its rows
+        if (_typed(record["questions"], int), _typed(record["prediction_errors"], int)) \
+                != (report.questions, report.prediction_errors):
+            raise ValueError("the question and error counts must be those of the rows")
+        return report
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed report record ({exc})") from exc
 

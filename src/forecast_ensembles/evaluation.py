@@ -37,29 +37,31 @@ class QuestionResult(NamedTuple):
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Outcome of evaluating one combining method on a table."""
+    """Outcome of evaluating one combining method on a table; its counts come from its rows."""
 
     method: str
-    questions: int
-    prediction_errors: int
     avg_unique_forecasters: float
     per_question: tuple[QuestionResult, ...]
     best_individual_errors: int
     mean_individual_errors: float
 
+    @property
+    def questions(self) -> int:
+        return len(self.per_question)
+
+    @property
+    def prediction_errors(self) -> int:
+        return sum(r.predicted != r.actual for r in self.per_question)
+
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if len(self.per_question) != self.questions:
-            raise ValueError("per-question results must cover every question")
         for result in self.per_question:
             if result.predicted not in (POSITIVE, NEGATIVE) \
                     or result.actual not in (POSITIVE, NEGATIVE):
                 raise ValueError("predicted and actual labels must be +1 or -1")
             if not 0.0 <= result.probability <= 1.0:  # NaN fails too
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.prediction_errors != sum(r.predicted != r.actual for r in self.per_question):
-            raise ValueError("prediction errors must count the questions predicted wrong")
         # every model a run trains uses at least one forecaster
         if not 1.0 <= self.avg_unique_forecasters < math.inf:  # NaN fails too
             raise ValueError("average unique forecasters must be finite and at least 1")
@@ -110,13 +112,10 @@ def loo_evaluate(table: ForecastTable, method: str, iterations: int | None = Non
 
     per_question = tuple(map(QuestionResult, table.question_ids, map(classify, margins.tolist()),
                              table.outcomes.tolist(), probabilities.tolist()))
-    errors = sum(result.predicted != result.actual for result in per_question)
 
     _, best, mean = individual_baseline(table)
     return EvalReport(
         method=method,
-        questions=table.n_questions,
-        prediction_errors=errors,
         avg_unique_forecasters=float(np.mean(unique_counts)),
         per_question=per_question,
         best_individual_errors=best,

@@ -289,7 +289,31 @@ class TestCombinePredict:
         code = main(["predict", "--model", str(model_path), "--forecasts", fpath,
                      "--report-out", str(report_path)])
         assert code == 2
-        assert "expected schema 'ensemble_model.v3'" in capsys.readouterr().err
+        assert "expected schema 'ensemble_model.v4'" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("method", ["bagging", "adaboost", "realboost"])
+    def test_predict_rejects_a_v3_model(self, table_files, tmp_path, capsys, method):
+        _, fpath, opath = table_files
+        model_path = tmp_path / "model.json"
+        report_path = tmp_path / "pred.json"
+        assert main(["combine", "--method", method, "--forecasts", fpath, "--outcomes", opath,
+                     "--iterations", "5", "--model-out", str(model_path)]) == 0
+        capsys.readouterr()
+        record = json.loads(model_path.read_text())
+        # the record the ensemble_model.v3 writer made of the same model:
+        # every field for every method, bagging's rounds each forecaster at 1/N
+        n = len(record["forecaster_ids"])
+        v3 = {"schema": "ensemble_model.v3", "method": method,
+              "imputation": record.get("imputation", {"seed": 0}),
+              "forecaster_ids": record["forecaster_ids"],
+              "rounds": record.get("rounds", [[j, 1.0 / n] for j in range(n)])}
+        model_path.write_text(json.dumps(v3, separators=(",", ":")) + "\n")
+        code = main(["predict", "--model", str(model_path), "--forecasts", fpath,
+                     "--report-out", str(report_path)])
+        assert code == 2
+        assert "expected schema 'ensemble_model.v4', got 'ensemble_model.v3'" in \
+            capsys.readouterr().err
         assert not report_path.exists()
 
     def test_predict_rejects_model_with_duplicate_forecaster_ids(self, table_files, tmp_path,

@@ -67,7 +67,7 @@ class TestBagging:
     def test_model_shape(self, toy_table):
         model = bag(toy_table)
         assert model.method == "bagging"
-        assert model.rounds == ((0, 1 / 3), (1, 1 / 3), (2, 1 / 3))
+        assert model.rounds == ()
         assert model.unique_forecasters == 3
         assert model.link.name == "linear"
 
@@ -539,9 +539,8 @@ def predict_cases(draw):
     n, q = draw(st.integers(1, 20)), draw(st.integers(1, 5))
     cell = st.one_of(st.just(np.nan), st.just(0.5), st.floats(0, 1))
     matrix = np.array(draw(st.lists(cell, min_size=n * q, max_size=n * q))).reshape(n, q)
-    if method == "bagging":
-        rounds = tuple((j, 1.0 / n) for j in range(n))
-    else:
+    rounds = ()
+    if method != "bagging":
         weight = st.one_of(st.just(0.0), st.floats(0, 20)) if method == "adaboost" \
             else st.floats(-20, 20)
         rounds = tuple(draw(st.lists(st.tuples(st.integers(0, n - 1), weight),
@@ -756,13 +755,24 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="at least one round"):
             EnsembleModel("realboost", (), ("a",))
 
+    @pytest.mark.parametrize("rounds", [((0, 1.0),), ((0, 0.5), (1, 0.5))])
+    def test_bagging_rounds_rejected(self, rounds):
+        with pytest.raises(ValueError, match="a bagging model none"):
+            EnsembleModel("bagging", rounds, ("a", "b"))
+
+    @pytest.mark.parametrize("method", ["bagging", "realboost"])
+    def test_no_forecaster_rejected(self, method):
+        rounds = () if method == "bagging" else ((0, 1.0),)
+        with pytest.raises(ValueError, match="one or more"):
+            EnsembleModel(method, rounds, ())
+
     def test_negative_adaboost_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             EnsembleModel("adaboost", ((0, -0.5),), ("a",), seed=1)
 
     def test_duplicate_forecaster_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate-free"):
-            EnsembleModel("bagging", ((0, 0.5), (1, 0.5)), ("a", "a"))
+            EnsembleModel("bagging", (), ("a", "a"))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -773,4 +783,5 @@ class TestModelValidation:
                                              ("adaboost", "exponential"),
                                              ("realboost", "exponential")])
     def test_link_is_the_methods_own(self, method, link):
-        assert EnsembleModel(method, ((0, 1.0),), ("a",)).link.name == link
+        rounds = () if method == "bagging" else ((0, 1.0),)
+        assert EnsembleModel(method, rounds, ("a",)).link.name == link

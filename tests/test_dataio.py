@@ -35,6 +35,7 @@ from forecast_ensembles import (
     realboost_train,
     save_eval_report,
     save_model,
+    train,
     write_table,
 )
 from forecast_ensembles import dataio
@@ -124,6 +125,17 @@ class TestLoadTable:
                             "question_id,outcome\nq1,+1\nq1,-1\nq2,+1\nq3,+1\n")
         with pytest.raises(DataFormatError, match="duplicate outcome"):
             load_table(*files)
+
+    @pytest.mark.parametrize("body,message", [
+        (b"q1,+1\nq2,0\nq3,+1\n\xff\n", ":3: outcome must be '+1' or '-1', got '0'"),
+        (b"q1,+1\nq1,-1\n\xff\n", ":3: duplicate outcome for question q1"),
+        (b"q1,+1\nq2,-1\nq3,\xff\n", ":4: byte 0xff is not UTF-8 (invalid start byte)"),
+    ], ids=["bad-value", "duplicate", "the-byte"])
+    def test_bad_outcome_row_before_an_undecodable_byte(self, tmp_path, body, message):
+        fpath, opath = write_files(tmp_path, GOOD_FORECASTS, "")
+        opath.write_bytes(b"question_id,outcome\n" + body)
+        with pytest.raises(DataFormatError, match=re.escape(f"{opath}{message}")):
+            load_table(fpath, opath)
 
 
 class TestLoadForecastMatrix:
@@ -369,9 +381,8 @@ def saved_models(draw):
     method = draw(st.sampled_from(["bagging", "adaboost", "realboost"]))
     ids = draw(st.lists(st.text(), min_size=1, max_size=6, unique=True))
     n = len(ids)
-    if method == "bagging":
-        rounds = tuple((j, 1.0 / n) for j in range(n))
-    else:
+    rounds = ()
+    if method != "bagging":
         low = 0.0 if method == "adaboost" else None
         weight = st.floats(min_value=low, allow_nan=False, allow_infinity=False)
         rounds = tuple(draw(st.lists(st.tuples(st.integers(0, n - 1), weight),
@@ -405,7 +416,8 @@ class TestModelRoundTrip:
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        for schema in ("something_else", "ensemble_model.v1", "ensemble_model.v2"):
+        for schema in ("something_else", "ensemble_model.v1", "ensemble_model.v2",
+                       "ensemble_model.v3"):
             path.write_text(f'{{"schema": "{schema}"}}', encoding="utf-8")
             with pytest.raises(DataFormatError, match="expected schema"):
                 load_model(path)
@@ -437,7 +449,7 @@ class TestModelRoundTrip:
         # the decoder's own line, column and character; the NaN inside
         # the strings of line 1 is not the token that failed
         path = tmp_path / "model.json"
-        path.write_text('{"schema": "ensemble_model.v3", "forecaster_ids": ["NaN", "a\\"NaN"],\n'
+        path.write_text('{"schema": "ensemble_model.v4", "forecaster_ids": ["NaN", "a\\"NaN"],\n'
                         ' "rounds": [[0, -Infinity]]}', encoding="utf-8")
         message = ("not valid JSON (non-standard constant -Infinity: "
                    "line 2 column 17 (char 85))")
@@ -460,7 +472,7 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("edit", [
         lambda record, link, mode: record.update(link={"name": link, "clip": 1e-06}),
         lambda record, link, mode: record.update(clip=1e-06),
-        lambda record, link, mode: record["imputation"].update(mode=mode),
+        lambda record, link, mode: record.update(imputation={"mode": mode, "seed": 0}),
     ], ids=["link", "clip", "mode"])
     @pytest.mark.parametrize("train", [
         lambda t: bag(t),
@@ -481,17 +493,23 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError, match="malformed model record"):
             load_model(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda record: record.update(frozen_imputations=[]),
-        lambda record: record.pop("imputation"),
-        lambda record: record.pop("rounds"),
-        lambda record: record.update(imputation=3),
-        lambda record: record["imputation"].pop("seed"),
+    @pytest.mark.parametrize("method,edit", [
+        ("adaboost", lambda record: record.update(frozen_imputations=[])),
+        ("adaboost", lambda record: record.pop("imputation")),
+        ("adaboost", lambda record: record.pop("rounds")),
+        ("adaboost", lambda record: record.update(imputation=3)),
+        ("adaboost", lambda record: record["imputation"].pop("seed")),
+        ("realboost", lambda record: record.pop("rounds")),
+        ("realboost", lambda record: record.update(imputation={"seed": 0})),
+        ("bagging", lambda record: record.pop("forecaster_ids")),
+        ("bagging", lambda record: record.update(rounds=[])),
+        ("bagging", lambda record: record.update(imputation={"seed": 0})),
     ], ids=["frozen_imputations", "no-imputation", "no-rounds", "imputation-not-an-object",
-            "no-seed"])
-    def test_fields_missing_or_added_rejected(self, tmp_path, toy_table, edit):
+            "no-seed", "realboost-no-rounds", "realboost-imputation", "bagging-no-ids",
+            "bagging-empty-rounds", "bagging-imputation"])
+    def test_fields_missing_or_added_rejected(self, tmp_path, toy_table, method, edit):
         path = tmp_path / "model.json"
-        save_model(adaboost_train(toy_table, 4, seed=3), path)
+        save_model(train(toy_table, method, 4, seed=3 if method == "adaboost" else 0), path)
         record = json.loads(path.read_text())
         edit(record)
         path.write_text(json.dumps(record))
@@ -501,41 +519,52 @@ class TestModelRoundTrip:
     @given(model=saved_models())
     @example(model=EnsembleModel("adaboost", ((1, 0.5),), ("é", "预测者 🙂"), 2**64 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_record_holds_exactly_the_five_fields(self, model):
+    def test_record_holds_exactly_its_methods_fields(self, model):
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "model.json"
             save_model(model, path)
             record = json.loads(path.read_text(encoding="utf-8"))
             loaded = load_model(path)
-        assert list(record) == ["schema", "method", "imputation", "forecaster_ids", "rounds"]
-        assert record["schema"] == "ensemble_model.v3"
-        assert record["imputation"] == {"seed": model.seed}
+        assert list(record) == {
+            "bagging": ["schema", "method", "forecaster_ids"],
+            "realboost": ["schema", "method", "forecaster_ids", "rounds"],
+            "adaboost": ["schema", "method", "imputation", "forecaster_ids", "rounds"],
+        }[model.method]
+        assert record["schema"] == "ensemble_model.v4"
+        assert record.get("imputation", {"seed": 0}) == {"seed": model.seed}
+        assert record.get("rounds", []) == [list(pair) for pair in model.rounds]
         assert loaded == model
 
     @pytest.mark.parametrize("train", [lambda t: bag(t), lambda t: realboost_train(t, 4)],
                              ids=["bagging", "realboost"])
     def test_a_seed_only_adaboost_reads_is_rejected(self, tmp_path, toy_table, train):
-        # such a model would predict as the trained one but compare unequal
+        # such a model would predict as the trained one but compare unequal;
+        # its method has no seed, so its file has no field for one
         path = tmp_path / "model.json"
         save_model(train(toy_table), path)
         record = json.loads(path.read_text())
-        assert record["imputation"] == {"seed": 0}
-        record["imputation"]["seed"] = 5
+        assert "imputation" not in record
+        record["imputation"] = {"seed": 5}
         path.write_text(json.dumps(record))
-        with pytest.raises(DataFormatError, match="malformed model record.*seed must be 0"):
+        with pytest.raises(DataFormatError, match="malformed model record.*model holds exactly"):
             load_model(path)
 
     @pytest.mark.parametrize("rounds", [[[0, 5.0]], [[0, 0.5], [1, 0.5]],
                                         [[1, 1 / 3], [0, 1 / 3], [2, 1 / 3]],
-                                        [[0, 1 / 3], [1, 1 / 3], [2, 1 / 3], [0, 1 / 3]]])
+                                        [[0, 1 / 3], [1, 1 / 3], [2, 1 / 3], [0, 1 / 3]],
+                                        [[0, 1 / 3], [1, 1 / 3], [2, 1 / 3]]])
     def test_bagging_rounds_other_than_the_average_rejected(self, tmp_path, toy_table, rounds):
+        # the average is no rounds at all, so the rounds the ensemble_model.v3
+        # writer spelled it with (the last case) are rejected too
         path = tmp_path / "model.json"
         save_model(bag(toy_table), path)
         record = json.loads(path.read_text())
-        assert record["rounds"] == [[0, 1 / 3], [1, 1 / 3], [2, 1 / 3]]
+        assert record == {"schema": "ensemble_model.v4", "method": "bagging",
+                          "forecaster_ids": list(toy_table.forecaster_ids)}
         record["rounds"] = rounds
         path.write_text(json.dumps(record))
-        with pytest.raises(DataFormatError, match="malformed model record.*bagging rounds"):
+        with pytest.raises(DataFormatError,
+                           match="malformed model record.*bagging model holds exactly"):
             load_model(path)
 
     @pytest.mark.parametrize("field,value", [
@@ -633,6 +662,22 @@ class TestReportRoundTrip:
         edit(record)
         path.write_text(json.dumps(record))
         with pytest.raises(DataFormatError, match="malformed report record"):
+            load_eval_report(path)
+
+    @pytest.mark.parametrize("field,change", [("questions", 1), ("questions", -1),
+                                              ("prediction_errors", 1),
+                                              ("prediction_errors", -1)])
+    def test_counts_other_than_the_rows_are_rejected(self, tmp_path, toy_table, field, change):
+        # a report derives both counts from its rows; the file keeps them
+        path = tmp_path / "report.json"
+        report = loo_evaluate(toy_table, "bagging")
+        save_eval_report(report, path)
+        record = json.loads(path.read_text())
+        assert record["questions"] == toy_table.n_questions
+        record[field] += change
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataFormatError, match="malformed report record .the question and "
+                                                  "error counts must be those of the rows"):
             load_eval_report(path)
 
     def test_an_overflowing_unique_count_is_rejected(self, tmp_path, toy_table):
@@ -999,23 +1044,36 @@ class TestBlockLoaderMatchesReference:
         assert loaded(load_forecast_matrix, path, forecaster_ids) == expected
         assert quoted == [1]
 
-    @pytest.mark.parametrize("body,line", [
-        (b"q1,a,0.5\nq2,a,0.\xff\n", 3),
+    @pytest.mark.parametrize("body,message", [
+        (b"q1,a,0.5\nq2,a,0.\xff\n", None),
         (b"q1,a,7\n" + b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"\xff\n",
-         None),
-        (b"q1,a,0.5\nq1,a,0.5\n" + b"q2,b,0.5\n" * 40_000 + b"\xff\n", None),
-        (b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"q,\xff,\n", 40_002),
-    ], ids=["early", "after-bad-row", "after-duplicate", "late"])
-    def test_undecodable_byte_meets_the_same_error(self, tmp_path, body, line):
-        """An earlier bad record wins, as in the reference; otherwise the
-        error names the line of the byte, where the reference loader
-        raises the decoder's own error."""
+         ":2: probability '7' outside [0, 1]"),
+        (b"q1,a,0.5\nq1,a,0.5\n" + b"q2,b,0.5\n" * 40_000 + b"\xff\n",
+         ":3: duplicate forecast for (q1, a)"),
+        (b"".join(b"q%d,b,0.5\n" % k for k in range(40_000)) + b"q,\xff,\n", None),
+        (b"q1,a,7\nq2,a,0.5\n\xff\n", ":2: probability '7' outside [0, 1]"),
+        (b"q1,a,0.5\nq1,a,0.5\n\xff\n", ":3: duplicate forecast for (q1, a)"),
+        (b"q1,a,0.5,x\n\xff\n", ":2: expected 3 fields, got 4"),
+        (b'q1,a,0.5\n"q2\n\xff",a,0.5\n', None),
+        (b'q1,a,0.5\n"q2\n",a,\xff\nq3,a,7\n', None),
+        (b"q1,a,0.5\nq2,a,0.5\r\xff\n", None),
+    ], ids=["early", "after-bad-row", "after-duplicate", "late", "near-bad-row",
+            "near-duplicate", "near-field-count", "in-a-quoted-record",
+            "ends-a-quoted-record", "after-a-lone-cr"])
+    def test_undecodable_byte_meets_the_same_error(self, tmp_path, body, message):
+        """An earlier bad record wins, as in the reference when a chunk the
+        decoder read before the byte's holds it, and when the same chunk
+        does too; otherwise the error names the line of the byte, where the
+        reference loader raises the decoder's own error."""
         path = tmp_path / "f.csv"
         path.write_bytes(",".join(FORECASTS_HEADER).encode() + b"\n" + body)
-        expected = loaded(csv_reference.load_forecast_matrix, path)
-        if line is not None:
-            expected = ("DataFormatError",
-                        f"{path}:{line}: byte 0xff is not UTF-8 (invalid start byte)")
+        if message is None:
+            data = path.read_bytes()
+            line = len(data[:data.index(b"\xff") + 1].splitlines())
+            message = f":{line}: byte 0xff is not UTF-8 (invalid start byte)"
+        expected = ("DataFormatError", f"{path}{message}")
+        reference = loaded(csv_reference.load_forecast_matrix, path)
+        assert reference == expected or reference[0] == "UnicodeDecodeError"
         assert loaded(load_forecast_matrix, path) == expected
 
 
@@ -1118,7 +1176,7 @@ class TestRanges:
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,b,7\nq3,b,maybe\n", None,
          ":5: probability '7' outside [0, 1]", False),
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,a,1\nq1,c,0.5\n", ["b", "a"],
-         ":5: forecaster 'c' is not part of the model", False),
+         ":5: forecaster 'c' is not part of the model", True),
         (b"q1,a,0.5\n\nq2,b,0.25\n", b"q3,a,1\n\nq1,b,0.5,x\n", None,
          ":7: expected 3 fields, got 4", False),
         (b"q1,a,0.5\nq2,b,0.25\n", b"q3,c,1\nq4,b,0\nq1,d,\nq3,a,0.5\n", None, None, True),
@@ -1132,8 +1190,9 @@ class TestRanges:
                                           message, merged):
         """A second range that the kernel declines comes back from the child
         as declined, is not read again here, and sends the file to
-        csv.reader; a duplicate across the ranges is met once the child's
-        range is merged, and sends it there too."""
+        csv.reader; a duplicate across the ranges, or a forecaster the
+        caller did not give, is met once the child's range is merged, and
+        sends it there too."""
         path, taken, here = split_file(first, second)
         expected = loaded(csv_reference.load_forecast_matrix, path, forecaster_ids)
         if message is not None:

@@ -121,7 +121,7 @@ class TestLeaveOneOut:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            EvalReport("bagging", 1, 2, 1.0, (), 0, 0.0)
+            EvalReport("bagging", 1.0, (), 1, 0.0)  # a best count above 0 questions
 
     @pytest.mark.parametrize("unique", [math.inf, math.nan, -5.0, 0.0, 0.5])
     def test_report_rejects_an_impossible_unique_count(self, toy_table, unique):
