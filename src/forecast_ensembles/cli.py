@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--mode", choices=["type1", "type2"], required=True)
     synth.add_argument("--noise", type=float, default=1.0)
     synth.add_argument("--coverage", type=float, default=0.8)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out-prefix", required=True)
     synth.set_defaults(func=_cmd_synth)
 

@@ -30,36 +30,35 @@ JSON file, the CLI's prediction report too, is one line of compact,
 strict JSON (no NaN or infinity) written by `_write_record`; ``python -m
 json.tool FILE`` pretty-prints one, and the readers take any layout.
 
-The forecasts file is read as bytes, in blocks of whole lines, each CRLF
-read as LF.  One numpy pass over a block's bytes finds its line feeds and
-commas; when every third of them is a line feed, every line holds three
-fields.  A blank line fails that check, so
-only a block that fails it is looked at again, its blank lines dropped.
-A block of lines of three fields is read by a fixed set of numpy passes
-over its bytes (`_Columns.add_plain`).  An id of one to eight bytes is a
-uint64 key, its bytes zero-padded, looked up in a sorted table of the
-keys met so far (`_Keys`); only a key met for the first time is
-numbered, by the dict.  A probability of one digit, a point and 1 to 19
-digits, all that `write_table` writes for a value of 0.001 or more, is
-read without `float` (`_decimals`): its digits are an integer M, a
-float64 estimate of M / 10**19 is corrected by a residue that 64-bit
-integers hold exactly, and the result is the double nearest the decimal,
-as `float` gives it.  Any other form goes to `float`.
+The forecasts file is read as bytes, in blocks of whole lines, each
+ending in LF, as `write_table` writes them.  One numpy pass over a
+block's bytes finds its commas and line feeds; when they run comma,
+comma, line feed, every line holds three fields, and the block is read
+by a fixed set of numpy passes over its bytes (`_Columns.add_plain`).
+An id of one to eight bytes is a uint64 key, its bytes zero-padded,
+looked up in a sorted table of the keys met so far (`_Keys`); only a key
+met for the first time is numbered, by the dict.  A probability of one
+digit, a point and 1 to 19 digits, all that `write_table` writes for a
+value of 0.001 or more, is read without `float` (`_decimals`): its
+digits are an integer M, a float64 estimate of M / 10**19 is corrected
+by a residue that 64-bit integers hold exactly, and the result is the
+double nearest the decimal, as `float` gives it.  Any other form goes to
+`float`.
 
 Any other file is read by csv.reader, whole, in one process and one
 record at a time (`_read_quoted`): a file with a header other than the
-exact line, a quote, a NUL, a carriage return that does not start a
-CRLF, a byte that is not ASCII or a line of more bytes than
+exact line, a quote, a NUL, a carriage return (so every CRLF file), a
+byte that is not ASCII or a line of more bytes than
 ``csv.field_size_limit()``, and a file in which the plain reader finds a
-fault: a line of other than three fields, an id that is empty or longer
-than 8 bytes, a probability that `float` rejects or that lies outside
-[0, 1], a forecaster the caller did not give, or a duplicate forecast.
-So the plain reader keeps no line numbers, and every error is named by
-csv.reader's records, as the first offending record, ``file:line``
-counting physical lines; a field over the csv limit (131,072 characters
-unless changed) and a byte that is not UTF-8 are errors too, not
-crashes, and the records before the byte are checked first
-(`_before_undecodable`).  One check, `_first_duplicate`, finds a
+fault: a line of other than three fields, a blank one too, an id that is
+empty or longer than 8 bytes, a probability that `float` rejects or that
+lies outside [0, 1], a forecaster the caller did not give, or a
+duplicate forecast.  So the plain reader keeps no line numbers, and
+every error is named by csv.reader's records, as the first offending
+record, ``file:line`` counting physical lines; a field over the csv
+limit (131,072 characters unless changed) and a byte that is not UTF-8
+are errors too, not crashes, and the records before the byte are checked
+first (`_before_undecodable`).  One check, `_first_duplicate`, finds a
 duplicate forecast in either reader's arrays.  The plain reader numbers
 ids as UTF-8 bytes and decodes each once; UTF-8 is one to one, so the
 numbering is that of the text.
@@ -211,10 +210,10 @@ _BLOCK_BYTES = 1 << 16
 # shrink the affinity mask `_split` counts.
 _MIN_RANGE_BYTES = 1 << 20
 
-# Bytes that only csv.reader tokenizes as it should: a quote, or a NUL
-# (rejected by csv on some Python versions).  A carriage return ends a line
-# for csv too; the plain reader takes one only where it starts a CRLF.
-_CSV_ONLY = (b'"', b"\0")
+# Bytes that only csv.reader tokenizes as it should: a quote, a NUL
+# (rejected by csv on some Python versions), or a carriage return, which
+# ends a line for csv too.
+_CSV_ONLY = (b'"', b"\0", b"\r")
 _HEADER_LINE = ",".join(FORECASTS_HEADER).encode()
 
 
@@ -453,9 +452,8 @@ class _NotPlain(Exception):
 
 def _plain_blocks(handle, start: int, end: int):
     """Bytes ``start`` to ``end`` of the binary file ``handle`` as blocks of
-    whole lines, each line ending in LF and each CRLF read as LF.  Raises
-    `_NotPlain` at a byte that is not ASCII, one of `_CSV_ONLY`, a carriage
-    return that does not start a CRLF, or a line of more bytes than
+    whole lines, each ending in LF.  Raises `_NotPlain` at a byte that is
+    not ASCII, one of `_CSV_ONLY`, or a line of more bytes than
     ``csv.field_size_limit()``, whose fields csv may reject."""
     limit = csv.field_size_limit()
     tail = b""  # the unfinished last line of the bytes read so far
@@ -466,14 +464,6 @@ def _plain_blocks(handle, start: int, end: int):
         if not chunk.isascii() or any(c in chunk for c in _CSV_ONLY):
             raise _NotPlain
         data = tail + chunk
-        if b"\r" in data:
-            # a last CR may start a CRLF that the next block ends, so it
-            # stays in the tail
-            held = b"\r" if data.endswith(b"\r") else b""
-            data = data[:len(data) - len(held)]
-            if data.count(b"\r") != data.count(b"\r\n"):
-                raise _NotPlain
-            data = data.replace(b"\r\n", b"\n") + held
         # no line of a block within the limit can exceed it, so only a
         # longer block is measured; an ASCII line's bytes are its characters
         if len(data) > limit:
@@ -484,23 +474,8 @@ def _plain_blocks(handle, start: int, end: int):
         block, tail = data[:cut], data[cut:]
         if block:
             yield block
-    if tail.endswith(b"\r"):
-        raise _NotPlain
     if tail:
         yield tail + b"\n"
-
-
-def _field_ends(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the commas and line feeds among the bytes
-    ``data``, and those bytes."""
-    ends = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
-    return ends, data[ends]
-
-
-def _three_fields(marks: np.ndarray, count: int) -> bool:
-    """Whether ``count`` lines, whose commas and line feeds are ``marks``,
-    hold three fields each: every third mark is a line feed."""
-    return len(marks) == 3 * count and bool((marks[2::3] == ord("\n")).all())
 
 
 def _read_range(path: Path, columns: _Columns, start: int, end: int) -> None:
@@ -518,21 +493,10 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int) -> None:
             blocks = chain([block] if block else [], blocks)
         for block in blocks:
             data = np.frombuffer(block, np.uint8)
-            ends, marks = _field_ends(data)
-            count = np.count_nonzero(marks == ord("\n"))
-            if not _three_fields(marks, count):
-                # each blank line fails the check, so only a block that
-                # fails it is checked again with its blank lines dropped
-                feeds = ends[marks == ord("\n")]
-                blank = np.diff(feeds, prepend=-1) == 1
-                data = np.delete(data, feeds[blank])
-                count -= np.count_nonzero(blank)
-                ends, marks = _field_ends(data)
-                if not _three_fields(marks, count):
-                    raise _NotPlain
-                block = data.tobytes()
-            if count:
-                columns.add_plain(block, ends)
+            ends = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
+            if data[ends].tobytes() != b",,\n" * (len(ends) // 3):  # three fields a line
+                raise _NotPlain
+            columns.add_plain(block, ends)
 
 
 def _split(size: int) -> bool:

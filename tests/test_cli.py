@@ -141,6 +141,13 @@ class TestSynth:
             assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        assert main(["synth", "--forecasters", "2", "--questions", "2", "--mode", "type2",
+                     "--seed", seed, "--out-prefix", str(tmp_path / "x")]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_mode_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--forecasters", "2", "--questions", "2",
                      "--out-prefix", str(tmp_path / "x")]) == 1

@@ -14,10 +14,12 @@ from forecast_ensembles import (
     EnsembleModel,
     ForecastTable,
     LinkSpec,
+    SyntheticSpec,
     adaboost_train,
     bag,
     classify,
     ensemble_predict_table,
+    generate_synthetic,
     realboost_train,
     train,
     train_folds,
@@ -615,6 +617,15 @@ class TestTrain:
     def test_unknown_method_rejected(self, toy_table):
         with pytest.raises(ValueError, match="unknown method"):
             train(toy_table, "stacking")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_realboost_keeps_fewer_forecasters_than_adaboost(self, seed):
+        """The paper's sparsity claim, on tables of its shape: 338
+        forecasters, 88 questions, half of the forecasts given."""
+        table = generate_synthetic(SyntheticSpec(forecasters=338, questions=88, coverage=0.5,
+                                                 seed=seed))
+        assert (train(table, "realboost").unique_forecasters
+                < train(table, "adaboost", seed=seed).unique_forecasters)
 
 
 class TestTrainFolds:
