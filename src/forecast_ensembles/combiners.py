@@ -32,14 +32,13 @@ over questions, and the specification is exact: each total is
 accumulated in question order, as a left-to-right scalar loop would, and
 ties go to the lowest index.  The trainers build their per-question
 factors once, question-major (Q, N), and hand them to `_LeastTotal`,
-which finds that argmin at BLAS speed without changing it.  Once per
-training, or once per leave-one-out, it keeps only the first of each set
-of identical columns.  Each round it screens all columns with one BLAS
-matrix-vector product, keeps the few whose screened total lies within
-the forward error bound of sums of non-negative terms (Higham 2002, sec.
-4.2) of the least one, and sums only those in question order.  The
-bound holds for any summation order, so picks and totals do not depend
-on how BLAS sums or on how many threads it uses.
+which finds that argmin at BLAS speed without changing it.  Each round
+it screens all columns with one BLAS matrix-vector product, keeps the
+few whose screened total lies within the forward error bound of sums of
+non-negative terms (Higham 2002, sec. 4.2) of the least one, and sums
+only those in question order.  The bound holds for any summation order,
+so picks and totals do not depend on how BLAS sums or on how many
+threads it uses.
 
 A round is a pure function of the question weights, so a round that
 leaves them bit for bit as they were is repeated by every later one.  The
@@ -53,13 +52,10 @@ bit, as those of training every round.
 
 Realboost's factors of a fold are the full table's without the held-out
 question's row, since an absent forecast reads as 0.5 whatever the fold.
-So `train_folds` builds them and their column collapse once
-(`_loss_factors`, the one builder, and `_LeastTotal`) and hands each fold
-the kept columns without its row (`_LeastTotal.without_row`); columns
-identical on the table are identical on every fold, and a tie on one fold
-only is left to the ordered recheck.  Realboost reweights by the products
-its objective summed.  Adaboost folds each draw their own fill from
-``seed ^ q`` and build their own.
+So `train_folds` builds them once (`_loss_factors`, the one builder) and
+hands each fold those without its row.  Realboost reweights by the
+products its objective summed.  Adaboost folds each draw their own fill
+from ``seed ^ q`` and build their own.
 
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
@@ -199,12 +195,8 @@ class _LeastTotal:
     ``factors * weights[:, None]``, each total accumulated strictly in
     question order (`_ordered_sum`), as if every column had been summed by
     a left-to-right scalar loop.  Only the work of finding that argmin is
-    cut, in three ways.
+    cut, in two steps.
 
-    * Column collapse.  Byte-identical columns have identical ordered
-      totals, so only the first of each is kept, once per training or,
-      through `without_row`, once per leave-one-out; the lowest index of
-      a tie stays the one returned.
     * Screen.  ``weights @ factors`` goes to BLAS, which may sum in any
       order, in blocks, with or without fused multiply-adds and on any
       number of threads.  All terms are non-negative, so every computed
@@ -233,45 +225,12 @@ class _LeastTotal:
     """
 
     def __init__(self, factors: np.ndarray) -> None:
-        # each column's bytes as one void scalar, listed as bytes objects
-        keys = np.ascontiguousarray(factors.T).view(
-            np.dtype((np.void, factors.itemsize * factors.shape[0]))).ravel().tolist()
-        first: dict[bytes, int] = {}
-        for j, key in enumerate(keys):
-            first.setdefault(key, j)
-        self.columns = list(first.values())
-        self.n_columns = factors.shape[1]
-        if len(first) < self.n_columns:
-            # the gather comes back in F order; keep the question-major
-            # layout the trainers build
-            factors = np.ascontiguousarray(factors[:, self.columns])
-        self._bind(factors)
-
-    def without_row(self, row: int) -> _LeastTotal:
-        """The argmin of the same factors without row ``row``, for the
-        leave-one-out fold without that question.  It keeps this
-        instance's columns rather than collapsing again: columns identical
-        on every row stay identical on any subset of the rows, and two
-        kept columns that tie on the fold only both stay candidates, which
-        the ordered recheck resolves to the lower index as a collapse
-        would.  The bound is the fold's own, from its Q - 1 rows."""
-        least = object.__new__(_LeastTotal)
-        least.columns, least.n_columns = self.columns, self.n_columns
-        least._bind(np.delete(self.factors, row, axis=0))
-        return least
-
-    def _bind(self, factors: np.ndarray) -> None:
         self.factors = factors
         n_questions = factors.shape[0]
         gamma = (n_questions + 2) * _UNIT_ROUNDOFF / (1.0 - (n_questions + 2) * _UNIT_ROUNDOFF)
         self.slack = ((1.0 + gamma) / (1.0 - gamma)) ** 2
         self.floor = 4 * n_questions * _TINY
         self.candidates = 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(Q, N) of the factors, counting the collapsed columns."""
-        return self.factors.shape[0], self.n_columns
 
     def __call__(self, weights: np.ndarray) -> tuple[int, float]:
         factors = self.factors
@@ -284,7 +243,7 @@ class _LeastTotal:
             # the least screened total is the only column under its limit
             self.candidates += 1
             self.products = factors[:, j] * weights
-            return self.columns[j], _ordered_sum(self.products)
+            return int(j), _ordered_sum(self.products)
         # a NaN screen makes the limit NaN: every column is a candidate
         candidates = under.nonzero()[0] if count else np.arange(len(screen))
         self.candidates += len(candidates)
@@ -292,13 +251,11 @@ class _LeastTotal:
         totals = _ordered_sum(products)
         j = totals.argmin()
         self.products = products[:, j]
-        return self.columns[candidates[j]], totals[j]
+        return int(candidates[j]), totals[j]
 
 
-def _log_argmin(method: str, rounds: int, n_forecasters: int, least: _LeastTotal) -> None:
-    logger.debug("%s: %d rounds, %d of %d forecasters distinct, %d candidates "
-                 "rechecked", method, rounds, len(least.columns), n_forecasters,
-                 least.candidates)
+def _log_argmin(method: str, rounds: int, least: _LeastTotal) -> None:
+    logger.debug("%s: %d rounds, %d candidates rechecked", method, rounds, least.candidates)
 
 
 def _repeat_to_the_end(method: str, rounds: list[tuple[int, float]], iterations: int) -> None:
@@ -382,7 +339,7 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
             rows = wrong[picked] = np.flatnonzero(mistaken[picked])
         weights[rows] *= math.exp(alpha)
         weights /= _ordered_sum(weights)
-    _log_argmin("adaboost", len(rounds), table.n_forecasters, least_mass)
+    _log_argmin("adaboost", len(rounds), least_mass)
 
     return EnsembleModel("adaboost", tuple(rounds), table.forecaster_ids, seed)
 
@@ -397,7 +354,7 @@ def _loss_factors(table: ForecastTable) -> np.ndarray:
 
 
 def realboost_train(table: ForecastTable, iterations: int, *,
-                    least_objective: _LeastTotal | None = None) -> EnsembleModel:
+                    factors: np.ndarray | None = None) -> EnsembleModel:
     """Stagewise boosting of log-odds predictors.
 
     Absent forecasts read as 0.5, i.e. a zero-margin abstention.  Each
@@ -410,17 +367,17 @@ def realboost_train(table: ForecastTable, iterations: int, *,
     factors leave every weight as it was (a constant 0.5 forecaster under
     weights that sum to 1.0) fills every round left.
 
-    ``least_objective``, when given, must be the `_LeastTotal` of the
-    table's own (Q, N) factors, as `_loss_factors` builds them;
-    `train_folds` hands each fold the full table's without the held-out
-    row (`_LeastTotal.without_row`).  A wrong shape raises ValueError.
+    ``factors``, when given, must be the table's own (Q, N) factors, as
+    `_loss_factors` builds them; `train_folds` hands each fold the full
+    table's without the held-out row.  A wrong shape raises ValueError.
     """
     _check_trainable(table, iterations)
     shape = (table.n_questions, table.n_forecasters)
-    if least_objective is None:
-        least_objective = _LeastTotal(_loss_factors(table))
-    elif least_objective.shape != shape:
-        raise ValueError(f"loss factors have shape {least_objective.shape}, expected {shape}")
+    if factors is None:
+        factors = _loss_factors(table)
+    elif factors.shape != shape:
+        raise ValueError(f"loss factors have shape {factors.shape}, expected {shape}")
+    least_objective = _LeastTotal(factors)
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
 
     rounds: list[tuple[int, float]] = []
@@ -438,7 +395,7 @@ def realboost_train(table: ForecastTable, iterations: int, *,
             _repeat_to_the_end("realboost", rounds, iterations)
             break
         weights = reweighted / objective
-    _log_argmin("realboost", iterations, table.n_forecasters, least_objective)
+    _log_argmin("realboost", iterations, least_objective)
 
     return EnsembleModel("realboost", tuple(rounds), table.forecaster_ids)
 
@@ -469,9 +426,9 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
     caller that takes one model at a time holds one at a time.  Each fold
     goes through the module's trainer at that time, so a caller that
     rebinds it sees every fold.  Realboost builds the table's loss factors
-    and their column collapse once, and hands fold q those rows but row
-    q, the only one that reads question q's outcome.  One info line
-    reports progress every tenth of the folds, rounded up."""
+    once, and hands fold q those rows but row q, the only one that reads
+    question q's outcome.  One info line reports progress every tenth of
+    the folds, rounded up."""
     if method not in DEFAULT_ITERATIONS:
         raise ValueError(f"unknown boosting method {method!r}; expected one of "
                          f"{tuple(DEFAULT_ITERATIONS)}")
@@ -479,6 +436,8 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
         iterations = DEFAULT_ITERATIONS[method]
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
+    if method == "adaboost" and not 0 <= seed <= MAX_SEED:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     if table.n_questions < 2:
         raise ValueError("boosting needs at least two questions, one to hold out")
     return _trained_folds(table, method, iterations, seed)
@@ -486,15 +445,15 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
 
 def _trained_folds(table: ForecastTable, method: str, iterations: int,
                    seed: int) -> Iterator[EnsembleModel]:
-    least = _LeastTotal(_loss_factors(table)) if method == "realboost" else None
+    factors = _loss_factors(table) if method == "realboost" else None
     n_questions = table.n_questions
     every = -(-n_questions // 10)
     for q in range(n_questions):
         fold = table.without_question(q)
-        if least is None:
+        if factors is None:
             model = adaboost_train(fold, iterations, seed ^ q)
         else:
-            model = realboost_train(fold, iterations, least_objective=least.without_row(q))
+            model = realboost_train(fold, iterations, factors=np.delete(factors, q, axis=0))
         if (q + 1) % every == 0:
             logger.info("%s: fold %d of %d", method, q + 1, n_questions)
         yield model

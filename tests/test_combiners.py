@@ -261,13 +261,12 @@ class TestLeastTotal:
         assert least(np.full(3, 0.5)) == (3, 0.5)
         assert least.candidates == 2
 
-    def test_duplicate_columns_collapse_to_the_first(self):
+    def test_duplicate_columns_tie_to_the_first(self):
         factors = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
         least = _LeastTotal(factors)
-        assert least.columns == [0, 1]
         assert least(np.array([0.5, 0.25])) == (1, 0.25)
         assert least(np.array([0.25, 0.25])) == (0, 0.25)
-        assert least.candidates == 3
+        assert least.candidates == 6
 
 
 class TestAdaBoost:
@@ -328,17 +327,17 @@ class TestAdaBoost:
             adaboost_train(toy_table, 0)
 
     def test_debug_line_counts_the_argmin_work(self, caplog):
-        # x and y forecast alike, so one of the two columns is collapsed; x
-        # is right on all three questions, so adaboost screens one round
-        # and repeats it (TestFixedPoint)
+        # x and y forecast alike, so their columns tie in every round and
+        # both are rechecked; x is right on all three questions, so adaboost
+        # screens one round and repeats it (TestFixedPoint)
         forecasts = np.array([[0.9, 0.2, 0.8], [0.9, 0.2, 0.8], [0.1, 0.7, 0.4]])
         table = ForecastTable(("a", "b", "c"), ("x", "y", "z"), forecasts, np.array([1, -1, 1]))
         with caplog.at_level(logging.DEBUG, logger="forecast_ensembles.combiners"):
             adaboost_train(table, 3)
             realboost_train(table, 2)
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG] == [
-            "adaboost: 3 rounds, 2 of 3 forecasters distinct, 1 candidates rechecked",
-            "realboost: 2 rounds, 2 of 3 forecasters distinct, 2 candidates rechecked",
+            "adaboost: 3 rounds, 2 candidates rechecked",
+            "realboost: 2 rounds, 4 candidates rechecked",
         ]
 
 
@@ -658,12 +657,12 @@ class TestTrainFolds:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_realboost_fold_ties_go_to_the_lower_index(self, n, q, iterations, seed):
-        # The folds share one column collapse, made on the full table.  Next
-        # to random forecasters, the table holds a copy of one of them, an
-        # all-abstain forecaster and a constant 0.5 member (identical loss
-        # factors), and pairs of strong forecasters that differ at one
+        # The folds share one loss-factor matrix, built on the full table.
+        # Next to random forecasters, the table holds a copy of one of them,
+        # an all-abstain forecaster and a constant 0.5 member (identical
+        # loss factors), and pairs of strong forecasters that differ at one
         # question only: they tie on that question's fold alone, where the
-        # lower index must win as if the fold were collapsed on its own.
+        # lower index must win.
         rng = np.random.default_rng(seed)
         outcomes = rng.choice([1, -1], size=q)
         right = np.where(outcomes == 1, 0.95, 0.05)
@@ -709,14 +708,22 @@ class TestTrainFolds:
         assert [len(m.rounds) for m in models] == [DEFAULT_ITERATIONS["realboost"]] * 4
 
     def test_wrong_factor_shape_rejected(self, toy_table):
-        least = _LeastTotal(_loss_factors(toy_table))
+        factors = _loss_factors(toy_table)
         with pytest.raises(ValueError, match="shape"):
-            realboost_train(toy_table, 3, least_objective=least.without_row(0))
+            realboost_train(toy_table, 3, factors=np.delete(factors, 0, axis=0))
         with pytest.raises(ValueError, match="shape"):
-            realboost_train(toy_table, 3,
-                            least_objective=_LeastTotal(_loss_factors(toy_table).T.copy()))
-        assert realboost_train(toy_table, 3, least_objective=least) == \
-            realboost_train(toy_table, 3)
+            realboost_train(toy_table, 3, factors=factors.T.copy())
+        assert realboost_train(toy_table, 3, factors=factors) == realboost_train(toy_table, 3)
+
+    @pytest.fixture
+    def unbuildable(self, monkeypatch):
+        """Every builder of a fold fails the test if called."""
+        def built(*args, **kwargs):
+            raise AssertionError("built before the arguments were checked")
+
+        for name in ("_loss_factors", "adaboost_train", "realboost_train"):
+            monkeypatch.setattr(combiners, name, built)
+        monkeypatch.setattr(ForecastTable, "without_question", built)
 
     @pytest.mark.parametrize("method, iterations, n_questions, message", [
         ("bagging", 3, 4, "unknown boosting method"),
@@ -726,17 +733,37 @@ class TestTrainFolds:
         ("realboost", 3, 1, "two questions"),
         ("adaboost", 3, 1, "two questions"),
     ])
-    def test_rejects_before_building_anything(self, monkeypatch, method, iterations,
+    def test_rejects_before_building_anything(self, unbuildable, method, iterations,
                                               n_questions, message):
-        def built(*args, **kwargs):
-            raise AssertionError("built before the arguments were checked")
-
-        for name in ("_loss_factors", "adaboost_train", "realboost_train"):
-            monkeypatch.setattr(combiners, name, built)
-        monkeypatch.setattr(ForecastTable, "without_question", built)
         table = random_table(np.random.default_rng(0), 3, n_questions)
         with pytest.raises(ValueError, match=message):
             train_folds(table, method, iterations)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_an_adaboost_seed_out_of_range_before_building_anything(self, unbuildable,
+                                                                             seed):
+        table = random_table(np.random.default_rng(0), 3, 4)
+        with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+            train_folds(table, "adaboost", 3, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_identical_columns_tied_at_the_minimum(self, seed):
+        # 200 forecasters on 6 questions: most mistake columns are copies of
+        # a few, and many forecasters tie at the least error mass or
+        # objective; at seed 0, fold 0 has 26 distinct mistake columns of
+        # 200, and 33 forecasters err on no question
+        table = generate_synthetic(SyntheticSpec(forecasters=200, questions=6, coverage=0.8,
+                                                 seed=seed))
+        for q, model in enumerate(train_folds(table, "adaboost", 20, seed)):
+            fold = table.without_question(q)
+            rounds, _ = adaboost_reference(training_fill(fold.forecasts, seed ^ q).tolist(),
+                                           fold.outcomes.tolist(), 20)
+            assert [(j, pytest.approx(a, abs=1e-12)) for j, a in rounds] == list(model.rounds)
+        for q, model in enumerate(train_folds(table, "realboost", 20)):
+            fold = table.without_question(q)
+            picks, _ = realboost_reference(training_fill(fold.forecasts).tolist(),
+                                           fold.outcomes.tolist(), 20)
+            assert [j for j, _ in model.rounds] == picks
 
     def test_info_line_every_tenth_of_the_folds(self, caplog):
         table = random_table(np.random.default_rng(1), 3, 25, missing=0.2)
