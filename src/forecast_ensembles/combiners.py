@@ -33,12 +33,14 @@ accumulated in question order, as a left-to-right scalar loop would, and
 ties go to the lowest index.  The trainers build their per-question
 factors once, question-major (Q, N), and hand them to `_LeastTotal`,
 which finds that argmin at BLAS speed without changing it.  Each round
-it screens all columns with one BLAS matrix-vector product, keeps the
-few whose screened total lies within the forward error bound of sums of
-non-negative terms (Higham 2002, sec. 4.2) of the least one, and sums
-only those in question order.  The bound holds for any summation order,
-so picks and totals do not depend on how BLAS sums or on how many
-threads it uses.
+it screens all columns with one BLAS matrix-vector product in the
+factors' own dtype, keeps the few whose screened total lies within the
+forward error bounds of sums of non-negative terms (Higham 2002, sec.
+4.2) of the least one, and sums only those in question order, in float64.
+Adaboost's mistakes are exactly 0 or 1, so it screens them in float32,
+whose bound is the wider one; realboost's factors screen in float64.
+The bound holds for any summation order, so picks and totals do not
+depend on how BLAS sums or on how many threads it uses.
 
 A round is a pure function of the question weights, so a round that
 leaves them bit for bit as they were is repeated by every later one.  The
@@ -53,9 +55,11 @@ bit, as those of training every round.
 Realboost's factors of a fold are the full table's without the held-out
 question's row, since an absent forecast reads as 0.5 whatever the fold.
 So `train_folds` builds them once (`_loss_factors`, the one builder) and
-hands each fold those without its row.  Realboost reweights by the
-products its objective summed.  Adaboost folds each draw their own fill
-from ``seed ^ q`` and build their own.
+hands each fold those without its row.  Realboost reweights by its
+pick's products, whose ordered sum is the objective.  Adaboost folds each
+draw their own fill from ``seed ^ q`` and build their own; a round
+gathers the weights of its pick's wrong questions once, sums them in
+order for the error mass and scales them back.
 
 Training is inherently sequential (weights depend on previous rounds), but
 trained models are immutable and safe to share across threads.
@@ -103,7 +107,8 @@ DEFAULT_ITERATIONS = {"adaboost": 800, "realboost": 70}
 # Error rates are clamped away from 0 and 1 so the stage weight stays finite.
 _ERROR_CLAMP = 1e-8
 
-# Unit roundoff and smallest normal number of a float64.
+# Unit roundoff and smallest normal number of a float64, the dtype of
+# every ordered total.
 _UNIT_ROUNDOFF = 2.0 ** -53
 _TINY = float(np.finfo(float).tiny)
 
@@ -170,15 +175,15 @@ def stage_weight(error_rate: float) -> float:
 
 def _ordered_sum(values: np.ndarray):
     """Sum over axis 0 of 1-D or 2-D input, bit for bit a left-to-right
-    loop from 0.0; a 1-D sum comes back as a Python float.  numpy adds
-    the rows of a C-contiguous array with two or more columns one after
-    another; it would sum a vector, a lone column or an F-ordered array
-    pairwise, so those take a running sum: ``np.cumsum``, or for a vector
-    the ufunc it calls, ``np.add.accumulate``, which skips the method's
-    overhead.  Adding 0.0 turns a total of -0.0 into the loop's +0.0 and
-    changes no other."""
+    loop from 0.0; a 1-D sum comes back as a Python float, 0.0 when empty.
+    numpy adds the rows of a C-contiguous array with two or more columns
+    one after another; it would sum a vector, a lone column or an F-ordered
+    array pairwise, so those take a running sum: ``np.cumsum``, or for a
+    vector the ufunc it calls, ``np.add.accumulate``, which skips the
+    method's overhead.  Adding 0.0 turns a total of -0.0 into the loop's
+    +0.0 and changes no other."""
     if values.ndim == 1:
-        return float(np.add.accumulate(values)[-1]) + 0.0
+        return float(np.add.accumulate(values)[-1]) + 0.0 if len(values) else 0.0
     if values.shape[1] > 1 and values.flags.c_contiguous:
         total = values.sum(axis=0)
     else:
@@ -190,68 +195,98 @@ def _ordered_sum(values: np.ndarray):
 class _LeastTotal:
     """Exact argmin of the ordered column totals of one training's factors.
 
-    Called with the round's question weights, it returns (index, total):
-    the lowest column index among the least totals of
-    ``factors * weights[:, None]``, each total accumulated strictly in
-    question order (`_ordered_sum`), as if every column had been summed by
-    a left-to-right scalar loop.  Only the work of finding that argmin is
-    cut, in two steps.
+    Called with the round's float64 question weights, it returns (index,
+    total): the lowest column index among the least totals of
+    ``factors * weights[:, None]``, each total accumulated in float64
+    strictly in question order (`_ordered_sum`), as if every column had
+    been summed by a left-to-right scalar loop.  Only the work of finding
+    that argmin is cut, in two steps.
 
-    * Screen.  ``weights @ factors`` goes to BLAS, which may sum in any
-      order, in blocks, with or without fused multiply-adds and on any
-      number of threads.  All terms are non-negative, so every computed
-      total, the screen's and the ordered one alike, lies within a
-      relative gamma = (Q+2)u / (1 - (Q+2)u) of the exact sum, u being the
-      unit roundoff (Higham 2002, *Accuracy and Stability of Numerical
-      Algorithms*, sec. 4.2; Q + 2 rather than Q leaves room for the
-      rounding of the threshold itself).  A product below the smallest
-      normal number may lose up to that number whole (gradual underflow,
-      or a flush to zero), which adds an absolute Q * tiny to each side.
-      A column can therefore be the ordered minimum only if its screened
-      total is at most ((1+gamma)/(1-gamma))**2 * (min + 4 Q tiny); every
-      other column is dropped.
+    * Screen.  ``weights @ factors``, the weights cast to the factors'
+      dtype, goes to BLAS, which may sum in any order, in blocks, with or
+      without fused multiply-adds and on any number of threads.  All
+      terms are non-negative, so a computed total lies within a relative
+      gamma_k = k u / (1 - k u) of the exact sum S, u being the unit
+      roundoff of the dtype the sum is made in and k its roundings
+      (Higham 2002, *Accuracy and Stability of Numerical Algorithms*,
+      sec. 4.2).  The ordered float64 total takes gamma = gamma_(Q+2),
+      two more than its Q; the screen takes gamma_s = gamma_(Q+3) in the
+      factors' dtype, one more again for the weights' cast.  Below the
+      smallest normal numbers, tiny and tiny_s, a term may lose its value
+      whole (gradual underflow, or a flush to zero of the cast or the
+      product): at most tiny_s * (1 + F) a screened term, F the largest
+      factor, and tiny an ordered one.  Column k can be the ordered
+      minimum only if its ordered total is at most that of the screen's
+      least column j; chaining the four bounds (screen of k to S_k, S_k to
+      its ordered total, the ordered total of j to S_j, S_j to its screen)
+      then puts its screen under
+          slack * (screen_j + 4 Q (tiny_s (1 + F) + tiny)),
+          slack = (1 + gamma_s) (1 + gamma) / ((1 - gamma_s) (1 - gamma)),
+      with room to spare for the rounding of the limit itself.  Every
+      column above the limit is dropped.  The bounds assume no overflow.
+      A limit at or above the dtype's largest finite value (a weight cast
+      to infinity among them) or a NaN limit (from a NaN screen) makes
+      every column a candidate; under the limit, no screened column
+      overflowed.  The limit is compared in the screen's dtype: rounded to
+      nearest, it keeps the same columns, as no value of that dtype lies
+      between the two.
     * Recheck.  The columns under the limit are counted, not listed.  A
-      lone one is the least screened column, and only its products are
-      summed in question order; several are gathered and summed in
-      question order.  A NaN screen puts no column under the limit, and
-      then every column is a candidate.
+      lone one is the least screened column and is returned with no
+      total: the caller sums its own gather of the pick's terms.  Several
+      are gathered, their products made in float64, and summed in
+      question order.
 
-    The screen only decides which columns get summed in order, and the
-    bound holds for every summation order, so picks and totals do not
-    depend on the BLAS build, its kernel or its thread count.  The
-    instance counts the candidates it rechecked, and keeps as ``products``
-    the pick's column of ``factors * weights[:, None]``, the terms its
-    total summed.
+    Binary factors lose nothing in float32, and a 0 or 1 times a float64
+    weight is that product bit for bit, so adaboost screens its mistakes
+    in float32: half the bytes of the float64 product, for a slack about
+    2**29 times wider that keeps, on a few hundred questions, a few more
+    columns a round.  The screen only decides which columns get summed in
+    order, and the bounds hold for every summation order, so picks and
+    totals do not depend on the BLAS build, its kernel or its thread
+    count.  The instance counts the candidates it rechecked.
     """
 
     def __init__(self, factors: np.ndarray) -> None:
         self.factors = factors
-        n_questions = factors.shape[0]
-        gamma = (n_questions + 2) * _UNIT_ROUNDOFF / (1.0 - (n_questions + 2) * _UNIT_ROUNDOFF)
-        self.slack = ((1.0 + gamma) / (1.0 - gamma)) ** 2
-        self.floor = 4 * n_questions * _TINY
+        n_questions, n_columns = factors.shape
+        screen = np.finfo(factors.dtype)
+        gamma = _gamma(n_questions + 2, _UNIT_ROUNDOFF)
+        gamma_s = _gamma(n_questions + 3, float(screen.eps) / 2)
+        self.slack = (1.0 + gamma_s) * (1.0 + gamma) / ((1.0 - gamma_s) * (1.0 - gamma))
+        largest_factor = float(factors.max(initial=0.0))
+        self.floor = 4 * n_questions * (float(screen.tiny) * (1.0 + largest_factor) + _TINY)
+        self.largest = float(screen.max)
+        # the screen's operands and results, in the factors' dtype
+        self.weights = np.empty(n_questions, factors.dtype)
+        self.screen = np.empty(n_columns, factors.dtype)
+        self.limit = np.empty((), factors.dtype)
+        self.under = np.empty(n_columns, bool)
         self.candidates = 0
 
-    def __call__(self, weights: np.ndarray) -> tuple[int, float]:
+    def __call__(self, weights: np.ndarray) -> tuple[int, float | None]:
         factors = self.factors
-        screen = weights @ factors
+        self.weights[...] = weights
+        screen = np.dot(self.weights, factors, out=self.screen)
         j = screen.argmin()
         limit = self.slack * (float(screen[j]) + self.floor)
-        under = screen <= limit
-        count = np.count_nonzero(under)
-        if count == 1:
-            # the least screened total is the only column under its limit
-            self.candidates += 1
-            self.products = factors[:, j] * weights
-            return int(j), _ordered_sum(self.products)
-        # a NaN screen makes the limit NaN: every column is a candidate
-        candidates = under.nonzero()[0] if count else np.arange(len(screen))
+        count = 0
+        if limit < self.largest:  # false for a NaN limit too
+            self.limit[...] = limit
+            count = np.count_nonzero(np.less_equal(screen, self.limit, out=self.under))
+            if count == 1:
+                # the least screened total is the only column under its limit
+                self.candidates += 1
+                return int(j), None
+        candidates = self.under.nonzero()[0] if count else np.arange(len(screen))
         self.candidates += len(candidates)
-        products = factors[:, candidates] * weights[:, np.newaxis]
-        totals = _ordered_sum(products)
+        totals = _ordered_sum(factors[:, candidates] * weights[:, np.newaxis])
         j = totals.argmin()
-        self.products = products[:, j]
         return int(candidates[j]), totals[j]
+
+
+def _gamma(k: int, unit_roundoff: float) -> float:
+    """Higham's gamma_k: the relative error bound of k roundings."""
+    return k * unit_roundoff / (1.0 - k * unit_roundoff)
 
 
 def _log_argmin(method: str, rounds: int, least: _LeastTotal) -> None:
@@ -275,6 +310,11 @@ def _check_trainable(table: ForecastTable, iterations: int) -> None:
         raise ValueError("iteration count must be at least 1")
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
 def bag(table: ForecastTable) -> EnsembleModel:
     """Equal-weight average of all forecasters (absent cells read as 0.5)."""
     if table.n_forecasters < 1 or table.n_questions < 1:
@@ -295,25 +335,40 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
     Rounds stop early once no forecaster beats chance under the current
     weights; if that happens on the very first round the best forecaster
     is kept with a zero stage weight so the model still exists (it then
-    always predicts a margin of zero).  Reweighting scales the questions
-    the pick got wrong through their indices, found the first time a
-    forecaster is picked and kept for the training.  A round whose pick
-    errs on no question of nonzero weight, under weights that sum to
-    exactly 1.0, changes no weight, and it fills every round left.
+    always predicts a margin of zero).  A seed outside [0, 2**64 - 1]
+    raises ValueError before anything is drawn.
+
+    The (Q, N) mistakes are 0 or 1 and go to `_LeastTotal` as float32,
+    which screens them in float32 and rechecks in float64.  A round
+    gathers the weights of the questions its pick got wrong once, through
+    their indices, found the first time a forecaster is picked and kept
+    for the training.  Their ordered sum is the pick's error mass, bit for
+    bit, since the mass's other terms are +0.0; scaled by e**alpha, they
+    are scattered back.  A round whose pick errs on no question of nonzero
+    weight, under weights that sum to exactly 1.0, changes no weight, and
+    it fills every round left.
     """
     _check_trainable(table, iterations)
+    _check_seed(seed)
     dense = np.where(table.answered, table.forecasts,
                      np.random.default_rng(seed).random(table.forecasts.shape))
     # (N, Q): forecaster i's sign is wrong on question q; the bool
     # transpose copies far faster than the float one
     mistaken = (dense > 0.5) != (table.outcomes == POSITIVE)
-    least_mass = _LeastTotal(np.ascontiguousarray(mistaken.T).astype(float))
+    least_mass = _LeastTotal(np.ascontiguousarray(mistaken.T).astype(np.float32))
     weights = np.full(table.n_questions, 1.0 / table.n_questions)
     wrong: dict[int, np.ndarray] = {}  # each pick's mistaken questions
 
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
         picked, mass = least_mass(weights)
+        rows = wrong.get(picked)
+        if rows is None:
+            rows = wrong[picked] = np.flatnonzero(mistaken[picked])
+        wrong_weights = weights[rows]
+        if mass is None:
+            # the ordered mass adds only +0.0 between these terms
+            mass = _ordered_sum(wrong_weights)
         total = _ordered_sum(weights)
         error_rate = mass / total
         if error_rate >= 0.5:
@@ -334,10 +389,8 @@ def adaboost_train(table: ForecastTable, iterations: int, seed: int = 0) -> Ense
             break
         # math.exp rounds as the scalar reference does; only the questions
         # the pick got wrong are scaled
-        rows = wrong.get(picked)
-        if rows is None:
-            rows = wrong[picked] = np.flatnonzero(mistaken[picked])
-        weights[rows] *= math.exp(alpha)
+        wrong_weights *= math.exp(alpha)
+        weights[rows] = wrong_weights
         weights /= _ordered_sum(weights)
     _log_argmin("adaboost", len(rounds), least_mass)
 
@@ -383,14 +436,15 @@ def realboost_train(table: ForecastTable, iterations: int, *,
     rounds: list[tuple[int, float]] = []
     for round_index in range(iterations):
         picked, objective = least_objective(weights)
+        reweighted = factors[:, picked] * weights
+        if objective is None:
+            objective = _ordered_sum(reweighted)
         # 1e-9 of slack so a plateau at exactly 1.0 does not warn on rounding
         if objective > 1.0 + 1e-9:
             logger.warning("round %d: best objective %.6g exceeds 1; no "
                            "forecaster beats the constant predictor",
                            round_index + 1, objective)
         rounds.append((picked, 1.0))
-        # the objective is the ordered sum of these very products
-        reweighted = least_objective.products
         if objective == 1.0 and np.array_equal(reweighted, weights):
             _repeat_to_the_end("realboost", rounds, iterations)
             break
@@ -436,8 +490,8 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
         iterations = DEFAULT_ITERATIONS[method]
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
-    if method == "adaboost" and not 0 <= seed <= MAX_SEED:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if method == "adaboost":
+        _check_seed(seed)
     if table.n_questions < 2:
         raise ValueError("boosting needs at least two questions, one to hold out")
     return _trained_folds(table, method, iterations, seed)

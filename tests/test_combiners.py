@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,15 @@ def single_question_table(forecasts, outcome=1):
         forecasts=np.array(forecasts, dtype=float).reshape(-1, 1),
         outcomes=np.array([outcome]),
     )
+
+
+def least_total(least, weights):
+    """The pick of `_LeastTotal` ``least`` and its ordered total, which a
+    lone candidate leaves to the caller: summed here as realboost sums it."""
+    picked, total = least(weights)
+    if total is None:
+        total = _ordered_sum(least.factors[:, picked] * weights)
+    return picked, total
 
 
 class TestBagging:
@@ -107,7 +117,7 @@ class TestSelectionHelpers:
         weights = np.full(4, 0.25)
         # forecasters 1 and 3 tie at 0.25, wrong on different questions
         wrong = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-        index, mass = _LeastTotal(np.ascontiguousarray(wrong.T))(weights)
+        index, mass = least_total(_LeastTotal(np.ascontiguousarray(wrong.T)), weights)
         assert index == 1
         assert mass == 0.25
 
@@ -120,7 +130,7 @@ class TestSelectionHelpers:
         for _ in range(5):
             weights = rng.random(9)
             weights /= weights.sum()
-            index, objective = _LeastTotal(abstainer)(weights)
+            index, objective = least_total(_LeastTotal(abstainer), weights)
             assert index == 0
             assert objective == _ordered_sum(weights)
             assert objective == pytest.approx(1.0, abs=1e-12)
@@ -136,9 +146,9 @@ class TestSelectionHelpers:
         scale = 2.0 ** scale_power  # exact in floating point
         for factors in (wrong, losses):
             least = _LeastTotal(factors)
-            index, total = least(weights)
+            index, total = least_total(least, weights)
             # the total scales exactly, and so the error rate does not move
-            assert least(weights * scale) == (index, total * scale)
+            assert least_total(least, weights * scale) == (index, total * scale)
             assert _ordered_sum(weights * scale) == _ordered_sum(weights) * scale
 
 
@@ -171,9 +181,10 @@ class TestOrderedTotals:
 
 def close_factors(rng, kind, q, n):
     """(Q, N) non-negative factors of the given kind; the last two put the
-    column totals within a few units in the last place of each other."""
-    if kind == "binary":
-        return (rng.random((q, n)) < 0.5).astype(float)
+    column totals within a few units in the last place of each other.
+    "binary32" are adaboost's mistakes, 0 or 1 in float32."""
+    if kind in ("binary", "binary32"):
+        return (rng.random((q, n)) < 0.5).astype(np.float32 if kind == "binary32" else float)
     if kind == "real":
         return np.exp(rng.normal(scale=3.0, size=(q, n)))
     if kind == "last_bits":
@@ -199,12 +210,14 @@ def close_factors(rng, kind, q, n):
 
 class TestLeastTotal:
     @given(n=st.integers(1, 60), q=st.integers(1, 200),
-           kind=st.sampled_from(["binary", "real", "last_bits", "drift"]),
+           kind=st.sampled_from(["binary", "binary32", "real", "last_bits", "drift"]),
            spread=st.booleans(), duplicates=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @example(n=1, q=300, kind="real", spread=True, duplicates=False, seed=0)
     @example(n=1, q=300, kind="binary", spread=True, duplicates=True, seed=0)
     @example(n=60, q=3, kind="binary", spread=False, duplicates=False, seed=0)
     @example(n=60, q=200, kind="drift", spread=False, duplicates=False, seed=0)
+    @example(n=60, q=200, kind="binary32", spread=True, duplicates=False, seed=0)
+    @example(n=60, q=200, kind="binary32", spread=True, duplicates=True, seed=1)
     @settings(max_examples=150, deadline=None)
     def test_screened_argmin_matches_scalar_loop(self, n, q, kind, spread, duplicates, seed):
         rng = np.random.default_rng(seed)
@@ -212,7 +225,11 @@ class TestLeastTotal:
         if duplicates:
             factors = np.ascontiguousarray(factors[:, rng.integers(0, n, size=2 * n)])
         if spread:
-            weights = rng.random(q) * 10.0 ** rng.integers(-300, 3, size=q)
+            # down to 1e-300, and half of them in and around float32's
+            # subnormals, which its screen rounds or flushes to zero
+            exponents = np.where(rng.random(q) < 0.5, rng.integers(-300, 3, size=q),
+                                 rng.integers(-46, -37, size=q))
+            weights = rng.random(q) * 10.0 ** exponents
         elif kind in ("last_bits", "drift"):
             weights = np.ones(q)  # keeps every product exact
         else:
@@ -222,10 +239,9 @@ class TestLeastTotal:
         least = _LeastTotal(factors)
         picked, total = least(weights)
         assert type(picked) is int
-        assert (picked, total) == (index, totals[index])
-        # the products kept for reweighting are the pick's own, bit for bit
-        assert np.array_equal(least.products.view(np.int64),
-                              (factors[:, picked] * weights).view(np.int64))
+        # a lone candidate comes back without its total
+        assert total is None or total == totals[index]
+        assert (picked, least_total(least, weights)[1]) == (index, totals[index])
 
     def test_many_ties_are_all_gathered(self):
         # one column per pair of 4 questions: under equal weights all 6 tie
@@ -236,7 +252,7 @@ class TestLeastTotal:
         least = _LeastTotal(factors)
         assert least(np.full(4, 0.25)) == (0, 0.5)
         assert least.candidates == 6
-        assert least(np.array([0.4, 0.3, 0.2, 0.1])) == (5, 0.2 + 0.1)
+        assert least_total(least, np.array([0.4, 0.3, 0.2, 0.1])) == (5, 0.2 + 0.1)
         assert least.candidates == 7
 
     def test_nan_screen_makes_every_column_a_candidate(self):
@@ -260,6 +276,43 @@ class TestLeastTotal:
         least = _LeastTotal(factors)
         assert least(np.full(3, 0.5)) == (3, 0.5)
         assert least.candidates == 2
+
+    def test_float32_screen_inverts_an_order_beyond_float64_slack(self):
+        # in float64 column 0 totals 1 + 2**-24 + 2**-40, below column 1's
+        # 1 + 2**-24 - 2**-40 + 2**-30; in float32, 2**-24 + 2**-40 lifts
+        # column 0 to 1 + 2**-23 while column 1 casts and sums to 1.0, a
+        # relative inversion of 2**-23 that float64's slack would not cover
+        factors = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.float32)
+        weights = np.array([1.0, 2.0**-24 + 2.0**-40, 1.0 + 2.0**-24 - 2.0**-40, 2.0**-30])
+        assert np.array_equal(weights.astype(np.float32) @ factors, [1.0 + 2.0**-23, 1.0])
+        least = _LeastTotal(factors)
+        assert least(weights) == (0, 1.0 + 2.0**-24 + 2.0**-40)
+        assert least.candidates == 2
+
+    def test_float32_screen_flushes_subnormal_weights_within_its_floor(self):
+        # float32's least subnormal is 2**-149: column 0's one weight,
+        # 0.75 of it, casts up to 2**-149, and column 1's two, 0.375 and
+        # 0.4375 of it, cast to zero, while in float64 column 0 totals less
+        factors = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.float32)
+        weights = np.array([0.75, 0.375, 0.4375]) * 2.0**-149
+        assert np.array_equal(weights.astype(np.float32), [2.0**-149, 0.0, 0.0])
+        least = _LeastTotal(factors)
+        assert least(weights) == (0, 0.75 * 2.0**-149)
+        assert least.candidates == 2
+
+    def test_limit_past_the_screens_largest_value_makes_every_column_a_candidate(self):
+        factors = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.float32)
+        least = _LeastTotal(factors)
+        # 1e39 casts to float32 infinity: every screened total is infinite,
+        # and so is the limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert least(np.array([1e39, 2e25, 1e25])) == (1, 1e39 + 1e25)
+        # at float32's largest value the screened totals are finite and the
+        # limit lies past them, where casting it would overflow
+        largest = float(np.finfo(np.float32).max)
+        with np.errstate(all="raise"):
+            assert least(np.array([largest, 2e25, 1e25])) == (1, largest + 1e25)
+        assert least.candidates == 6
 
     def test_duplicate_columns_tie_to_the_first(self):
         factors = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
@@ -325,6 +378,27 @@ class TestAdaBoost:
     def test_rejects_bad_inputs(self, toy_table):
         with pytest.raises(ValueError):
             adaboost_train(toy_table, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected_before_any_round(self, screens, toy_table, seed):
+        for trained in (lambda: adaboost_train(toy_table, 3, seed),
+                        lambda: train(toy_table, "adaboost", 3, seed=seed)):
+            with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+                trained()
+        assert screens == []
+
+    def test_paper_shape_rechecks_about_one_candidate_a_round(self, caplog):
+        # a float32 slack left too loose would stay exact but recheck many
+        # columns a round: 800 rounds recheck 800 or 801 on paper tables
+        table = generate_synthetic(SyntheticSpec(forecasters=338, questions=88, coverage=0.5,
+                                                 seed=0))
+        with caplog.at_level(logging.DEBUG, logger="forecast_ensembles.combiners"):
+            model = adaboost_train(table, 800)
+        [line] = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        rounds, candidates = map(int, re.fullmatch(
+            r"adaboost: (\d+) rounds, (\d+) candidates rechecked", line).groups())
+        assert rounds == len(model.rounds) == 800
+        assert candidates <= 808
 
     def test_debug_line_counts_the_argmin_work(self, caplog):
         # x and y forecast alike, so their columns tie in every round and
