@@ -134,8 +134,7 @@ class EnsembleModel:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
         if self.seed and self.method != "adaboost":
             raise ValueError(f"a {self.method} model has no seed: its seed must be 0")
         n = len(self.forecaster_ids)
@@ -303,7 +302,8 @@ def _repeat_to_the_end(method: str, rounds: list[tuple[int, float]], iterations:
     rounds.extend([rounds[-1]] * repeats)
 
 
-def _check_trainable(table: ForecastTable, iterations: int) -> None:
+def _check_trainable(table: ForecastTable, iterations: int = 1) -> None:
+    """Every trainer's check: a forecaster, a question and at least one round."""
     if table.n_forecasters < 1 or table.n_questions < 1:
         raise ValueError("cannot train on an empty table")
     if iterations < 1:
@@ -317,8 +317,7 @@ def _check_seed(seed: int) -> None:
 
 def bag(table: ForecastTable) -> EnsembleModel:
     """Equal-weight average of all forecasters (absent cells read as 0.5)."""
-    if table.n_forecasters < 1 or table.n_questions < 1:
-        raise ValueError("cannot bag an empty table")
+    _check_trainable(table)
     return EnsembleModel("bagging", (), table.forecaster_ids)
 
 
@@ -488,8 +487,7 @@ def train_folds(table: ForecastTable, method: str, iterations: int | None = None
                          f"{tuple(DEFAULT_ITERATIONS)}")
     if iterations is None:
         iterations = DEFAULT_ITERATIONS[method]
-    if iterations < 1:
-        raise ValueError("iteration count must be at least 1")
+    _check_trainable(table, iterations)
     if method == "adaboost":
         _check_seed(seed)
     if table.n_questions < 2:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combiners import METHODS, classify, ensemble_predict_table, train, train_folds
+from .combiners import (METHODS, _check_seed, _ordered_sum, classify, ensemble_predict_table,
+                        train, train_folds)
 from .domain import NEGATIVE, POSITIVE, ForecastTable
 
 __all__ = [
@@ -136,7 +137,8 @@ class SyntheticSpec:
     forecaster independent observation noise, ``type1`` gives each
     forecaster a bootstrap resample of one shared pool of noisy
     observations, so forecasters differ only in which history they kept.
-    ``coverage`` is the probability that a forecaster answers a question.
+    ``coverage`` is the probability that a forecaster answers a question;
+    ``seed``, in [0, 2**64 - 1], seeds every draw.
 
     Populations of two or more forecasters end with one uninformed member,
     the infinitely-noisy-channel limit, who honestly reports the prior 0.5
@@ -160,8 +162,7 @@ class SyntheticSpec:
             raise ValueError("noise must be 0, or positive with a positive finite square")
         if not 0 < self.coverage <= 1:
             raise ValueError("coverage must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_seed(self.seed)
 
 
 # Prior scale of the latent signal, and the size of the shared observation
@@ -182,11 +183,11 @@ def generate_synthetic(spec: SyntheticSpec) -> ForecastTable:
     which makes it calibrated with respect to its own channel.  Type2
     channels draw independent noise per forecaster with nu_i = noise;
     type1 channels average a multinomial resample of a shared pool of
-    noisy observations, giving correlated errors and per-forecaster
-    nu_i in [noise / sqrt(pool), noise].  In populations of two or more
-    the last member's channel is the nu -> infinity limit: its posterior
-    is the prior 0.5 on every question (at noise 0 every channel,
-    including that one, sees the signal exactly).
+    noisy observations, summed in pool order, giving correlated errors
+    and per-forecaster nu_i in [noise / sqrt(pool), noise].  In
+    populations of two or more the last member's channel is the nu ->
+    infinity limit: its posterior is the prior 0.5 on every question (at
+    noise 0 every channel, including that one, sees the signal exactly).
     """
     from scipy.special import ndtr  # imported here: only synth needs scipy
 
@@ -202,7 +203,8 @@ def generate_synthetic(spec: SyntheticSpec) -> ForecastTable:
         pool = rng.standard_normal((_HISTORY_POOL, q))
         counts = rng.multinomial(_HISTORY_POOL,
                                  [1.0 / _HISTORY_POOL] * _HISTORY_POOL, size=n)
-        observations = signal[np.newaxis, :] + (spec.noise / _HISTORY_POOL) * (counts @ pool)
+        mix = _ordered_sum((counts.T[:, :, None] * pool[:, None, :]).reshape(_HISTORY_POOL, -1))
+        observations = signal[np.newaxis, :] + (spec.noise / _HISTORY_POOL) * mix.reshape(n, q)
         channel_scale = spec.noise * np.sqrt((counts.astype(float) ** 2).sum(axis=1)) / _HISTORY_POOL
 
     coverage_draws = rng.random((n, q))

@@ -33,6 +33,16 @@ def table_files(tmp_path):
     return table, str(fpath), str(opath)
 
 
+def run_cli(*args, **blas_env):
+    """Run the CLI from this tree in a new process; ``blas_env`` sets
+    OpenBLAS variables, which are unset otherwise."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "forecast_ensembles.cli", *args],
+                   env=env | blas_env, check=True, capture_output=True)
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -50,13 +60,25 @@ class TestExitCodes:
         assert code == 1
         assert "--iterations" in capsys.readouterr().err
 
-    def test_missing_file_is_data_error(self, tmp_path, capsys):
+    def test_missing_file_is_data_error(self, table_files, tmp_path, capsys):
         code = main(["loo", "--method", "bagging",
                      "--forecasts", str(tmp_path / "none.csv"),
                      "--outcomes", str(tmp_path / "none2.csv"),
                      "--report-out", str(tmp_path / "r.json")])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+        _, fpath, _ = table_files
+        code = main(["score", "--forecasts", fpath, "--outcomes", str(tmp_path / "none2.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'none2.csv'}: file not found\n"
+
+    def test_empty_forecasts_file_is_data_error(self, table_files, tmp_path, capsys):
+        _, _, opath = table_files
+        fpath = tmp_path / "empty.csv"
+        fpath.write_bytes(b"")
+        assert main(["score", "--forecasts", str(fpath), "--outcomes", opath]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {fpath}:1: missing header; expected question_id,forecaster_id,probability\n"
 
     @pytest.mark.parametrize("command,out_flag", [("combine", "--model-out"),
                                                   ("loo", "--report-out")])
@@ -148,6 +170,18 @@ class TestSynth:
         assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_type1_does_not_depend_on_the_blas_kernel_or_threads(self, tmp_path):
+        # type1 mixes its history pool by an ordered sum, not a BLAS product
+        args = ["synth", "--forecasters", "338", "--questions", "88", "--mode", "type1",
+                "--coverage", "0.5", "--seed", "3"]
+        tables = []
+        for name, blas_env in [("default", {}),
+                               ("prescott", {"OPENBLAS_CORETYPE": "Prescott"}),
+                               ("one-thread", {"OPENBLAS_NUM_THREADS": "1"})]:
+            run_cli(*args, "--out-prefix", str(tmp_path / name), **blas_env)
+            tables.append((tmp_path / f"{name}.forecasts.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_missing_mode_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--forecasters", "2", "--questions", "2",
                      "--out-prefix", str(tmp_path / "x")]) == 1
@@ -203,30 +237,21 @@ class TestCombinePredict:
     def test_reports_do_not_depend_on_the_blas_kernel(self, tmp_path):
         # OpenBLAS picks its dot-product kernel by CPU; Prescott runs on
         # every x86-64 CPU, and other builds ignore the variable
-        def run(*args, coretype=None):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-            if coretype:
-                env["OPENBLAS_CORETYPE"] = coretype
-            subprocess.run([sys.executable, "-m", "forecast_ensembles.cli", *args],
-                           env=env, check=True, capture_output=True)
-
         prefix = tmp_path / "paper"
-        run("synth", "--forecasters", "338", "--questions", "88", "--mode", "type2",
-            "--coverage", "0.5", "--seed", "0", "--out-prefix", str(prefix))
+        run_cli("synth", "--forecasters", "338", "--questions", "88", "--mode", "type2",
+                "--coverage", "0.5", "--seed", "0", "--out-prefix", str(prefix))
         data = ["--forecasts", f"{prefix}.forecasts.csv", "--outcomes", f"{prefix}.outcomes.csv"]
-        run("combine", "--method", "adaboost", *data, "--iterations", "20",
-            "--model-out", str(tmp_path / "model.json"))
+        run_cli("combine", "--method", "adaboost", *data, "--iterations", "20",
+                "--model-out", str(tmp_path / "model.json"))
         reports = {}
-        for coretype in (None, "Prescott"):
-            predict, loo = tmp_path / f"predict-{coretype}.json", tmp_path / f"loo-{coretype}.json"
-            run("predict", "--model", str(tmp_path / "model.json"), *data,
-                "--report-out", str(predict), coretype=coretype)
-            run("loo", "--method", "adaboost", "--iterations", "20", *data,
-                "--report-out", str(loo), coretype=coretype)
-            reports[coretype] = predict.read_bytes(), loo.read_bytes()
-        assert reports[None] == reports["Prescott"]
+        for name, blas_env in [("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})]:
+            predict, loo = tmp_path / f"predict-{name}.json", tmp_path / f"loo-{name}.json"
+            run_cli("predict", "--model", str(tmp_path / "model.json"), *data,
+                    "--report-out", str(predict), **blas_env)
+            run_cli("loo", "--method", "adaboost", "--iterations", "20", *data,
+                    "--report-out", str(loo), **blas_env)
+            reports[name] = predict.read_bytes(), loo.read_bytes()
+        assert reports["default"] == reports["prescott"]
 
     def test_predict_without_outcomes(self, table_files, tmp_path, capsys):
         _, fpath, opath = table_files

@@ -378,6 +378,8 @@ class TestAdaBoost:
     def test_rejects_bad_inputs(self, toy_table):
         with pytest.raises(ValueError):
             adaboost_train(toy_table, 0)
+        with pytest.raises(ValueError, match="empty table"):
+            adaboost_train(ForecastTable((), ("x",), np.empty((1, 0)), np.empty(0, dtype=int)), 3)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_rejected_before_any_round(self, screens, toy_table, seed):
@@ -465,6 +467,8 @@ class TestRealBoost:
     def test_rejects_bad_inputs(self, toy_table):
         with pytest.raises(ValueError):
             realboost_train(toy_table, 0)
+        with pytest.raises(ValueError, match="empty table"):
+            realboost_train(ForecastTable(("a",), (), np.empty((0, 1)), [1]), 3)
 
 
 @pytest.fixture
@@ -806,10 +810,14 @@ class TestTrainFolds:
         ("adaboost", -1, 4, "at least 1"),
         ("realboost", 3, 1, "two questions"),
         ("adaboost", 3, 1, "two questions"),
+        ("realboost", 3, 4, "empty table"),
+        ("adaboost", 3, 4, "empty table"),
     ])
     def test_rejects_before_building_anything(self, unbuildable, method, iterations,
                                               n_questions, message):
-        table = random_table(np.random.default_rng(0), 3, n_questions)
+        # the empty tables have questions but no forecasters
+        n_forecasters = 0 if message == "empty table" else 3
+        table = random_table(np.random.default_rng(0), n_forecasters, n_questions)
         with pytest.raises(ValueError, match=message):
             train_folds(table, method, iterations)
 
@@ -890,6 +898,16 @@ class TestModelValidation:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="64-bit"):
             EnsembleModel("adaboost", ((0, 0.5),), ("a",), seed=seed)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'stacking'"):
+            EnsembleModel("stacking", ((0, 1.0),), ("a",))
+
+    @pytest.mark.parametrize("method", ["bagging", "realboost"])
+    def test_seed_rejected_outside_adaboost(self, method):
+        rounds = () if method == "bagging" else ((0, 1.0),)
+        with pytest.raises(ValueError, match=f"a {method} model has no seed"):
+            EnsembleModel(method, rounds, ("a",), seed=1)
 
     @pytest.mark.parametrize("method,link", [("bagging", "linear"),
                                              ("adaboost", "exponential"),

@@ -130,7 +130,8 @@ class TestLoadTable:
         (b"q1,+1\nq2,0\nq3,+1\n\xff\n", ":3: outcome must be '+1' or '-1', got '0'"),
         (b"q1,+1\nq1,-1\n\xff\n", ":3: duplicate outcome for question q1"),
         (b"q1,+1\nq2,-1\nq3,\xff\n", ":4: byte 0xff is not UTF-8 (invalid start byte)"),
-    ], ids=["bad-value", "duplicate", "the-byte"])
+        (b"q1,+1\n,-1\n\xff\n", ":3: question_id must be non-empty"),
+    ], ids=["bad-value", "duplicate", "the-byte", "empty-id"])
     def test_bad_outcome_row_before_an_undecodable_byte(self, tmp_path, body, message):
         fpath, opath = write_files(tmp_path, GOOD_FORECASTS, "")
         opath.write_bytes(b"question_id,outcome\n" + body)

@@ -43,6 +43,8 @@ class TestForecastTable:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ForecastTable(("a",), ("x", "y"), np.array([[0.5]]), np.array([1]))
+        with pytest.raises(ValueError, match=r"outcomes have shape \(2,\), expected \(1,\)"):
+            ForecastTable(("a",), ("x",), np.array([[0.5]]), np.array([1, -1]))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate-free"):

@@ -48,6 +48,12 @@ class TestIndividualBaseline:
         errors, _, _ = individual_baseline(table)
         assert errors[0] == 0
 
+    @pytest.mark.parametrize("n_forecasters, n_questions", [(0, 3), (2, 0)])
+    def test_rejects_an_empty_table(self, n_forecasters, n_questions):
+        table = random_table(np.random.default_rng(0), n_forecasters, n_questions)
+        with pytest.raises(ValueError, match="cannot evaluate an empty table"):
+            individual_baseline(table)
+
     def test_mean_at_least_best(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -190,6 +196,10 @@ class TestSyntheticGenerator:
                 SyntheticSpec(noise=noise)
         with pytest.raises(ValueError):
             SyntheticSpec(coverage=0.0)
+        for seed in (-1, 2**64, 2**70):
+            with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+                SyntheticSpec(seed=seed)
+        assert SyntheticSpec(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_bagged_mse_beats_mean_individual_mse_per_seed(self):
         # averaging never has a larger mean squared error than the average
