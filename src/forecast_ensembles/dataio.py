@@ -56,12 +56,12 @@ lies outside [0, 1], a forecaster the caller did not give, or a
 duplicate forecast.  So the plain reader keeps no line numbers, and
 every error is named by csv.reader's records, as the first offending
 record, ``file:line`` counting physical lines; a field over the csv
-limit (131,072 characters unless changed) and a byte that is not UTF-8
-are errors too, not crashes, and the records before the byte are checked
-first (`_before_undecodable`).  One check, `_first_duplicate`, finds a
-duplicate forecast in either reader's arrays.  The plain reader numbers
-ids as UTF-8 bytes and decodes each once; UTF-8 is one to one, so the
-numbering is that of the text.
+limit (131,072 characters unless changed) is an error too, not a crash.
+So is a byte that is not UTF-8: the records that end before its line are
+checked first, and then its physical line is named (`_batches`).  One
+check, `_first_duplicate`, finds a duplicate forecast in either reader's
+arrays.  The plain reader numbers ids as UTF-8 bytes and decodes each
+once; UTF-8 is one to one, so the numbering is that of the text.
 
 A large forecasts file is read, or written, by two processes where
 `_split` holds for its size: this one and a `_forking.Child` whose work
@@ -133,69 +133,59 @@ def _fail(path, line, message) -> None:
     raise DataFormatError(f"{path}:{line}: {message}")
 
 
-def _records(path, reader):
-    """``reader``'s records, each with the physical line it ends on; a
-    `csv.Error` (a field over ``csv.field_size_limit()``, say) or a byte
-    that is not UTF-8 becomes a DataFormatError naming the line."""
-    while True:
+def _batches(path, handle):
+    """Lists of the lines of ``handle``, a text file opened with
+    ``errors="surrogateescape"``, of some `_BLOCK_BYTES` characters each.
+    At a lone surrogate, which stands for a byte that is not UTF-8, the
+    lines before the byte's line, then a DataFormatError naming it."""
+    number = 0  # lines before the batch
+    while batch := handle.readlines(_BLOCK_BYTES):
         try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            _fail(path, reader.line_num, exc)
-        except UnicodeDecodeError:
-            yield from _before_undecodable(path, reader.line_num)
-            raise
-        yield reader.line_num, row
-
-
-def _before_undecodable(path, done: int):
-    """The records after line ``done`` that end before the line of the
-    file's first byte that is not UTF-8, which the decoder's failure on
-    the whole chunk kept from the reader, then a DataFormatError naming
-    that line.  Returns if the file decodes."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # bytes.splitlines ends lines at \r, \n and \r\n, as csv.reader does
-        line = len((data[:exc.start] + b"-").splitlines())
-        # a character for the byte, so that a record reaching it ends on its line
-        text = data[:exc.start].decode("utf-8") + "\ufffd"
-        for end, row in _records(path, csv.reader(io.StringIO(text, newline=""))):
-            if end >= line:
-                break
-            if end > done:
-                yield end, row
-        _fail(path, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
+            "".join(batch).encode("utf-8")
+        except UnicodeEncodeError:
+            for k, line in enumerate(batch):
+                data = line.encode("utf-8", "surrogateescape")
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    yield batch[:k]
+                    _fail(path, number + k + 1,
+                          f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
+        yield batch
+        number += len(batch)
 
 
 def _read_rows(path, header: list[str]):
+    """The records after the header, each with the physical line it ends on;
+    a `csv.Error` (a field over the csv limit, say) names its line."""
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
-    with path.open(newline="", encoding="utf-8") as handle:
-        records = _records(path, csv.reader(handle))
-        _, first = next(records, (1, None))
-        if first is None:
-            _fail(path, 1, f"missing header; expected {','.join(header)}")
-        if first != header:
-            _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
-        for line, row in records:
-            if not row:
-                continue
-            if len(row) != len(header):
-                _fail(path, line, f"expected {len(header)} fields, got {len(row)}")
-            yield line, row
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        reader = csv.reader(chain.from_iterable(_batches(path, handle)))
+        try:
+            first = next(reader, None)
+            if first is None:
+                _fail(path, 1, f"missing header; expected {','.join(header)}")
+            if first != header:
+                _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    _fail(path, reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            _fail(path, reader.line_num, exc)
 
 
-# Bytes read per block of a forecasts file.  A block's index and uint64
-# arrays take several times its size in memory while it is parsed, and each
-# block adds a fixed cost of some tens of numpy calls.  In timed pairs
-# 256 KiB blocks read the 12.8 MB panel table faster than 64 KiB ones, but
-# the 475 KB paper table and the 309 KB side table slower (CHANGES.md), so
-# 64 KiB stays.  The unfinished last line goes on to the next block.
+# Bytes read per block of a forecasts file (and characters per batch of
+# csv.reader's lines, `_batches`).  A block's index and uint64 arrays take
+# several times its size in memory while it is parsed, and each block adds a
+# fixed cost of some tens of numpy calls.  In timed pairs 256 KiB blocks read
+# the 12.8 MB panel table faster than 64 KiB ones, but the 475 KB paper table
+# and the 309 KB side table slower (CHANGES.md), so 64 KiB stays.  The
+# unfinished last line goes on to the next block.
 _BLOCK_BYTES = 1 << 16
 
 # The bytes of a forecasts file per process that parses or writes it

@@ -5,7 +5,10 @@ The loader is the package's as it was before it read the file in blocks
 of columns: one `csv.reader` record at a time, each checked and stored in a
 dict keyed by (row, column).  It shares nothing with the package but the
 error type, and pins `dataio.load_forecast_matrix` down to equal ids,
-equal matrix bytes and equal error messages.
+equal matrix bytes and equal error messages.  It reads the whole file at
+once, and so meets a byte that is not UTF-8 by brute force: the earliest
+error wins, counting only the faults of records that end before the
+byte's line, and the byte wins a tie.
 
 The writer is the package's as it was before it joined each forecaster's
 rows: one `csv.writer` row per cell.  It pins `dataio.write_table` down to
@@ -15,6 +18,8 @@ equal file bytes.
 from __future__ import annotations
 
 import csv
+import io
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,25 +33,51 @@ def _fail(path, line, message) -> None:
     raise DataFormatError(f"{path}:{line}: {message}")
 
 
+def _records(path):
+    """The file's records, each with the physical line it ends on.  A file
+    that does not decode is decoded whole first, to find its first byte
+    that is not UTF-8 and that byte's line; the records that end before
+    that line come, and then an error naming it.  A `csv.Error` names its
+    line too, unless the byte's line comes first or is the same."""
+    data = Path(path).read_bytes()
+    byte = None  # the first byte that is not UTF-8: its line and message
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines ends lines at \r, \n and \r\n, as csv.reader does
+        ends = accumulate(map(len, data.splitlines(keepends=True)))
+        byte = (next(n for n, end in enumerate(ends, 1) if end > exc.start),
+                f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})")
+    # U+FFFD stands for each bad byte, and ends no line
+    reader = csv.reader(io.StringIO(data.decode("utf-8", "replace"), newline=""))
+    try:
+        for row in reader:
+            if byte is not None and reader.line_num >= byte[0]:
+                break
+            yield reader.line_num, row  # the record's last physical line
+    except csv.Error as exc:
+        if byte is None or reader.line_num < byte[0]:
+            _fail(path, reader.line_num, exc)
+    if byte is not None:
+        _fail(path, *byte)
+
+
 def _read_rows(path, header: list[str]):
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"{path}: file not found")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
-            _fail(path, 1, f"missing header; expected {','.join(header)}")
-        if first != header:
-            _fail(path, 1, f"bad header {','.join(first)!r}; expected {','.join(header)}")
-        for row in reader:
-            line = reader.line_num  # the record's last physical line
-            if not row:
-                continue
-            if len(row) != len(header):
-                _fail(path, line, f"expected {len(header)} fields, got {len(row)}")
-            yield line, row
+    records = _records(path)
+    first = next(records, None)
+    if first is None:
+        _fail(path, 1, f"missing header; expected {','.join(header)}")
+    if first[1] != header:
+        _fail(path, 1, f"bad header {','.join(first[1])!r}; expected {','.join(header)}")
+    for line, row in records:
+        if not row:
+            continue
+        if len(row) != len(header):
+            _fail(path, line, f"expected {len(header)} fields, got {len(row)}")
+        yield line, row
 
 
 def load_forecast_matrix(path, forecaster_ids=None

@@ -131,10 +131,14 @@ class TestLoadTable:
         (b"q1,+1\nq1,-1\n\xff\n", ":3: duplicate outcome for question q1"),
         (b"q1,+1\nq2,-1\nq3,\xff\n", ":4: byte 0xff is not UTF-8 (invalid start byte)"),
         (b"q1,+1\n,-1\n\xff\n", ":3: question_id must be non-empty"),
-    ], ids=["bad-value", "duplicate", "the-byte", "empty-id"])
+        (b"question_id,result\nq1,+1\n\xff\n",
+         ":1: bad header 'question_id,result'; expected question_id,outcome"),
+    ], ids=["bad-value", "duplicate", "the-byte", "empty-id", "header"])
     def test_bad_outcome_row_before_an_undecodable_byte(self, tmp_path, body, message):
+        """A body that starts with a header is the whole file."""
         fpath, opath = write_files(tmp_path, GOOD_FORECASTS, "")
-        opath.write_bytes(b"question_id,outcome\n" + body)
+        opath.write_bytes(body if body.startswith(b"question_id")
+                          else b"question_id,outcome\n" + body)
         with pytest.raises(DataFormatError, match=re.escape(f"{opath}{message}")):
             load_table(fpath, opath)
 
@@ -961,6 +965,46 @@ class TestDecimalKernel:
             assert quoted == ([] if kernel and "a" in forecaster_ids else [1])
 
 
+HEADER_LINE = ",".join(FORECASTS_HEADER).encode()
+# The header's 38 characters and 5,459 lines of 12 first pass the 65,536
+# characters of `dataio._BLOCK_BYTES` at the last line, so the lines after
+# them start csv.reader's second batch.
+FIRST_BATCH = HEADER_LINE + b"\n" + b"".join(b"q%05d,b,0.5\n" % k for k in range(5459))
+
+# Ids with a CR or a LF for csv to quote, or with an é.
+QUOTED_IDS = st.sampled_from(["q1", "q2", "a", "b", "é", "qé", "x\ny", "x\rz", "c\r\nd"])
+BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xed\xb2\x80", b"\xe2\x82", b"\xc0\xaf"])
+
+
+@st.composite
+def undecodable_texts(draw):
+    """A forecasts file's bytes, its records written by csv.writer with
+    lines ending in CR, LF or CRLF, often with a bad record and often a
+    byte that is not UTF-8 put anywhere."""
+    pairs = draw(st.lists(st.tuples(QUOTED_IDS, QUOTED_IDS), max_size=6, unique=True))
+    records = [[q, f, draw(st.sampled_from(["0.5", "1", ""]))] for q, f in pairs]
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), draw(st.sampled_from(
+            [["q1", "a", "7"], ["q1", "a", "maybe"], ["", "a", "0.5"], ["q9", "z"]]
+            + [list(record) for record in records])))  # a duplicate
+    buffer = io.StringIO(newline="")
+    # csv quotes a field that holds a character of its line terminator
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = [",".join(FORECASTS_HEADER)]
+    for record in records:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(record)
+        lines.append(buffer.getvalue()[:-2])
+    endings = st.sampled_from(["\n", "\r", "\r\n"])
+    data = ("".join(line + draw(endings) for line in lines[:-1]) + lines[-1]
+            + draw(endings | st.just(""))).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return data
+
+
 class TestBlockLoaderMatchesReference:
     @given(case=forecast_texts(),
            block=st.integers(1, 48) | st.just(dataio._BLOCK_BYTES),
@@ -1057,24 +1101,51 @@ class TestBlockLoaderMatchesReference:
         (b'q1,a,0.5\n"q2\n\xff",a,0.5\n', None),
         (b'q1,a,0.5\n"q2\n",a,\xff\nq3,a,7\n', None),
         (b"q1,a,0.5\nq2,a,0.5\r\xff\n", None),
+        (b"q1,a,0.5\nq\xc3\xa9,a,0.5\n\xff\n", ":4: byte 0xff is not UTF-8 (invalid start byte)"),
+        (b"q1,a,0.5\nq2,\xed\xb2\x80,0.5\n",
+         ":3: byte 0xed is not UTF-8 (invalid continuation byte)"),
+        (b"q1,a,0.5\nq2,a,\xe2\x82", ":3: byte 0xe2 is not UTF-8 (unexpected end of data)"),
+        (b"q1,a,0.5\nq2,\xe2\x82\nq3,a,0.5\n",
+         ":3: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+        (b"q1,a,0.5\nq2,\xc0\xaf,0.5\n", ":3: byte 0xc0 is not UTF-8 (invalid start byte)"),
+        (HEADER_LINE + b"\rq1,a,0.5\rq2,a,0.5\r\xff\r",
+         ":4: byte 0xff is not UTF-8 (invalid start byte)"),
+        (HEADER_LINE + b"\rq1,a,0.5\rq2,a,7\rq3,\xff,0.5\r", ":3: probability '7' outside [0, 1]"),
+        (HEADER_LINE + b"\xff\nq1,a,0.5\n", ":1: byte 0xff is not UTF-8 (invalid start byte)"),
+        (FIRST_BATCH + b"q,\xff,0.5\n", ":5461: byte 0xff is not UTF-8 (invalid start byte)"),
     ], ids=["early", "after-bad-row", "after-duplicate", "late", "near-bad-row",
             "near-duplicate", "near-field-count", "in-a-quoted-record",
-            "ends-a-quoted-record", "after-a-lone-cr"])
+            "ends-a-quoted-record", "after-a-lone-cr", "after-a-valid-e-acute",
+            "encoded-surrogate", "cut-by-the-end", "cut-by-its-lf", "overlong",
+            "cr-only", "cr-only-bad-row", "in-the-header", "second-batch"])
     def test_undecodable_byte_meets_the_same_error(self, tmp_path, body, message):
-        """An earlier bad record wins, as in the reference when a chunk the
-        decoder read before the byte's holds it, and when the same chunk
-        does too; otherwise the error names the line of the byte, where the
-        reference loader raises the decoder's own error."""
+        """An earlier bad record wins; otherwise the error names the line of
+        the byte, and why the decoder rejects it.  A body that starts with
+        the header is the whole file."""
         path = tmp_path / "f.csv"
-        path.write_bytes(",".join(FORECASTS_HEADER).encode() + b"\n" + body)
+        path.write_bytes(body if body.startswith(HEADER_LINE) else HEADER_LINE + b"\n" + body)
         if message is None:
             data = path.read_bytes()
             line = len(data[:data.index(b"\xff") + 1].splitlines())
             message = f":{line}: byte 0xff is not UTF-8 (invalid start byte)"
         expected = ("DataFormatError", f"{path}{message}")
-        reference = loaded(csv_reference.load_forecast_matrix, path)
-        assert reference == expected or reference[0] == "UnicodeDecodeError"
+        assert loaded(csv_reference.load_forecast_matrix, path) == expected
         assert loaded(load_forecast_matrix, path) == expected
+
+    @given(data=undecodable_texts(), block=st.integers(1, 48) | st.just(dataio._BLOCK_BYTES))
+    @settings(max_examples=400, deadline=None)
+    def test_undecodable_bytes_meet_the_reference(self, data, block):
+        """Ids that csv quotes for a CR or a LF, or that hold an é, lines
+        ending in CR, LF or CRLF, perhaps a bad record and perhaps a byte
+        that is not UTF-8, with csv.reader's lines in batches of 1 to 48
+        characters or of `_BLOCK_BYTES`: the reference's ids and matrix, or
+        its first error."""
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_BLOCK_BYTES", block)
+            path = Path(directory) / "f.csv"
+            path.write_bytes(data)
+            assert loaded(load_forecast_matrix, path) == loaded(
+                csv_reference.load_forecast_matrix, path)
 
 
 # Ids of one to eight bytes that csv.writer writes bare, as `synth`'s are.
