@@ -172,15 +172,23 @@ def stage_weight(error_rate: float) -> float:
     return 0.5 * math.log((1.0 - e) / e)
 
 
-def _ordered_sum(values: np.ndarray):
+def _ordered_sum(values: np.ndarray | Iterator[np.ndarray]):
     """Sum over axis 0 of 1-D or 2-D input, bit for bit a left-to-right
     loop from 0.0; a 1-D sum comes back as a Python float, 0.0 when empty.
     numpy adds the rows of a C-contiguous array with two or more columns
     one after another; it would sum a vector, a lone column or an F-ordered
     array pairwise, so those take a running sum: ``np.cumsum``, or for a
     vector the ufunc it calls, ``np.add.accumulate``, which skips the
-    method's overhead.  Adding 0.0 turns a total of -0.0 into the loop's
-    +0.0 and changes no other."""
+    method's overhead.  An iterator of one or more equally shaped float64
+    arrays is summed the same way, each term added into one buffer as it
+    comes, so the terms never exist at once.  Adding 0.0 turns a total of
+    -0.0 into the loop's +0.0 and changes no other."""
+    if not isinstance(values, np.ndarray):
+        total = np.array(next(values))
+        for term in values:
+            total += term
+        total += 0.0
+        return total
     if values.ndim == 1:
         return float(np.add.accumulate(values)[-1]) + 0.0 if len(values) else 0.0
     if values.shape[1] > 1 and values.flags.c_contiguous:

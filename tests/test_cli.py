@@ -33,14 +33,25 @@ def table_files(tmp_path):
     return table, str(fpath), str(opath)
 
 
-def run_cli(*args, **blas_env):
-    """Run the CLI from this tree in a new process; ``blas_env`` sets
-    OpenBLAS variables, which are unset otherwise."""
+def run_cli(*args, **extra_env):
+    """Run the CLI from this tree in a new process; ``extra_env`` sets
+    environment variables, and OpenBLAS ones are unset otherwise."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-m", "forecast_ensembles.cli", *args],
-                   env=env | blas_env, check=True, capture_output=True)
+                   env=env | extra_env, check=True, capture_output=True)
+
+
+def avx512_dispatch():
+    """The AVX-512 feature groups this CPU offers among those numpy
+    dispatches kernels for, as NPY_DISABLE_CPU_FEATURES names them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in getattr(umath, "__cpu_dispatch__", ())
+            if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__.get(name)]
 
 
 class TestExitCodes:
@@ -181,6 +192,21 @@ class TestSynth:
             run_cli(*args, "--out-prefix", str(tmp_path / name), **blas_env)
             tables.append((tmp_path / f"{name}.forecasts.csv").read_bytes())
         assert tables[0] == tables[1] == tables[2]
+
+    def test_does_not_depend_on_the_simd_level(self, tmp_path):
+        # numpy's exp and log differ between its SIMD kernels; synth's normal
+        # CDF uses only operations that round the same at every level
+        groups = avx512_dispatch()
+        if not groups:
+            pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+        args = ["synth", "--forecasters", "338", "--questions", "88", "--mode", "type2",
+                "--coverage", "0.5", "--seed", "0"]
+        run_cli(*args, "--out-prefix", str(tmp_path / "default"))
+        run_cli(*args, "--out-prefix", str(tmp_path / "no-avx512"),
+                NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+        for kind in ("forecasts", "outcomes"):
+            assert ((tmp_path / f"default.{kind}.csv").read_bytes()
+                    == (tmp_path / f"no-avx512.{kind}.csv").read_bytes())
 
     def test_missing_mode_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--forecasters", "2", "--questions", "2",
@@ -513,15 +539,19 @@ class TestJsonArtifacts:
 
 
 class TestStartup:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # only synth needs scipy, and generate_synthetic imports it
+    def test_synth_loads_no_scipy(self, tmp_path):
+        # the normal CDF synth needs is the package's own
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", "import sys, forecast_ensembles.cli; "
-                               "print('scipy' in sys.modules)"],
-                              env=env, capture_output=True, text=True, check=True)
-        assert done.stdout == "False\n"
+        code = ("import sys; from forecast_ensembles.cli import main; "
+                "code = main(['synth', '--forecasters', '20', '--questions', '10', "
+                "'--mode', sys.argv[1], '--out-prefix', sys.argv[2]]); "
+                "print(code, 'scipy' in sys.modules)")
+        for mode in ("type1", "type2"):
+            done = subprocess.run([sys.executable, "-c", code, mode, str(tmp_path / mode)],
+                                  env=env, capture_output=True, text=True, check=True)
+            assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestMemoryCap:

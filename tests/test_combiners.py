@@ -177,6 +177,19 @@ class TestOrderedTotals:
         weights = rng.random(q) * 10.0 ** rng.integers(-300, 3, size=q)
         totals = _ordered_sum(factors * weights[:, None])
         assert np.array_equal(totals, left_to_right_totals(factors, weights))
+        # term by term, from an iterator
+        terms = _ordered_sum(factors[i] * weights[i] for i in range(q))
+        assert terms.tobytes() == totals.tobytes()
+
+    def test_iterator_of_terms_ends_on_positive_zero(self):
+        # a loop from 0.0 gives +0.0 where every term is -0.0, as the
+        # array path does, and the first term is copied, not added into
+        terms = [np.array([-0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -1.0])]
+        for count in (1, 2):
+            total = _ordered_sum(iter(terms[:count]))
+            assert total.tobytes() == _ordered_sum(np.array(terms[:count])).tobytes()
+            assert not np.signbit(total[:2]).any()
+        assert np.signbit(terms[0][:2]).all()
 
 
 def close_factors(rng, kind, q, n):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boost_reference import training_fill
 from conftest import predict_column, random_table
@@ -16,6 +18,8 @@ from forecast_ensembles import (
     individual_baseline,
     loo_evaluate,
 )
+from forecast_ensembles.combiners import _ordered_sum
+from forecast_ensembles.evaluation import _exp, _ndtr
 
 
 class TestIndividualBaseline:
@@ -213,6 +217,154 @@ class TestSyntheticGenerator:
             bagged_mse = float(np.mean((y01 - dense.mean(axis=0)) ** 2))
             member_mse = float(np.mean((y01[np.newaxis, :] - dense) ** 2))
             assert bagged_mse <= member_mse + 1e-12
+
+
+def whole_table_synthetic(spec):
+    """The synthetic table by the earlier generator's formulas: every
+    (N, Q) step a whole-table array, type1's pool mixed through one
+    (8, N * Q) product, and Phi over every cell, answered or not."""
+    rng = np.random.default_rng(spec.seed)
+    n, q = spec.forecasters, spec.questions
+    signal = rng.normal(0.0, 2.0, size=q)
+    outcome_draws = rng.random(q)
+    if spec.mode == "type2":
+        observations = signal[np.newaxis, :] + spec.noise * rng.standard_normal((n, q))
+        channel_scale = np.full(n, spec.noise)
+    else:
+        pool = rng.standard_normal((8, q))
+        counts = rng.multinomial(8, [1.0 / 8] * 8, size=n)
+        mix = _ordered_sum((counts.T[:, :, None] * pool[:, None, :]).reshape(8, -1))
+        observations = signal[np.newaxis, :] + (spec.noise / 8) * mix.reshape(n, q)
+        channel_scale = spec.noise * np.sqrt((counts.astype(float) ** 2).sum(axis=1)) / 8
+    coverage_draws = rng.random((n, q))
+    if spec.noise == 0.0:
+        true_prob = (signal > 0).astype(float)
+        posterior = np.broadcast_to(true_prob, (n, q))
+    else:
+        true_prob = _ndtr(signal / spec.noise)
+        shrink = 4.0 / (4.0 + channel_scale**2)
+        total_sd = np.sqrt(shrink * channel_scale**2 + spec.noise**2)
+        posterior = _ndtr((shrink[:, np.newaxis] * observations
+                           / total_sd[:, np.newaxis]).ravel()).reshape(n, q)
+        if n >= 2:
+            posterior[-1, :] = 0.5
+    outcomes = np.where(outcome_draws < true_prob, 1, -1)
+    return np.where(coverage_draws < spec.coverage, posterior, np.nan), outcomes
+
+
+class TestSyntheticMatchesWholeTableFormulas:
+    # 70 x 300 is 21,000 cells, more than one of the generator's blocks
+    @pytest.mark.parametrize("mode", ["type1", "type2"])
+    @pytest.mark.parametrize("noise,coverage,forecasters", [
+        (1.0, 0.8, 70), (0.3, 1.0, 70), (0.0, 0.6, 70), (1.0, 0.5, 1)])
+    def test_same_bits(self, mode, noise, coverage, forecasters):
+        spec = SyntheticSpec(forecasters=forecasters, questions=300, mode=mode, noise=noise,
+                             coverage=coverage, seed=11)
+        table = generate_synthetic(spec)
+        forecasts, outcomes = whole_table_synthetic(spec)
+        assert table.forecasts.tobytes() == forecasts.tobytes()
+        np.testing.assert_array_equal(table.outcomes, outcomes)
+
+
+# Measured bound on |_ndtr(z) - Phi(z)| in units in the last place of the
+# reference, over 42 million z (uniform, normal, log-uniform, and dense
+# about each switch) where the reference is at least the smallest normal
+# double: 9, reached once, of which up to about 2.5 is the reference's own
+# (math.erfc against a 50-digit erfc).
+NDTR_ULPS = 9
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def ndtr_reference(z):
+    return 0.5 * math.erfc(-z * math.sqrt(0.5))
+
+
+def assert_ndtr_close(zs):
+    zs = np.asarray(zs, dtype=float)
+    got = _ndtr(zs)
+    reference = np.array([ndtr_reference(z) for z in zs.tolist()])
+    normal = reference >= SMALLEST_NORMAL
+    ulps = np.abs(got - reference)[normal] / np.spacing(reference[normal])
+    assert ulps.max(initial=0.0) <= NDTR_ULPS
+    # below the normal range, a miss is an absolute error under the least normal
+    assert np.all(np.abs(got - reference)[~normal] < SMALLEST_NORMAL)
+
+
+class TestNormalCdf:
+    def test_grid_matches_erfc(self):
+        assert_ndtr_close(np.linspace(-40.0, 40.0, 160_001))
+
+    @given(st.floats(-40.0, 40.0))
+    @settings(max_examples=300, deadline=None)
+    def test_floats_match_erfc(self, z):
+        assert_ndtr_close([z])
+
+    @pytest.mark.parametrize("switch", [0.46875, 4.0])
+    def test_both_sides_of_each_switch(self, switch):
+        # |x| = |z| / sqrt(2) picks the range, so step z through the ulps
+        # around each sign's switch
+        steps = np.arange(-2000, 2001)
+        for z_switch in (switch * math.sqrt(2.0), -switch * math.sqrt(2.0)):
+            zs = z_switch + steps * np.spacing(z_switch)
+            x = np.abs(zs * -math.sqrt(0.5))
+            assert (x <= switch).any() and (x > switch).any()
+            assert_ndtr_close(zs)
+
+    def test_exactly_half_at_zero(self):
+        halves = _ndtr(np.array([0.0, -0.0]))
+        assert halves.tolist() == [0.5, 0.5]
+
+    def test_finite_in_unit_interval_and_saturating_in_the_tails(self):
+        huge = np.finfo(float).max
+        zs = np.array([-np.inf, -huge, -1e300, -40.0, -38.0, 9.0, 40.0, 1e300, huge, np.inf])
+        expected = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            assert _ndtr(zs).tolist() == expected
+            everywhere = _ndtr(np.concatenate([np.linspace(-60.0, 60.0, 100_001),
+                                               np.geomspace(1e-300, 1e300, 1001),
+                                               -np.geomspace(1e-300, 1e300, 1001)]))
+        assert np.all(np.isfinite(everywhere))
+        assert np.all((0.0 <= everywhere) & (everywhere <= 1.0))
+
+    @given(st.floats(allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_is_a_probability(self, z):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            value = float(_ndtr(np.array([z]))[0])
+        assert 0.0 <= value <= 1.0
+
+    def test_monotone(self):
+        values = _ndtr(np.linspace(-40.0, 40.0, 160_001))
+        assert np.all(np.diff(values) >= 0.0)
+
+
+class TestPrivateExp:
+    # `_ndtr` takes exp(-w^2 - (y - w)(y + w)), w a multiple of 1/16 up to
+    # 26.5 and the second part in (-3.4, 0]
+    def assert_within_an_ulp(self, a, b=0.0):
+        a = np.asarray(a, dtype=float)
+        total = a + b
+        assert np.all(total - a == b)  # the reference's argument is exact
+        reference = np.array([math.exp(x) for x in total.tolist()])
+        assert np.all(np.abs(_exp(a, b) - reference) <= np.spacing(reference))
+
+    def test_grid(self):
+        self.assert_within_an_ulp(np.concatenate([np.linspace(-708.0, 0.0, 200_001),
+                                                  -(np.arange(0, 26.5 * 16 + 1) / 16) ** 2,
+                                                  -np.geomspace(1e-300, 1.0, 1001)]))
+
+    @given(st.floats(-708.0, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_floats(self, x):
+        self.assert_within_an_ulp([x])
+
+    def test_two_parts(self):
+        # second parts on a 2^-42 grid, so that each sum is a double
+        rng = np.random.default_rng(0)
+        a = -(rng.integers(0, int(26.5 * 16) + 1, 200_000) / 16.0) ** 2
+        b = -rng.integers(0, int(3.4 * 2**42), a.size) * 2.0**-42
+        in_range = a + b >= -708.0
+        self.assert_within_an_ulp(a[in_range], b[in_range])
 
 
 class TestSyntheticSanity:
