@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import MAX_SEED, NEGATIVE, POSITIVE, ForecastTable
+from .domain import MAX_SEED, NEGATIVE, POSITIVE, ForecastTable, _check_cells
 from .links import LinkSpec
 
 __all__ = [
@@ -531,8 +531,7 @@ def ensemble_predict_table(model: EnsembleModel, forecasts) -> tuple[np.ndarray,
     n = model.n_forecasters
     if forecasts.ndim != 2 or len(forecasts) != n:
         raise ValueError(f"expected {n} forecasts per question, got shape {forecasts.shape}")
-    if np.any((forecasts < 0) | (forecasts > 1)):
-        raise ValueError("forecasts must lie in [0, 1] (or be NaN for absent)")
+    _check_cells(forecasts)
 
     if model.method == "bagging":
         probabilities = _ordered_sum(np.where(np.isnan(forecasts), 0.5, forecasts)) / n

@@ -64,7 +64,8 @@ arrays.  The plain reader numbers ids as UTF-8 bytes and decodes each
 once; UTF-8 is one to one, so the numbering is that of the text.
 
 A large forecasts file is read, or written, by two processes where
-`_split` holds for its size: this one and a `_forking.Child` whose work
+`_forking.allowed`, the one gate for both, holds for its size (its
+estimated size, for the write): this one and a `_forking.Child` whose work
 returns the later half, and whose `wait` does that work here if the child
 failed.  The parse cuts the file after the first line feed at or after
 its middle (`_second_range`).  The child's `_Part` of the second range is
@@ -187,18 +188,6 @@ def _read_rows(path, header: list[str]):
 # and the 309 KB side table slower (CHANGES.md), so 64 KiB stays.  The
 # unfinished last line goes on to the next block.
 _BLOCK_BYTES = 1 << 16
-
-# The bytes of a forecasts file per process that parses or writes it
-# (`_split`).  A child costs some milliseconds: the fork, the copy of its
-# result through a file, its exit and the parse's merge.  In timed pairs
-# on a 2-vCPU machine, with the plain block reader, two processes parsed
-# tables of 2 MB and more some 15 to 30 % faster than one, and tables of
-# 0.5 to 1 MB slower, while the second CPU was free; while it was busy,
-# two lost at every size, and so did the write at 0.5 to 2 MB (CHANGES.md).
-# Two, this process and one child, is the only count timed to win there;
-# more ranges than the CPUs that run them lose, and a CPU quota does not
-# shrink the affinity mask `_split` counts.
-_MIN_RANGE_BYTES = 1 << 20
 
 # Bytes that only csv.reader tokenizes as it should: a quote, a NUL
 # (rejected by csv on some Python versions), or a carriage return, which
@@ -489,24 +478,15 @@ def _read_range(path: Path, columns: _Columns, start: int, end: int) -> None:
             columns.add_plain(block, ends)
 
 
-def _split(size: int) -> bool:
-    """Whether a child shares the work on ``size`` bytes of a forecasts
-    file: ``size`` is at least twice `_MIN_RANGE_BYTES`, `_forking.allowed`
-    holds, and the platform tells of two CPUs or more this process may run
-    on."""
-    return (size >= 2 * _MIN_RANGE_BYTES and _forking.allowed()
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
-
-
 def _second_range(path: Path) -> tuple[int, int]:
     """Where the file's second range starts, just after the first line feed
     at or after its middle, and the file's size.  The start is the size,
-    and there is no second range, if `_split` does not hold for the size,
-    or if that line feed ends the file or there is none."""
+    and there is no second range, if `_forking.allowed` does not hold for
+    the size, or if that line feed ends the file or there is none."""
     with path.open("rb") as handle:
         size = os.fstat(handle.fileno()).st_size
         start = size
-        if _split(size):
+        if _forking.allowed(size):
             handle.seek(size // 2)
             while block := handle.read(_BLOCK_BYTES):
                 if (found := block.find(b"\n")) >= 0:
@@ -604,7 +584,7 @@ def _read_forecasts(path, forecaster_ids):
         raise DataFormatError(f"{path}: file not found")
     try:
         read = _read_plain(path, forecaster_ids).validated()
-        if forecaster_ids is None or len(read[1]) == len(set(forecaster_ids)):
+        if forecaster_ids is None or len(read[1]) == len(forecaster_ids):
             return read
     except _NotPlain:
         pass
@@ -618,8 +598,11 @@ def load_forecast_matrix(path, forecaster_ids=None
     ``matrix[i, j]`` is forecaster i's probability on question j, NaN where
     no forecast was given.  Questions follow first appearance in the file.
     Rows follow ``forecaster_ids`` when it is given, and a forecaster not in
-    it is an error; otherwise they follow first appearance.
+    it is an error; otherwise they follow first appearance.  A repeated id
+    in ``forecaster_ids`` raises ValueError before the file is read.
     """
+    if forecaster_ids is not None and len(set(forecaster_ids)) != len(forecaster_ids):
+        raise ValueError("forecaster ids must be duplicate-free")
     question_ids, forecaster_ids, rows, columns, values = _read_forecasts(path, forecaster_ids)
     matrix = np.full((len(forecaster_ids), len(question_ids)), np.nan)
     matrix[rows, columns] = values
@@ -670,10 +653,12 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
     Only present cells are written, forecaster-major so that first
     appearance preserves forecaster order; a forecaster with no forecast
     gets one empty-probability row on the first question, so that it is
-    not lost.  Probabilities carry 17 significant digits.  Each id is
-    quoted once by csv.writer, as it would quote it in any row, and each
-    forecaster's rows are one ``%`` template applied to its probabilities.
-    A child may format the rows from `_Rows.half` on; the bytes are the same.
+    not lost.  A table with no question writes no forecasts line, so it
+    loads back with no forecaster either.  Probabilities carry 17
+    significant digits.  Each id of both files is quoted once by
+    `_csv_fields`, and each forecaster's rows are one ``%`` template
+    applied to its probabilities.  A child may format the rows from
+    `_Rows.half` on; the bytes are the same.
     """
     rows = _Rows(table)
     with Path(forecasts_path).open("wb") as handle:
@@ -688,10 +673,10 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
         finally:
             later.stop()
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(OUTCOMES_HEADER)
-        for q, question_id in enumerate(table.question_ids):
-            writer.writerow([question_id, "+1" if table.outcomes[q] > 0 else "-1"])
+        handle.write(",".join(OUTCOMES_HEADER) + "\n")
+        handle.writelines(f"{question_id},{'+1' if outcome > 0 else '-1'}\n"
+                          for question_id, outcome
+                          in zip(_csv_fields(table.question_ids), table.outcomes.tolist()))
 
 
 class _Rows:
@@ -707,9 +692,9 @@ class _Rows:
 
     def half(self) -> int:
         """The row from which a child formats the rest, about half of the
-        probabilities, or the number of rows if `_split` does not hold for
-        the file's estimated size.  A probability counts as 19 bytes ("0."
-        and 17 digits) there."""
+        probabilities, or the number of rows if `_forking.allowed` does not
+        hold for the file's estimated size.  A probability counts as 19
+        bytes ("0." and 17 digits) there."""
         question_bytes, forecaster_bytes = (
             np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
             for ids in (self.question_ids, self.forecaster_ids))
@@ -719,7 +704,7 @@ class _Rows:
                   + np.maximum(self.cells, 1) * (forecaster_bytes + 3))
         count = len(self.cells)
         estimate = len(",".join(FORECASTS_HEADER)) + int((widths + 19 * self.cells).sum())
-        if count < 2 or not _split(estimate):
+        if count < 2 or not _forking.allowed(estimate):
             return count
         cells = np.cumsum(self.cells)
         return int(np.searchsorted(cells, cells[-1] / 2)) + 1
@@ -740,17 +725,17 @@ class _Rows:
 
 def _csv_fields(texts) -> list[str]:
     """Each text as csv.writer writes it as a field of a row: quoted when
-    it holds a comma, a quote or a line break."""
+    it holds a comma, a quote, a CR or an LF, on every Python version."""
     buffer = io.StringIO()
     # the line terminator is part of the dialect: csv quotes a field that
-    # holds one of its characters
-    writer = csv.writer(buffer, lineterminator="\n")
+    # holds one of its characters (before Python 3.13, a CR only then)
+    writer = csv.writer(buffer, lineterminator="\r\n")
     fields = []
     for text in texts:
         buffer.seek(0)
         buffer.truncate()
         writer.writerow([text, ""])  # two fields, so that "" is written bare
-        fields.append(buffer.getvalue()[:-2])
+        fields.append(buffer.getvalue()[:-3])
     return fields
 
 
@@ -828,11 +813,7 @@ def save_eval_report(report: EvalReport, path) -> None:
             "best_individual_errors": report.best_individual_errors,
             "mean_individual_errors": report.mean_individual_errors,
         },
-        "per_question": [
-            {"question_id": r.question_id, "predicted": r.predicted,
-             "actual": r.actual, "probability": r.probability}
-            for r in report.per_question
-        ],
+        "per_question": [r._asdict() for r in report.per_question],
     }
     _write_record(record, path)
 

@@ -25,6 +25,15 @@ NEGATIVE = -1
 MAX_SEED = 2**64 - 1
 
 
+def _check_cells(forecasts: np.ndarray, outcomes: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every forecast lies in [0, 1], or is NaN for
+    an absent one (NaN compares false), and every outcome given is +1 or -1."""
+    if np.any((forecasts < 0.0) | (forecasts > 1.0)):
+        raise ValueError("forecasts must lie in [0, 1], or be NaN for an absent one")
+    if outcomes is not None and not ((outcomes == POSITIVE) | (outcomes == NEGATIVE)).all():
+        raise ValueError("outcomes must be +1 or -1")
+
+
 @dataclass(frozen=True, eq=False)
 class ForecastTable:
     """Forecasts of N forecasters on Q resolved questions.
@@ -32,7 +41,7 @@ class ForecastTable:
     ``forecasts[i, q]`` is forecaster i's probability that question q
     resolves positive, or NaN if no forecast was given.  Every question in
     the table is resolved to +1 or -1; unresolved questions must be dropped
-    at ingestion, before construction.
+    at ingestion, before construction.  Ids are non-empty and distinct.
     """
 
     question_ids: tuple[str, ...]
@@ -43,10 +52,9 @@ class ForecastTable:
     def __post_init__(self) -> None:
         question_ids = tuple(str(q) for q in self.question_ids)
         forecaster_ids = tuple(str(f) for f in self.forecaster_ids)
-        if len(set(question_ids)) != len(question_ids):
-            raise ValueError("question ids must be duplicate-free")
-        if len(set(forecaster_ids)) != len(forecaster_ids):
-            raise ValueError("forecaster ids must be duplicate-free")
+        for name, ids in (("question", question_ids), ("forecaster", forecaster_ids)):
+            if "" in ids or len(set(ids)) != len(ids):
+                raise ValueError(f"{name} ids must be non-empty and duplicate-free")
         forecasts = np.array(self.forecasts, dtype=float)
         outcomes = np.array(self.outcomes, dtype=int)
         shape = (len(forecaster_ids), len(question_ids))
@@ -54,11 +62,7 @@ class ForecastTable:
             raise ValueError(f"forecast matrix has shape {forecasts.shape}, expected {shape}")
         if outcomes.shape != (shape[1],):
             raise ValueError(f"outcomes have shape {outcomes.shape}, expected ({shape[1]},)")
-        present = ~np.isnan(forecasts)
-        if np.any(present & ((forecasts < 0.0) | (forecasts > 1.0))):
-            raise ValueError("forecasts must lie in [0, 1] (or be NaN for absent)")
-        if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
-            raise ValueError("outcomes must be +1 or -1")
+        _check_cells(forecasts, outcomes)
         forecasts.setflags(write=False)
         outcomes.setflags(write=False)
         object.__setattr__(self, "question_ids", question_ids)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import POSITIVE, NEGATIVE
+from .domain import POSITIVE, _check_cells
 from .links import ScoringRule
 
 __all__ = ["MAX_BINS", "BinSummary", "ScoreReport", "TableSplit", "decompose",
@@ -111,10 +111,9 @@ def decompose(forecasts: Sequence[float], outcomes: Sequence[int],
         raise ValueError("forecasts and outcomes must be 1-d and of equal length")
     if forecasts.size == 0:
         raise ValueError("cannot score an empty forecast list")
-    if np.any(np.isnan(forecasts)) or np.any((forecasts < 0) | (forecasts > 1)):
-        raise ValueError("forecasts must lie in [0, 1]")
-    if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
-        raise ValueError("outcomes must be +1 or -1")
+    if np.any(np.isnan(forecasts)):
+        raise ValueError("forecasts must lie in [0, 1]: decompose takes no absent (NaN) one")
+    _check_cells(forecasts, outcomes)
     _check_bins(bins)
     split, counts, frequencies = _split_rows(forecasts[np.newaxis], outcomes == POSITIVE,
                                              rule, bins)
@@ -148,10 +147,7 @@ def decompose_table(forecasts, outcomes, rule: ScoringRule, bins: int = 10) -> T
     outcomes = np.asarray(outcomes, dtype=int)
     if forecasts.ndim != 2 or outcomes.shape != forecasts.shape[1:]:
         raise ValueError("forecasts must be (N, Q) and outcomes of length Q")
-    if np.any((forecasts < 0) | (forecasts > 1)):
-        raise ValueError("forecasts must lie in [0, 1] or be NaN")
-    if not np.isin(outcomes, (POSITIVE, NEGATIVE)).all():
-        raise ValueError("outcomes must be +1 or -1")
+    _check_cells(forecasts, outcomes)
     _check_bins(bins)
     positive = outcomes == POSITIVE
     rows = _BLOCK_CELLS // (bins + 1)

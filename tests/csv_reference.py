@@ -11,8 +11,9 @@ error wins, counting only the faults of records that end before the
 byte's line, and the byte wins a tie.
 
 The writer is the package's as it was before it joined each forecaster's
-rows: one `csv.writer` row per cell.  It pins `dataio.write_table` down to
-equal file bytes.
+rows: one `csv.writer` row per cell, whose terminator holds a CR and an
+LF, so that a field holding either is quoted on every Python version.  It
+pins `dataio.write_table` down to equal file bytes.
 """
 
 from __future__ import annotations
@@ -118,21 +119,28 @@ def load_forecast_matrix(path, forecaster_ids=None
     return tuple(question_index), tuple(forecaster_index), matrix
 
 
+def _row(fields) -> str:
+    """One csv.writer row ending in LF, a field quoted where it holds a CR
+    or an LF on every Python version: csv quotes a field that holds a
+    character of the line terminator."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(fields)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def write_table(table, forecasts_path, outcomes_path) -> None:
     """Write a table as the forecasts/outcomes CSV pair, one row at a time."""
     with Path(forecasts_path).open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FORECASTS_HEADER)
+        handle.write(_row(FORECASTS_HEADER))
         answered = table.answered
         for i, forecaster_id in enumerate(table.forecaster_ids):
             if table.question_ids and not answered[i].any():
-                writer.writerow([table.question_ids[0], forecaster_id, ""])
+                handle.write(_row([table.question_ids[0], forecaster_id, ""]))
             for q, question_id in enumerate(table.question_ids):
                 if answered[i, q]:
-                    writer.writerow([question_id, forecaster_id,
-                                     format(table.forecasts[i, q], ".17g")])
+                    handle.write(_row([question_id, forecaster_id,
+                                       format(table.forecasts[i, q], ".17g")]))
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["question_id", "outcome"])
+        handle.write(_row(["question_id", "outcome"]))
         for q, question_id in enumerate(table.question_ids):
-            writer.writerow([question_id, "+1" if table.outcomes[q] > 0 else "-1"])
+            handle.write(_row([question_id, "+1" if table.outcomes[q] > 0 else "-1"]))

@@ -38,7 +38,7 @@ from forecast_ensembles import (
     train,
     write_table,
 )
-from forecast_ensembles import dataio
+from forecast_ensembles import _forking, dataio
 from forecast_ensembles.cli import main
 from forecast_ensembles.dataio import FORECASTS_HEADER, OUTCOMES_HEADER, load_forecast_matrix
 
@@ -181,6 +181,13 @@ class TestLoadForecastMatrix:
         with pytest.raises(DataFormatError, match=r"forecasts\.csv:4: forecaster 'bob'"):
             load_forecast_matrix(fpath, ("alice",))
 
+    def test_repeated_given_id_rejected_before_the_file_is_read(self, tmp_path):
+        fpath, _ = write_files(tmp_path, GOOD_FORECASTS, GOOD_OUTCOMES)
+        for path in (fpath, tmp_path / "absent.csv"):  # neither file is opened
+            with pytest.raises(ValueError, match="ids must be duplicate-free") as caught:
+                load_forecast_matrix(path, ["alice", "alice", "bob"])
+            assert type(caught.value) is ValueError
+
     def test_field_over_csv_limit_names_line(self, tmp_path):
         text = "question_id,forecaster_id,probability\nq1,a,0.5\nq2," + "b" * 200_000 + ",0.5\n"
         fpath, opath = write_files(tmp_path, text, "question_id,outcome\nq1,+1\n" + "q2" * 70_000)
@@ -223,8 +230,9 @@ class TestLoadForecastMatrix:
 
 
 # Ids with every character csv.writer quotes for, and some it does not,
-# among them those a % template or a str.format one would read.
-WRITER_IDS = st.text(alphabet=' ,"\n\rqé€x%{}', max_size=4)
+# among them those a % template or a str.format one would read; an id is
+# never empty.
+WRITER_IDS = st.text(alphabet=' ,"\n\rqé€x%{}', min_size=1, max_size=4)
 WRITER_VALUES = (st.just(np.nan) | st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2])
                  | st.floats(0.0, 1.0))
 
@@ -271,6 +279,17 @@ class TestTableRoundTrip:
         write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
         loaded = load_table(tmp_path / "f.csv", tmp_path / "o.csv")
         assert loaded.forecasts[0, 0] == value
+
+    @given(table=awkward_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_every_table_with_a_question_loads_back(self, table):
+        """A table with no question writes no forecasts line, so its
+        forecasters cannot come back."""
+        assume(table.n_questions)
+        with tempfile.TemporaryDirectory() as directory:
+            files = [Path(directory) / name for name in ("f.csv", "o.csv")]
+            write_table(table, *files)
+            assert load_table(*files) == table
 
     def test_line_endings_are_lf(self, tmp_path):
         table = generate_synthetic(SyntheticSpec(forecasters=2, questions=3, seed=1))
@@ -885,7 +904,7 @@ def loaded(load, path, forecaster_ids=None):
 def split_into(patch, cpus):
     """Make the loader and the writer see ``cpus`` CPUs, whatever the
     machine has, and a file of two bytes or more worth two ranges."""
-    patch.setattr(dataio, "_MIN_RANGE_BYTES", 1)
+    patch.setattr(_forking, "_MIN_RANGE_BYTES", 1)
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
@@ -1449,7 +1468,7 @@ class TestRanges:
         data = path.read_bytes()
         assert ranges == min(cpus, maximum, len(data) // minimum) and maximum >= 2
         split_into(monkeypatch, cpus)
-        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", minimum)
+        monkeypatch.setattr(_forking, "_MIN_RANGE_BYTES", minimum)
         start, end = dataio._second_range(path)
         assert end == len(data)
         if ranges == 1:
@@ -1469,7 +1488,7 @@ class TestRanges:
                         + "q8,a,1\n" * 10, encoding="utf-8")
         data = path.read_bytes()
         split_into(monkeypatch, cpus)
-        monkeypatch.setattr(dataio, "_MIN_RANGE_BYTES", 96)
+        monkeypatch.setattr(_forking, "_MIN_RANGE_BYTES", 96)
         start, end = dataio._second_range(path)
         assert end == len(data) == 191 + (size == "at")
         if cpus == 1 or size == "below":

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from boost_reference import training_fill
 from forecast_ensembles import (
+    EnsembleModel,
     ForecastTable,
     LinkSpec,
     adaboost_train,
     decompose,
+    decompose_table,
+    ensemble_predict_table,
     matched_scoring_rule,
     realboost_train,
 )
@@ -16,27 +21,54 @@ from forecast_ensembles import (
 RULE = matched_scoring_rule(LinkSpec("exponential"))
 
 
+BAGGING = EnsembleModel("bagging", (), ("f",))
+
+# Each entry point that takes a forecast matrix, called on one forecast
+# and one outcome label; `ensemble_predict_table` takes no label.
+ENTRY_POINTS = {
+    "ForecastTable": lambda value, label: ForecastTable(("q",), ("f",), [[value]], [label]),
+    "ensemble_predict_table": lambda value, label: ensemble_predict_table(BAGGING, [[value]]),
+    "decompose_table": lambda value, label: decompose_table([[value]], [label], RULE),
+    "decompose": lambda value, label: decompose([value], [label], RULE),
+}
+LABELLED = [name for name in ENTRY_POINTS if name != "ensemble_predict_table"]
+
+
 class TestValidation:
-    """Bare probabilities and outcome labels, as `decompose` checks them:
-    a table reads NaN as an absent forecast, so `decompose` is where a
-    NaN probability is refused."""
+    """Probabilities and outcome labels, checked by one rule wherever a
+    forecast matrix enters: a forecast lies in [0, 1], or is NaN for an
+    absent one, and an outcome is +1 or -1.  Only `decompose`, which scores
+    present forecasts, refuses NaN."""
 
-    @pytest.mark.parametrize("value", [0.0, 1.0, 0.5, 0.73])
-    def test_probability_accepts_unit_interval(self, value):
-        assert sum(b.count for b in decompose([value], [1], RULE).per_bin) == 1
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.5, 0.73, 5e-324])
+    def test_probability_accepts_unit_interval(self, name, value):
+        ENTRY_POINTS[name](value, 1)
 
-    @pytest.mark.parametrize("value", [-0.1, 1.3, float("nan"), float("inf")])
-    def test_probability_rejects_outside(self, value):
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [-1e-300, 1 + 2**-52, float("inf"), -float("inf"),
+                                       -0.1, 1.3])
+    def test_probability_rejects_outside(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(
+                "forecasts must lie in [0, 1], or be NaN for an absent one")):
+            ENTRY_POINTS[name](value, 1)
+
+    @pytest.mark.parametrize("name", [name for name in ENTRY_POINTS if name != "decompose"])
+    def test_nan_is_an_absent_forecast(self, name):
+        ENTRY_POINTS[name](float("nan"), -1)
+
+    def test_decompose_rejects_nan(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            decompose([value], [1], RULE)
+            decompose([float("nan")], [1], RULE)
 
     def test_outcome_accepts_signs(self):
         assert decompose([0.5, 0.5], [1, -1], RULE, bins=1).per_bin[0].frequency == 0.5
 
-    @pytest.mark.parametrize("value", [0, 2, -2])
-    def test_outcome_rejects_other(self, value):
-        with pytest.raises(ValueError, match="outcomes must be"):
-            decompose([0.5], [value], RULE)
+    @pytest.mark.parametrize("name", LABELLED)
+    @pytest.mark.parametrize("label", [0, 2, -2])
+    def test_outcome_rejects_other(self, name, label):
+        with pytest.raises(ValueError, match=re.escape("outcomes must be +1 or -1")):
+            ENTRY_POINTS[name](0.5, label)
 
 
 class TestForecastTable:
@@ -52,6 +84,12 @@ class TestForecastTable:
         with pytest.raises(ValueError, match="duplicate-free"):
             ForecastTable(("a", "b"), ("x", "x"),
                           np.array([[0.5, 0.6], [0.5, 0.6]]), np.array([1, -1]))
+        # nor empty, as no CSV field that the loaders take names one
+        with pytest.raises(ValueError, match="question ids must be non-empty"):
+            ForecastTable(("", "b"), ("x",), np.array([[0.5, 0.6]]), np.array([1, -1]))
+        with pytest.raises(ValueError, match="forecaster ids must be non-empty"):
+            ForecastTable(("q1", "q2"), ("", "b"),
+                          np.array([[0.5, 0.6], [0.2, 0.3]]), np.array([1, -1]))
 
     def test_out_of_range_forecast_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
