@@ -15,8 +15,9 @@ and its `stop` ends the child.  The child's pid is kept before any
 bytecode runs after the fork, so an interrupt cannot lose it.  Python
 3.12's DeprecationWarning about a fork in a process with threads (BLAS
 starts some) is silenced for the fork only, by a filter that all threads
-share, so a caller forks only where `allowed`, the one gate for every
-caller, holds; there is no option for it.
+share, so a caller forks only where `allowed` holds; there is no option
+for it.  The parse of a large forecasts file (`dataio._read_plain`) is
+its one client: the write runs in one process, which beat two.
 """
 
 from __future__ import annotations
@@ -31,22 +32,21 @@ import warnings
 from itertools import starmap
 from typing import Any, Callable
 
-# The bytes of a forecasts file per process that parses or writes it.  A
-# child costs some milliseconds: the fork, the copy of its result through a
-# file, its exit and the parse's merge.  In timed pairs on a 2-vCPU
-# machine, with the plain block reader, two processes parsed tables of 2 MB
-# and more some 15 to 30 % faster than one, and tables of 0.5 to 1 MB
-# slower, while the second CPU was free; while it was busy, two lost at
-# every size, and so did the write at 0.5 to 2 MB (CHANGES.md).  Two, this
-# process and one child, is the only count timed to win there; more ranges
-# than the CPUs that run them lose, and a CPU quota does not shrink the
-# affinity mask `allowed` counts.
+# The bytes of a forecasts file per process that parses it.  A child costs
+# some milliseconds: the fork, the copy of its result through a file, its
+# exit and the parse's merge.  In timed pairs on a 2-vCPU machine, with the
+# plain block reader, two processes parsed tables of 2 MB and more some 15
+# to 30 % faster than one, and tables of 0.5 to 1 MB slower, while the
+# second CPU was free; while it was busy, two lost at every size
+# (CHANGES.md).  Two, this process and one child, is the only count timed
+# to win there; more ranges than the CPUs that run them lose, and a CPU
+# quota does not shrink the affinity mask `allowed` counts.
 _MIN_RANGE_BYTES = 1 << 20
 
 
 def allowed(size: int) -> bool:
-    """Whether a child shares the work on ``size`` bytes of a forecasts
-    file: ``size`` is at least twice `_MIN_RANGE_BYTES`, the platform
+    """Whether a child shares the parse of a forecasts file of ``size``
+    bytes: ``size`` is at least twice `_MIN_RANGE_BYTES`, the platform
     forks, no other thread runs, whose warning filters `Child.start` would
     change, and this process may run on two CPUs or more."""
     return (size >= 2 * _MIN_RANGE_BYTES and hasattr(os, "fork")

@@ -63,18 +63,20 @@ check, `_first_duplicate`, finds a duplicate forecast in either reader's
 arrays.  The plain reader numbers ids as UTF-8 bytes and decodes each
 once; UTF-8 is one to one, so the numbering is that of the text.
 
-A large forecasts file is read, or written, by two processes where
-`_forking.allowed`, the one gate for both, holds for its size (its
-estimated size, for the write): this one and a `_forking.Child` whose work
-returns the later half, and whose `wait` does that work here if the child
+A large forecasts file is read by two processes where `_forking.allowed`
+holds for its size: this one and a `_forking.Child` whose work returns
+the later half, and whose `wait` does that work here if the child
 failed.  The parse cuts the file after the first line feed at or after
 its middle (`_second_range`).  The child's `_Part` of the second range is
 merged after the first: its ids take the numbers a single pass gives
 them, so ids and arrays are those of one pass.  A range that the plain
 reader declines, in either process, sends the whole file to csv.reader;
 the child returns no part for it, and it is not read again here.
-`write_table` has the child format the later forecaster rows, and writes
-the bytes one process writes.
+
+`write_table` writes in this process alone.  It writes each probability
+as ``format(p, ".17g")`` does, one of [0.001, 1) by integer arithmetic
+(`_texts`), and makes a chunk of forecaster rows' lines at a time as
+fixed-width records compacted by a mask (`_forecast_lines`).
 """
 
 from __future__ import annotations
@@ -653,74 +655,185 @@ def write_table(table: ForecastTable, forecasts_path, outcomes_path) -> None:
     Only present cells are written, forecaster-major so that first
     appearance preserves forecaster order; a forecaster with no forecast
     gets one empty-probability row on the first question, so that it is
-    not lost.  A table with no question writes no forecasts line, so it
-    loads back with no forecaster either.  Probabilities carry 17
-    significant digits.  Each id of both files is quoted once by
-    `_csv_fields`, and each forecaster's rows are one ``%`` template
-    applied to its probabilities.  A child may format the rows from
-    `_Rows.half` on; the bytes are the same.
+    not lost.  A table with forecasters but no question has no line on
+    which to write them, and would load back without them, so it raises
+    ValueError before either file is opened, as does an id that UTF-8
+    cannot encode.  Each probability is written as ``format(p, ".17g")``
+    writes it (`_texts`), and each id of both files is quoted once by
+    `_csv_fields`.  The forecasts lines are made and written a chunk of
+    forecaster rows at a time (`_forecast_lines`).
     """
-    rows = _Rows(table)
+    if table.n_forecasters and not table.n_questions:
+        raise ValueError("a table with forecasters but no question cannot be written: "
+                         "no forecasts line would hold its forecasters")
+    question_ids, forecaster_ids = map(_csv_fields, (table.question_ids, table.forecaster_ids))
+    lines = _forecast_lines(table.forecasts, *map(_padded_items, (question_ids, forecaster_ids)))
     with Path(forecasts_path).open("wb") as handle:
-        count, half = len(rows.cells), rows.half()
-        later = _forking.Child(lambda: b"".join(rows.text(half, count)))
-        try:
-            if half < count:
-                later.start()
-            handle.write((",".join(FORECASTS_HEADER) + "\n").encode())
-            handle.writelines(rows.text(0, half))
-            handle.write(later.wait())
-        finally:
-            later.stop()
+        handle.write((",".join(FORECASTS_HEADER) + "\n").encode())
+        for chunk in lines:
+            handle.write(chunk)
     with Path(outcomes_path).open("w", newline="\n", encoding="utf-8") as handle:
         handle.write(",".join(OUTCOMES_HEADER) + "\n")
         handle.writelines(f"{question_id},{'+1' if outcome > 0 else '-1'}\n"
-                          for question_id, outcome
-                          in zip(_csv_fields(table.question_ids), table.outcomes.tolist()))
+                          for question_id, outcome in zip(question_ids, table.outcomes.tolist()))
 
 
-class _Rows:
-    """A table's forecaster rows as the lines of a forecasts file."""
+# Bytes of fixed-width lines `_forecast_lines` makes at a time.  A chunk
+# costs some tens of numpy calls, and its arrays take several times its
+# size, memory that is paged in again when a chunk's arrays are freed and
+# made anew.  In process on a 2-vCPU machine, 64 KiB wrote the 338x88 paper
+# table fastest and the 1000x500 panel table slowest, 256 KiB and more the
+# other way round; 128 KiB was within 10 % of the best on both (CHANGES.md).
+_WRITE_BYTES = 1 << 17
+_PAD = 0xFF  # no UTF-8 text holds this byte, so it marks the bytes not written
 
-    def __init__(self, table: ForecastTable) -> None:
-        self.forecasts, self.answered = table.forecasts, table.answered
-        self.cells = np.count_nonzero(self.answered, axis=1)  # probabilities per row
-        # escaped, as the ids stand in each row's % template
-        self.question_ids, self.forecaster_ids = (
-            [text.replace("%", "%%") for text in _csv_fields(ids)]
-            for ids in (table.question_ids, table.forecaster_ids))
 
-    def half(self) -> int:
-        """The row from which a child formats the rest, about half of the
-        probabilities, or the number of rows if `_forking.allowed` does not
-        hold for the file's estimated size.  A probability counts as 19
-        bytes ("0." and 17 digits) there."""
-        question_bytes, forecaster_bytes = (
-            np.fromiter(map(len, map(str.encode, ids)), np.intp, len(ids))
-            for ids in (self.question_ids, self.forecaster_ids))
-        # each row's ids (their escapes too), commas and line feeds; a
-        # forecaster with no forecast takes one line on the first question
-        widths = (self.answered @ question_bytes + (self.cells == 0) * question_bytes[:1].sum()
-                  + np.maximum(self.cells, 1) * (forecaster_bytes + 3))
-        count = len(self.cells)
-        estimate = len(",".join(FORECASTS_HEADER)) + int((widths + 19 * self.cells).sum())
-        if count < 2 or not _forking.allowed(estimate):
-            return count
-        cells = np.cumsum(self.cells)
-        return int(np.searchsorted(cells, cells[-1] / 2)) + 1
+def _forecast_lines(forecasts, questions, forecasters):
+    """The lines of a forecasts file after its header, one array of bytes
+    per chunk of the rows of ``forecasts``; ``questions`` and
+    ``forecasters`` are the ids' fields as `_padded_items` gives them.
+    Each line is first a fixed-width record: the question's field and
+    comma, the forecaster's, the probability's text (`_texts`) and a line
+    feed, each padded with `_PAD`; a chunk's records are then compacted by
+    dropping every pad byte.  A chunk holds the lines of as many rows as
+    fit in `_WRITE_BYTES`, one row at least, so a long id narrows it."""
+    record = np.dtype([("question", questions.dtype), ("forecaster", forecasters.dtype),
+                       ("text", "<u4", (6,)), ("end", "S1")])
+    # lines per forecaster: one with no forecast takes one, on the first question
+    counts = np.maximum(np.count_nonzero(~np.isnan(forecasts), axis=1), 1)
+    ends = np.cumsum(counts)
+    per_chunk = max(1, _WRITE_BYTES // record.itemsize)
+    start = 0
+    while start < len(counts):
+        made = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, made + per_chunk, "right")))
+        block = forecasts[start:stop]
+        lines = ~np.isnan(block)
+        lines[:, 0] |= ~lines.any(axis=1)  # NaN there, so an empty probability
+        rows, columns = np.nonzero(lines)
+        records = np.empty(len(rows), record)
+        records["question"] = questions[columns]
+        records["forecaster"] = np.repeat(forecasters[start:stop], counts[start:stop])
+        records["text"] = _texts(block[rows, columns])
+        records["end"] = b"\n"
+        data = records.view(np.uint8)
+        yield data[data != _PAD]
+        start = stop
 
-    def text(self, start: int, stop: int):
-        """The UTF-8 lines of rows ``start`` to ``stop``, a bytes object
-        per row, each one % operation on its row's template."""
-        question_ids = self.question_ids
-        if not question_ids:  # no question, no line
-            return
-        for i in range(start, stop):
-            columns = np.flatnonzero(self.answered[i]).tolist()
-            separator = f",{self.forecaster_ids[i]},%.17g\n"
-            template = (separator.join(map(question_ids.__getitem__, columns)) + separator
-                        if columns else f"{question_ids[0]},{self.forecaster_ids[i]},\n")
-            yield (template % tuple(self.forecasts[i, columns].tolist())).encode()
+
+def _padded_items(fields) -> np.ndarray:
+    """Each field's UTF-8 bytes and a comma, padded with `_PAD` to a common
+    width, as the items of a void array."""
+    encoded = [field.encode() + b"," for field in fields]
+    width = max(map(len, encoded), default=1)
+    return np.frombuffer(b"".join(e.ljust(width, bytes([_PAD])) for e in encoded), f"V{width}")
+
+
+def _four_digits(numbers) -> np.ndarray:
+    """Each number below 10**4 as four ASCII digits, the first in the low
+    byte of a uint32."""
+    numbers = np.asarray(numbers, np.uint32)
+    word = np.full(numbers.shape, 0x30303030, np.uint32)
+    for place, scale in enumerate((1000, 100, 10, 1)):
+        word |= (numbers // np.uint32(scale) % np.uint32(10)) << np.uint32(8 * place)
+    return word
+
+
+def _without_trailing_zeros(words, numbers, digits: int) -> np.ndarray:
+    """``words`` whose last ``digits`` bytes hold the digits of
+    ``numbers``, each trailing zero digit set to `_PAD`; a zero is all
+    zeros."""
+    zeros = np.zeros(len(numbers), np.uint32)
+    for scale in (10, 100, 1000, 10000)[:digits]:
+        zeros += numbers % scale == 0
+    return words | (np.uint64(0xFFFFFFFF) << (np.uint64(32) - 8 * zeros)).astype(np.uint32)
+
+
+# The texts of four digits of a probability, and after them the same with
+# its trailing zeros padded, for the last group that is not zero: "0000" to
+# "9999", then the first group of three, ".000" to ".999".
+_NUMBERS = np.arange(10**4)
+_FOUR = _four_digits(_NUMBERS)
+_FOUR = np.concatenate((_FOUR, _without_trailing_zeros(_FOUR, _NUMBERS, 4)))
+_POINT = _FOUR[:1000] & np.uint32(0xFFFFFF00) | np.uint32(ord("."))
+_POINT = np.concatenate((_POINT, _without_trailing_zeros(_POINT, _NUMBERS[:1000], 3)))
+_PAD_WORD = np.uint32(0xFFFFFFFF)
+_ZERO_WORD = np.uint32(0x30FFFFFF)  # "0", padded; one more in its high byte makes "1"
+_FIVES = np.array([5**19, 5**18, 5**17], np.uint64)
+_TENS = np.array([1, 10, 100], np.uint64)
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """The text ``format(value, ".17g")`` gives for each value in [0, 1],
+    and for NaN none, as 24 bytes padded with `_PAD`: an array of six
+    little-endian uint32 words per value.
+
+    A value v in [0.001, 1) is written by integer arithmetic.  Its
+    decade 10**x comes from the exact comparisons v >= 0.1 and v >= 0.01,
+    for each of those doubles lies above its decimal, and so does 0.001.
+    With v = m * 2**-e (m of 53 bits) and p = 16 - x, its 17 significant
+    digits are D = m * 5**p / 2**(e - p), rounded half to even: the
+    product, of up to 98 bits, is held in two uint64 words built from
+    32-bit limbs, and the remainder of the shift lies in the low word.
+    D * 10**(x + 3) is then the 19 fraction digits of "0.", four at a
+    time from a table, and its trailing zeros are dropped.  0.0 is "0" and
+    1.0 is "1"; any other value, below 0.001, -0.0 or subnormal, goes to
+    `format`.  Every operand is uint64, so that no integer becomes a float
+    under any numpy's promotion rules."""
+    one, thirty_two, fifty_two, sixty_four, low_half, fraction, hidden, bias, ten_4, ten_8, \
+        ten_16 = map(np.uint64, (1, 32, 52, 64, 2**32 - 1, 2**52 - 1, 2**52, 1056, 10**4, 10**8,
+                                 10**16))
+    fast = (values >= 0.001) & (values < 1.0)
+    safe = np.where(fast, values, 0.5)
+    decade = (safe >= 0.01).astype(np.uint64) + (safe >= 0.1)  # x + 3
+    bits = safe.view(np.uint64)
+    mantissa = bits & fraction | hidden
+    # e - p, for e = 1075 - the biased exponent and p = 19 - (x + 3)
+    shift = bias + decade - (bits >> fifty_two)
+    five = _FIVES.take(decade.view(np.int64))
+    # the product m * 5**p of 32-bit limbs, as high * 2**64 + low
+    m_high, m_low, f_high, f_low = (mantissa >> thirty_two, mantissa & low_half,
+                                    five >> thirty_two, five & low_half)
+    low = m_low * f_low
+    middle = m_high * f_low + m_low * f_high
+    wrapped = low + (middle << thirty_two)
+    high = m_high * f_high + (middle >> thirty_two) + (wrapped < low)
+    digits = (high << (sixty_four - shift)) | (wrapped >> shift)
+    remainder = wrapped & ((one << shift) - one)
+    half = one << (shift - one)
+    digits += (remainder > half) | ((remainder == half) & (digits & one == one))
+    digits *= _TENS.take(decade.view(np.int64))  # the 19 fraction digits
+    # digits 1-3, 4-7, 8-11, 12-15 and 16-19
+    first = digits // ten_16
+    rest = digits - first * ten_16
+    upper_8 = rest // ten_8
+    lower_8 = rest - upper_8 * ten_8
+    groups = [first]
+    for eight in (upper_8, lower_8):
+        upper = eight // ten_4
+        groups += [upper, eight - upper * ten_4]
+    # the last group that is not zero loses its trailing zeros, and each
+    # after it is all padding: a group takes the table's second half when
+    # every later one is zero
+    later_zero = [rest == 0, (lower_8 == 0) & (groups[2] == 0), lower_8 == 0, groups[4] == 0,
+                  True]
+    words = np.empty((len(values), 6), "<u4")
+    # the "0" of "0.", or the whole text of 1.0
+    words[:, 0] = _ZERO_WORD + ((values == 1.0).astype(np.uint32) << np.uint32(24))
+    for column, (group, zero, table) in enumerate(
+            zip(groups, later_zero, (_POINT,) + (_FOUR,) * 4), 1):
+        words[:, column] = table.take(group.view(np.int64) + zero * (len(table) // 2))
+    others = np.flatnonzero(~fast)
+    if others.size:
+        words[others, 1:] = _PAD_WORD
+        other = values[others]
+        not_whole = ~(((other == 0.0) & ~np.signbit(other)) | (other == 1.0))
+        words[others[not_whole], 0] = _PAD_WORD
+        slow = not_whole & ~np.isnan(other)
+        texts = (format(value, ".17g").encode().ljust(24, bytes([_PAD]))
+                 for value in other[slow].tolist())
+        words[others[slow]] = np.frombuffer(b"".join(texts), "<u4").reshape(-1, 6)
+    return words
 
 
 def _csv_fields(texts) -> list[str]:

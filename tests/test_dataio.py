@@ -283,13 +283,25 @@ class TestTableRoundTrip:
     @given(table=awkward_tables())
     @settings(max_examples=300, deadline=None)
     def test_every_table_with_a_question_loads_back(self, table):
-        """A table with no question writes no forecasts line, so its
-        forecasters cannot come back."""
-        assume(table.n_questions)
+        """A table with no question would write no forecasts line, and its
+        forecasters could not come back, so it is refused before either
+        file is opened."""
         with tempfile.TemporaryDirectory() as directory:
             files = [Path(directory) / name for name in ("f.csv", "o.csv")]
+            if not table.n_questions:
+                with pytest.raises(ValueError, match="forecasters but no question"):
+                    write_table(table, *files)
+                assert not any(path.exists() for path in files)
+            else:
+                write_table(table, *files)
+                assert load_table(*files) == table
+
+    def test_an_id_utf8_cannot_encode_is_refused_before_a_file_is_opened(self, tmp_path):
+        table = ForecastTable(("q1",), ("a", "\ud800"), [[0.5], [0.25]], [1])
+        files = [tmp_path / "f.csv", tmp_path / "o.csv"]
+        with pytest.raises(UnicodeEncodeError):
             write_table(table, *files)
-            assert load_table(*files) == table
+        assert not any(path.exists() for path in files)
 
     def test_line_endings_are_lf(self, tmp_path):
         table = generate_synthetic(SyntheticSpec(forecasters=2, questions=3, seed=1))
@@ -297,93 +309,16 @@ class TestTableRoundTrip:
         raw = (tmp_path / "f.csv").read_bytes()
         assert b"\r" not in raw
 
-    @given(table=awkward_tables(), cpus=st.sampled_from([None, 2]))
+    @given(table=awkward_tables())
     @settings(max_examples=200, deadline=None)
-    def test_same_bytes_as_the_row_by_row_writer(self, table, cpus):
-        """Written by one process, or by two wherever there are two rows."""
-        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
-            if cpus is not None:
-                split_into(patch, cpus)
+    def test_same_bytes_as_the_row_by_row_writer(self, table):
+        assume(table.n_questions)
+        with tempfile.TemporaryDirectory() as directory:
             files = [Path(directory) / name for name in ("f.csv", "o.csv", "rf.csv", "ro.csv")]
             write_table(table, *files[:2])
             csv_reference.write_table(table, *files[2:])
             assert files[0].read_bytes() == files[2].read_bytes()
             assert files[1].read_bytes() == files[3].read_bytes()
-        assert no_child_left()
-
-    @pytest.fixture
-    def split_write(self, tmp_path, monkeypatch):
-        """A table written by two processes.  ``made`` lists the rows this
-        process formats, as (start, stop) pairs, and ``expected`` holds the
-        reference writer's bytes."""
-        table = generate_synthetic(SyntheticSpec(forecasters=9, questions=30,
-                                                 coverage=0.8, seed=6))
-        csv_reference.write_table(table, tmp_path / "rf.csv", tmp_path / "ro.csv")
-        split_into(monkeypatch, 2)
-        here = os.getpid()
-        text = dataio._Rows.text
-        made = []
-
-        def recorded(rows, start, stop):
-            if os.getpid() == here:
-                made.append((start, stop))
-            return text(rows, start, stop)
-
-        monkeypatch.setattr(dataio._Rows, "text", recorded)
-        return table, made, (tmp_path / "rf.csv").read_bytes()
-
-    def test_later_rows_formatted_by_a_child(self, split_write, tmp_path):
-        table, made, expected = split_write
-        write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
-        assert (tmp_path / "f.csv").read_bytes() == expected
-        [(start, half)] = made
-        assert start == 0 and 0 < half < table.n_forecasters
-        assert no_child_left()
-
-    @pytest.mark.parametrize("failure", ["raise", "exit", "no-fork"])
-    def test_a_failing_child_leaves_its_rows_here(self, split_write, tmp_path, monkeypatch,
-                                                  failure):
-        table, made, expected = split_write
-        here = os.getpid()
-        text = dataio._Rows.text
-
-        def failing(rows, start, stop):
-            if os.getpid() != here:
-                if failure == "exit":
-                    os._exit(1)
-                raise RuntimeError("the child fails")
-            return text(rows, start, stop)
-
-        def failing_fork():
-            raise OSError("no process to spare")
-
-        monkeypatch.setattr(dataio._Rows, "text", failing)
-        if failure == "no-fork":
-            monkeypatch.setattr(os, "fork", failing_fork)
-        with sigint_unblocked():
-            write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
-            assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
-        assert (tmp_path / "f.csv").read_bytes() == expected
-        [(start, half), (rest, stop)] = made
-        assert (start, rest, stop) == (0, half, table.n_forecasters)
-        assert no_child_left()
-
-    def test_interrupt_ends_the_child(self, split_write, tmp_path, monkeypatch):
-        table, _, _ = split_write
-        here = os.getpid()
-
-        def interrupted(rows, start, stop):
-            if os.getpid() == here:
-                raise KeyboardInterrupt
-            time.sleep(60)  # a child still at work
-            yield b""
-
-        monkeypatch.setattr(dataio._Rows, "text", interrupted)
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
-        assert time.monotonic() - started < 30
-        assert no_child_left()
 
     def test_synth_into_a_missing_directory_forks_nothing(self, tmp_path, monkeypatch, capsys):
         split_into(monkeypatch, 2)
@@ -902,8 +837,8 @@ def loaded(load, path, forecaster_ids=None):
 
 
 def split_into(patch, cpus):
-    """Make the loader and the writer see ``cpus`` CPUs, whatever the
-    machine has, and a file of two bytes or more worth two ranges."""
+    """Make the loader see ``cpus`` CPUs, whatever the machine has, and a
+    file of two bytes or more worth two ranges."""
     patch.setattr(_forking, "_MIN_RANGE_BYTES", 1)
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
@@ -982,6 +917,112 @@ class TestDecimalKernel:
             assert (loaded(load_forecast_matrix, path, forecaster_ids)
                     == loaded(csv_reference.load_forecast_matrix, path, forecaster_ids))
             assert quoted == ([] if kernel and "a" in forecaster_ids else [1])
+
+
+def written(values) -> list[str]:
+    """The text `dataio._texts` makes of each value, its padding dropped."""
+    rows = dataio._texts(np.array(values, dtype=float)).view(np.uint8)
+    return [bytes(row[row != dataio._PAD]).decode() for row in rows]
+
+
+def formatted(values) -> list[str]:
+    return [format(value, ".17g") if value == value else "" for value in values]
+
+
+# any probability, subnormals and both zeros too, and an absent one
+PROBABILITIES = (st.floats(0.0, 1.0) | st.floats(0.0, 1e-300)
+                 | st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2.2250738585072009e-308,
+                                    2.2250738585072014e-308, 0.001, 0.01, 0.1, 0.5, math.nan]))
+
+
+class TestProbabilityText:
+    @given(values=st.lists(PROBABILITIES, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_format(self, values):
+        assert written(values) == formatted(values)
+
+    @pytest.mark.parametrize("bits,low", [(18, 0.1), (19, 0.01), (20, 0.001)])
+    def test_exact_ties_round_half_to_even(self, bits, low):
+        """An odd multiple of 2**-bits in [low, 10 * low) has 18
+        significant digits, the last a 5, so its 17 digits are a tie."""
+        odd = np.arange(math.ceil(low * 2**bits) | 1, 10 * low * 2**bits, 2)
+        sample = np.random.default_rng(bits).choice(odd, 3000)
+        values = np.concatenate((odd[:50], sample, odd[-50:])) / 2.0**bits
+        digits = [decimal.Decimal(value).as_tuple().digits for value in values.tolist()]
+        assert all(len(exact) == 18 and exact[-1] == 5 for exact in digits)
+        assert written(values) == formatted(values)
+        assert written([26215 / 2**18]) == ["0.10000228881835938"]
+
+    def test_neighbours_of_each_decade(self):
+        values = []
+        for edge in (0.001, 0.01, 0.1, 1.0):
+            below = above = edge
+            for _ in range(25):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+                values += [below, above]
+            values.append(edge)
+        values = [value for value in values if value <= 1.0]
+        assert written(values) == formatted(values)
+
+    def test_noise_free_synth_table(self, tmp_path):
+        """Every value of such a table is 0 or 1."""
+        prefix = tmp_path / "syn"
+        assert main(["synth", "--forecasters", "40", "--questions", "30", "--mode", "type2",
+                     "--noise", "0", "--seed", "3", "--out-prefix", str(prefix)]) == 0
+        table = generate_synthetic(SyntheticSpec(forecasters=40, questions=30, mode="type2",
+                                                 noise=0.0, seed=3))
+        present = table.forecasts[table.answered]
+        assert ((present == 0.0) | (present == 1.0)).all() and 0 < present.sum() < present.size
+        csv_reference.write_table(table, tmp_path / "rf.csv", tmp_path / "ro.csv")
+        assert (tmp_path / "syn.forecasts.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
+        assert (tmp_path / "syn.outcomes.csv").read_bytes() == (tmp_path / "ro.csv").read_bytes()
+
+
+def with_awkward_rows(table, long: int, absent: int) -> ForecastTable:
+    """``table`` with a long id that csv quotes for forecaster ``long`` and
+    no forecast from forecaster ``absent``."""
+    forecaster_ids = list(table.forecaster_ids)
+    forecaster_ids[long] = 'a "long", quoted\nid ' * 8
+    forecasts = table.forecasts.copy()
+    forecasts[absent] = np.nan
+    return ForecastTable(table.question_ids, forecaster_ids, forecasts, table.outcomes)
+
+
+class TestChunkedWrite:
+    def test_chunks_may_end_at_any_row(self, tmp_path, monkeypatch):
+        """Chunks of one row to the whole table give the reference's bytes,
+        among them chunks that start with the long id's row and that start
+        and end with the absent forecaster's one line."""
+        table = with_awkward_rows(generate_synthetic(SyntheticSpec(
+            forecasters=30, questions=20, mode="type2", coverage=0.6, seed=4)), 10, 11)
+        csv_reference.write_table(table, tmp_path / "rf.csv", tmp_path / "ro.csv")
+        expected = (tmp_path / "rf.csv").read_bytes()
+        fields = [dataio._padded_items(dataio._csv_fields(ids))
+                  for ids in (table.question_ids, table.forecaster_ids)]
+        long = dataio._csv_fields(table.forecaster_ids[10:11])[0].encode()
+        absent = f"{table.question_ids[0]},{table.forecaster_ids[11]},\n".encode()
+        seen = set()
+        for budget in range(0, fields[1].itemsize * 400, 97):
+            monkeypatch.setattr(dataio, "_WRITE_BYTES", budget)
+            chunks = [bytes(chunk) for chunk in dataio._forecast_lines(table.forecasts, *fields)]
+            assert HEADER_LINE + b"\n" + b"".join(chunks) == expected
+            for chunk in chunks:
+                seen |= {("long", chunk.split(b",", 1)[1].startswith(long)),
+                         ("starts absent", chunk.startswith(absent)),
+                         ("ends absent", chunk.endswith(b"\n" + absent))}
+        assert {("long", True), ("starts absent", True), ("ends absent", True)} <= seen
+
+    def test_a_table_of_several_chunks(self, tmp_path):
+        table = with_awkward_rows(generate_synthetic(SyntheticSpec(
+            forecasters=1000, questions=12, mode="type2", coverage=0.8, seed=5)), 500, 501)
+        fields = [dataio._padded_items(dataio._csv_fields(ids))
+                  for ids in (table.question_ids, table.forecaster_ids)]
+        assert len(list(dataio._forecast_lines(table.forecasts, *fields))) > 1
+        write_table(table, tmp_path / "f.csv", tmp_path / "o.csv")
+        csv_reference.write_table(table, tmp_path / "rf.csv", tmp_path / "ro.csv")
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
+        assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "ro.csv").read_bytes()
+        assert load_table(tmp_path / "f.csv", tmp_path / "o.csv") == table
 
 
 HEADER_LINE = ",".join(FORECASTS_HEADER).encode()
